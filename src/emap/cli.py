@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad arguments or config, 3 data errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -152,11 +153,12 @@ def _result_json(res) -> dict:
 def cmd_search(args, cfg: RunConfig) -> int:
     store = MdbStore.load(args.store)
     window = _load_query_window(args.input)
-    scfg = SearchConfig(alpha=args.alpha if args.alpha else cfg.search.alpha,
-                        delta=args.delta if args.delta else cfg.search.delta,
-                        top_k=cfg.search.top_k,
-                        max_comparisons=cfg.search.max_comparisons,
-                        workers=cfg.search.workers)
+    overrides = {k: v for k, v in (("alpha", args.alpha),
+                                   ("delta", args.delta)) if v is not None}
+    try:
+        scfg = dataclasses.replace(cfg.search, **overrides)
+    except ValueError as e:
+        raise SystemExit(_usage_error(str(e)))
 
     def describe(name, res):
         mean_w = (sum(c.omega for c in res.candidates) / len(res.candidates)
@@ -347,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run-config file")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--threads", type=int,
-                   help="search worker count (results are identical "
-                        "for any value)")
+                   help="threads that scan chunks of the store in "
+                        "parallel (results are identical for any value)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit code 4 on latency/real-time "
                         "budget violations")

@@ -5,21 +5,29 @@ that shrinks exponentially as correlation rises, so promising regions
 are combed at single-sample resolution while dissimilar ones are crossed
 in jumps of up to 250 samples. The exhaustive scan at step 1 is kept as
 the oracle the fast path is tested against.
+
+Both scans are one kernel that moves a chunk of slices through their
+offsets in lockstep: each round gathers every active slice's current
+window from the store's flat float32 buffer, correlates them all with
+the query at once and advances each slice by its own step.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp
 from .mdb import SLICE_LEN, MdbStore
 
 LAST_OFFSET = SLICE_LEN - dsp.WINDOW_LEN  # 744, scanned inclusively
+
+_CHUNK = 1024  # slices moved in lockstep by one kernel call
 
 
 @dataclass(frozen=True)
@@ -62,69 +70,71 @@ def _step_for(alpha: float, omega_clamped: float) -> int:
     return max(1, round(alpha ** (omega_clamped - 1.0)))
 
 
-def _scan_slice_sliding(q, q_energy, samples, set_id, alpha, delta, trace):
-    """One slice of the exponential scan.
+def _steps(alpha: float, clamped: np.ndarray) -> np.ndarray:
+    """_step_for over an array, element for element: np.power may differ
+    from Python's pow in the last bit, which matters only next to a
+    half-integer, so those elements are recomputed with _step_for."""
+    raw = np.power(alpha, clamped - 1.0)
+    steps = np.rint(raw)  # halves to even, as round() does
+    for i in np.flatnonzero(np.abs(np.abs(raw - steps) - 0.5) <= 1e-9 * raw):
+        steps[i] = _step_for(alpha, float(clamped[i]))
+    return np.maximum(steps, 1.0).astype(np.int64)
 
-    Returns (candidates, comparisons, degenerate_skips). omega is clamped
-    only after the threshold test, so a negative correlation still
-    produces the maximum step.
+
+@np.errstate(invalid="ignore")  # flat segments score 0/0
+def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
+                record_trace):
+    """Scan the slices starting at `starts` in lockstep.
+
+    Returns per-slice comparisons, degenerate skips, best omega above
+    delta (-inf if none) and its beta (ties keep the lower beta), plus
+    the trace columns (row, beta, omega, clamped, step) in slice-major
+    order, or None without record_trace.
     """
-    hits = []
-    comparisons = 0
-    degenerate = 0
-    max_step = _step_for(alpha, 0.0)
-    beta = 0
-    while beta <= LAST_OFFSET:
-        seg = samples[beta:beta + dsp.WINDOW_LEN]
-        energy = float(np.dot(seg, seg))
-        if energy == 0.0:
-            # a flat segment carries no information; treat it like
-            # maximum dissimilarity and move on
-            degenerate += 1
-            beta += max_step
-            continue
+    n = starts.size
+    visits = np.zeros(n, dtype=np.int64)
+    degenerate = np.zeros(n, dtype=np.int64)
+    best = np.full(n, -np.inf)
+    best_beta = np.full(n, -1, dtype=np.int64)
+    rows = np.arange(n)
+    beta = np.zeros(n, dtype=np.int64)
+    buf = np.empty((n, dsp.WINDOW_LEN))  # one float64 copy per round, reused
+    trace = [] if record_trace else None
+    while rows.size:
+        segs = buf[:rows.size]
+        segs[...] = windows[starts[rows] + beta]
+        # vecdot takes each row's dot with the same kernel as np.dot, so
+        # an identical segment scores exactly 1.0 against the query
+        energy = np.vecdot(segs, segs)
+        visits[rows] += 1
+        # a flat segment carries no information: it is skipped, and its
+        # omega of NaN clamps to 0, the maximum step
+        flat = energy == 0.0
+        if np.count_nonzero(flat):
+            degenerate[rows[flat]] += 1
         # sqrt of the product keeps an identical segment at exactly 1.0
-        omega = float(np.dot(q, seg)) / math.sqrt(q_energy * energy)
-        comparisons += 1
-        if omega > delta:
-            hits.append((omega, beta))
-        clamped = omega if omega > 0.0 else 0.0
-        step = _step_for(alpha, clamped)
+        omega = np.vecdot(segs, q) / np.sqrt(q_energy * energy)
+        hit = (omega > delta) & (omega > best[rows])
+        if np.count_nonzero(hit):
+            best[rows[hit]] = omega[hit]
+            best_beta[rows[hit]] = beta[hit]
+        # omega is clamped only after the threshold test, so a negative
+        # correlation still produces the maximum step
+        clamped = np.where(omega > 0.0, omega, 0.0)
+        step = np.ones_like(beta) if exhaustive else _steps(alpha, clamped)
         if trace is not None:
-            trace.append((set_id, beta, omega, clamped, step))
+            trace.append([c[~flat] for c in (rows, beta, omega, clamped, step)])
         beta += step
-    return hits, comparisons, degenerate
+        live = beta <= LAST_OFFSET
+        rows, beta = rows[live], beta[live]
+    if trace is not None:
+        cols = [np.concatenate(c) for c in zip(*trace)]
+        order = np.argsort(cols[0], kind="stable")
+        trace = [c[order] for c in cols]
+    return visits - degenerate, degenerate, best, best_beta, trace
 
 
-def _scan_slice_exhaustive(q, q_energy, samples, set_id, alpha, delta, trace):
-    """Step-1 reference scan over every offset of one slice."""
-    hits = []
-    comparisons = 0
-    degenerate = 0
-    for beta in range(LAST_OFFSET + 1):
-        seg = samples[beta:beta + dsp.WINDOW_LEN]
-        energy = float(np.dot(seg, seg))
-        if energy == 0.0:
-            degenerate += 1
-            continue
-        # sqrt of the product keeps an identical segment at exactly 1.0
-        omega = float(np.dot(q, seg)) / math.sqrt(q_energy * energy)
-        comparisons += 1
-        if omega > delta:
-            hits.append((omega, beta))
-        if trace is not None:
-            clamped = omega if omega > 0.0 else 0.0
-            trace.append((set_id, beta, omega, clamped, 1))
-    return hits, comparisons, degenerate
-
-
-def _best_per_slice(set_id, hits):
-    # ties on omega resolve to the lower beta
-    omega, beta = min(hits, key=lambda h: (-h[0], h[1]))
-    return Candidate(set_id=set_id, omega=omega, beta=beta)
-
-
-def _run_search(window, store: MdbStore, cfg: SearchConfig, scan_fn,
+def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
                 record_trace: bool):
     q = dsp.window_samples(window)
     q_energy = float(np.dot(q, q))
@@ -133,58 +143,50 @@ def _run_search(window, store: MdbStore, cfg: SearchConfig, scan_fn,
 
     t0 = time.perf_counter()
     n = store.num_slices
-    trace = [] if record_trace else None
+    budget = cfg.max_comparisons
+    windows = sliding_window_view(store.flat, dsp.WINDOW_LEN) if n else None
 
-    def scan(set_id):
-        sl_trace = [] if record_trace else None
-        sl = store.get_slice(set_id)
-        hits, comps, degen = scan_fn(q, q_energy, sl.samples, set_id,
-                                     cfg.alpha, cfg.delta, sl_trace)
-        return set_id, hits, comps, degen, sl_trace
+    def scan(lo):
+        return _scan_chunk(q, q_energy, windows,
+                           store.slice_starts[lo:lo + _CHUNK], cfg.alpha,
+                           cfg.delta, exhaustive, record_trace)
 
-    # Slices are independent; any worker count must produce the same
-    # result, so partial results are always folded in slice order and
-    # the comparison guard cuts at a slice boundary of that order.
-    per_slice = []
-    if cfg.workers == 1 or n == 0:
-        budget = cfg.max_comparisons
-        used = 0
-        for set_id in range(n):
-            if budget is not None and used >= budget:
-                break
-            row = scan(set_id)
-            per_slice.append(row)
-            used += row[2]
-    else:
-        chunk = 64
-        used = 0
+    # Chunks are folded in slice order, and the comparison guard cuts at
+    # a slice boundary of that order, so the result does not depend on
+    # the worker count.
+    chunks = range(0, n, _CHUNK)
+    if cfg.workers > 1 and budget is None:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for start in range(0, n, chunk):
-                if cfg.max_comparisons is not None and used >= cfg.max_comparisons:
-                    break
-                rows = list(pool.map(scan, range(start, min(start + chunk, n))))
-                per_slice.extend(rows)
-                used += sum(r[2] for r in rows)
-
-    pool_cands = []
-    comparisons = 0
-    degenerate = 0
-    scanned = 0
-    for set_id, hits, comps, degen, sl_trace in per_slice:
-        if cfg.max_comparisons is not None and comparisons >= cfg.max_comparisons:
+            results = iter(list(pool.map(scan, chunks)))
+    else:
+        results = map(scan, chunks)  # lazy: no chunk past the cut is scanned
+    candidates = []
+    trace = [] if record_trace else None
+    used = scanned = degenerate = 0
+    for lo in chunks:
+        if budget is not None and used >= budget:
             break
-        scanned += 1
-        comparisons += comps
-        degenerate += degen
-        if hits:
-            pool_cands.append(_best_per_slice(set_id, hits))
-        if trace is not None and sl_trace:
-            trace.extend(sl_trace)
+        comps, degen, best, best_beta, part = next(results)
+        if budget is not None:
+            before = used + np.cumsum(comps) - comps
+            cut = int(np.count_nonzero(before < budget))
+            comps, degen, best_beta = comps[:cut], degen[:cut], best_beta[:cut]
+            if part is not None:
+                part = [c[part[0] < cut] for c in part]
+        used += int(comps.sum())
+        scanned += comps.size
+        degenerate += int(degen.sum())
+        candidates += [Candidate(set_id=lo + row, omega=float(best[row]),
+                                 beta=int(best_beta[row]))
+                       for row in np.flatnonzero(best_beta >= 0).tolist()]
+        if part is not None:
+            trace.extend(zip((part[0] + lo).tolist(),
+                             *(c.tolist() for c in part[1:])))
 
-    pool_cands.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
+    candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
-        candidates=pool_cands[:cfg.top_k],
-        comparisons_made=comparisons,
+        candidates=candidates[:cfg.top_k],
+        comparisons_made=used,
         slices_scanned=scanned,
         elapsed=time.perf_counter() - t0,
         degenerate_skipped=degenerate,
@@ -200,15 +202,14 @@ def sliding_search(window, store: MdbStore, cfg: SearchConfig,
     With record_trace=True the result carries every visited offset as
     (set_id, beta, omega, omega_clamped, step) for scan audits.
     """
-    return _run_search(window, store, cfg, _scan_slice_sliding, record_trace)
+    return _run_search(window, store, cfg, False, record_trace)
 
 
 def exhaustive_search(window, store: MdbStore, cfg: SearchConfig,
                       record_trace: bool = False) -> SearchResult:
     """Brute-force oracle: correlate at all 745 offsets of every slice,
     with identical thresholding, deduplication and ordering."""
-    return _run_search(window, store, cfg, _scan_slice_exhaustive,
-                       record_trace)
+    return _run_search(window, store, cfg, True, record_trace)
 
 
 @dataclass
@@ -231,9 +232,7 @@ def alpha_sweep(windows, store: MdbStore, alphas,
     base = base_cfg or SearchConfig()
     rows = []
     for alpha in alphas:
-        cfg = SearchConfig(alpha=alpha, delta=base.delta, top_k=base.top_k,
-                           max_comparisons=base.max_comparisons,
-                           workers=base.workers)
+        cfg = dataclasses.replace(base, alpha=alpha)
         comps = []
         matches = []
         omegas = []

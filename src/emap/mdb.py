@@ -4,6 +4,9 @@ A store is a plain directory: a JSON manifest describing each source
 signal, one little-endian float32 payload file per signal, and a flat
 JSON index mapping every slice to (parent, offset, label). Everything is
 immutable after build, so concurrent readers need no coordination.
+
+In memory, a loaded store keeps all samples in one flat float32 buffer
+(see MdbStore); that is what the cloud search scans.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ FORMAT_VERSION = 1
 
 
 class CsvFormatError(ValueError):
-    """Raised when a sample file has a row that does not parse."""
+    """Raised when a sample file has a row that does not parse or is
+    not a finite number."""
 
 
 @dataclass
@@ -84,6 +88,7 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
 
     Format: one sample per line; blank lines and `#` comments are
     skipped; a single non-numeric first row is tolerated as a header.
+    NaN and infinite samples are rejected with their line number.
     The signal is resampled to 256 Hz, bandpass filtered, and its
     anomaly spans are rescaled by the resampling ratio.
     """
@@ -107,6 +112,10 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     if not values:
         raise CsvFormatError(f"{path}: no samples found")
     x = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise CsvFormatError(f"{path}: non-finite value on line "
+                             f"{_line_of_sample(path, int(np.argmin(finite)))}")
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
 
@@ -118,6 +127,24 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     filtered = dsp.apply_filter(x, taps)
     return SourceSignal(id=signal_id, samples=filtered,
                         anomaly_spans=spans, dataset_tag=dataset_tag)
+
+
+def _line_of_sample(path, k):
+    """Line number of the k-th sample ingest_csv read from `path`; every
+    numeric row is a sample, since the only other row it accepts is a
+    header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                float(line)
+            except ValueError:
+                continue
+            if k == 0:
+                return lineno
+            k -= 1
 
 
 def _slice_label(spans, offset):
@@ -153,17 +180,22 @@ def slice_signal(signal: SourceSignal, start_set_id: int = 0):
 class MdbStore:
     """Immutable directory-backed slice database.
 
-    Parent signals are held as float64 arrays converted from the
-    float32 payload, so a build/reopen round trip is bit-exact.
+    Load reads every payload into one flat float32 buffer (`flat`), in
+    manifest order. Parent arrays are views into it, and `slice_starts`
+    holds each slice's first position in it, so a scan can address any
+    window of any slice without building a SignalSet. No float64 copy
+    is kept: widening float32 to float64 is exact, so callers that
+    compute in float64 see bit-identical values.
     """
 
-    def __init__(self, manifest: dict, parents: dict, index: list,
-                 root=None):
+    def __init__(self, manifest: dict, flat: np.ndarray, parents: dict,
+                 index: list, slice_starts: np.ndarray, root=None):
         self.manifest = manifest
         self.root = root
+        self.flat = flat
+        self.slice_starts = slice_starts
         self._parents = parents
         self._index = index
-        self._sig_meta = {s["id"]: s for s in manifest["signals"]}
 
     # -- construction -------------------------------------------------
 
@@ -174,18 +206,47 @@ class MdbStore:
         if manifest.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported store format {manifest.get('format_version')}")
+        signals = manifest["signals"]
+        flat = np.empty(sum(int(sig["length"]) for sig in signals),
+                        dtype="<f4")
         parents = {}
-        for sig in manifest["signals"]:
-            payload = np.fromfile(
-                os.path.join(root, sig["file"]), dtype="<f4")
-            if payload.size != sig["length"]:
-                raise ValueError(
-                    f"payload {sig['file']} has {payload.size} samples, "
-                    f"manifest says {sig['length']}")
-            parents[sig["id"]] = payload.astype(np.float64)
+        base = {}
+        pos = 0
+        for sig in signals:
+            length = int(sig["length"])
+            view = flat[pos:pos + length]
+            with open(os.path.join(root, sig["file"]), "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size != view.nbytes or fh.readinto(view) != size:
+                    raise ValueError(
+                        f"payload {sig['file']} has {size // 4} samples, "
+                        f"manifest says {length}")
+            if sig["id"] in parents:
+                raise ValueError(f"manifest lists signal {sig['id']} twice")
+            parents[sig["id"]] = view
+            base[sig["id"]] = pos
+            pos += length
         with open(os.path.join(root, "index.json"), encoding="utf-8") as fh:
             index = [tuple(row) for row in json.load(fh)]
-        return cls(manifest, parents, index, root=root)
+        # a bad row would otherwise read a neighbouring parent through
+        # the flat buffer without any error
+        starts = np.empty(len(index), dtype=np.int64)
+        for set_id, row in enumerate(index):
+            if len(row) != 5 or row[0] != set_id:
+                raise ValueError(f"index.json: row {set_id} is {list(row)}, "
+                                 f"expected set_id {set_id} first")
+            _sid, parent_id, offset, _label, _kind = row
+            if parent_id not in parents:
+                raise ValueError(f"index.json: slice {set_id} names unknown "
+                                 f"parent {parent_id!r}")
+            if not (isinstance(offset, int) and 0 <= offset
+                    and offset + SLICE_LEN <= parents[parent_id].size):
+                raise ValueError(
+                    f"index.json: slice {set_id} at offset {offset!r} does "
+                    f"not fit parent {parent_id} of "
+                    f"{parents[parent_id].size} samples")
+            starts[set_id] = base[parent_id] + offset
+        return cls(manifest, flat, parents, index, starts, root=root)
 
     # -- queries ------------------------------------------------------
 
@@ -195,10 +256,10 @@ class MdbStore:
 
     def slice_meta(self, set_id: int):
         """(set_id, parent_id, parent_offset, label, kind) for one slice."""
-        row = self._index[set_id]
-        if row[0] != set_id:
-            raise ValueError(f"index corrupt at set_id {set_id}")
-        return row
+        if not 0 <= set_id < len(self._index):
+            raise ValueError(f"no slice {set_id} in a store of "
+                             f"{len(self._index)}")
+        return self._index[set_id]
 
     def get_slice(self, set_id: int) -> SignalSet:
         _sid, parent_id, offset, label, kind = self.slice_meta(set_id)
@@ -208,30 +269,26 @@ class MdbStore:
                          samples=parent[offset:offset + SLICE_LEN],
                          label=label, anomaly_kind=kind)
 
-    def slices(self):
-        for set_id in range(len(self._index)):
-            yield self.get_slice(set_id)
-
     def parent_samples(self, parent_id: int) -> np.ndarray:
+        """The parent's float32 samples, a view into the flat buffer."""
         return self._parents[parent_id]
-
-    def parent_length_for(self, set_id: int) -> int:
-        _sid, parent_id, _off, _label, _kind = self.slice_meta(set_id)
-        return int(self._parents[parent_id].size)
-
-    def signal_meta(self, parent_id: int) -> dict:
-        return self._sig_meta[parent_id]
 
 
 def build_store(signals, out_dir) -> MdbStore:
     """Slice a corpus, quantize payloads to float32, and write the store.
 
-    Returns the reopened store, so the arrays in hand are exactly what
-    any later reader will see.
+    Raises ValueError for duplicate ids and for NaN, infinite or
+    beyond-float32 samples, which no correlation could score. Returns
+    the reopened store, so the arrays in hand are exactly what any later
+    reader will see.
     """
     ids = [s.id for s in signals]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate signal ids in corpus")
+    for sig in signals:
+        if not np.all(np.abs(sig.samples) <= np.finfo(np.float32).max):
+            raise ValueError(f"signal {sig.id} has NaN, infinite or "
+                             "beyond-float32 samples")
     os.makedirs(out_dir, exist_ok=True)
 
     sig_entries = []
@@ -281,9 +338,9 @@ def build_store(signals, out_dir) -> MdbStore:
 
 def get_parent_segment(store: MdbStore, set_id: int, offset: int,
                        length: int):
-    """Samples of the slice's parent starting `offset` past the slice
-    origin, or None once the parent is exhausted (the tracked recording
-    simply ended; not an error)."""
+    """Float32 samples of the slice's parent starting `offset` past the
+    slice origin (a view into the store), or None once the parent is
+    exhausted (the tracked recording simply ended; not an error)."""
     if offset < 0 or length <= 0:
         raise ValueError("offset must be >= 0 and length positive")
     _sid, parent_id, parent_offset, _label, _kind = store.slice_meta(set_id)

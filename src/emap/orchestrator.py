@@ -179,11 +179,6 @@ class _PendingCall:
     initial: bool
 
 
-def _windows_of(live: SourceSignal):
-    n = live.samples.size // dsp.WINDOW_LEN
-    return n
-
-
 def run_stream(live: SourceSignal, store: MdbStore,
                search_cfg: SearchConfig, tracker_cfg: TrackerConfig,
                link: LinkModel, sim: SimConfig | None = None) -> RunOutcome:
@@ -195,7 +190,7 @@ def run_stream(live: SourceSignal, store: MdbStore,
     time, before that boundary's tracking step.
     """
     sim = sim or SimConfig()
-    n_windows = _windows_of(live)
+    n_windows = live.samples.size // dsp.WINDOW_LEN
     if n_windows < 2:
         raise ValueError("live signal must span at least 2 seconds")
     if store.num_slices == 0:
@@ -327,7 +322,7 @@ class EvaluationTable:
 def _assert_disjoint(corpus, store: MdbStore):
     for live in corpus:
         # compare in stored precision, otherwise quantization masks a leak
-        quantized = live.samples.astype("<f4").astype(np.float64)
+        quantized = live.samples.astype("<f4")
         for sig in store.manifest["signals"]:
             parent = store.parent_samples(sig["id"])
             if parent.size == quantized.size and np.array_equal(

@@ -93,6 +93,49 @@ def test_malformed_csv_is_a_data_error(tiny_store, tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_non_finite_csv_is_a_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    samples = np.random.default_rng(5).normal(0.0, 15.0, 1000)
+    samples[499] = np.nan
+    write_signal_csv(raw / "sig0.csv", samples)   # line 1 is a comment
+    rc = emap_cli.main(["build-mdb", "--in", str(raw),
+                        "--out", str(tmp_path / "store")])
+    assert rc == 3
+    assert "line 501" in capsys.readouterr().err
+
+
+def test_search_flags_override_the_config_even_when_falsy(tiny_store,
+                                                          tmp_path, capsys):
+    store_dir, _raw = tiny_store
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, np.random.default_rng(6).normal(0.0, 15.0, 256))
+    res = tmp_path / "res.json"
+
+    def best_omegas(*flags):
+        rc = emap_cli.main(["search", "--store", str(store_dir), "--input",
+                            str(q), "--exhaustive", "--out", str(res),
+                            *flags])
+        assert rc == 0
+        return [c["omega"] for c in json.loads(res.read_text())["candidates"]]
+
+    # noise correlates weakly: nothing above the default delta of 0.8,
+    # but its best offset is above 0
+    assert best_omegas() == []
+    assert 0.0 < best_omegas("--delta", "0")[0] < 0.8
+    assert 0.0 < best_omegas("--delta", "0.0")[0] < 0.8
+    capsys.readouterr()
+    for flag in ("--alpha", "--delta"):
+        for bad in ("0", "1"):
+            rc = emap_cli.main(["search", "--store", str(store_dir),
+                                "--input", str(q), flag, bad])
+            if flag == "--delta" and bad == "0":
+                assert rc == 0
+            else:
+                assert rc == 2, (flag, bad)
+    capsys.readouterr()
+
+
 def test_bad_config_file_is_a_usage_error(tiny_store, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{ this is not json")

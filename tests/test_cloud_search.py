@@ -228,3 +228,14 @@ def test_alpha_sweep_report(parity_world):
     for r in rows:
         assert r.mean_matches > 0
         assert 0.8 < r.mean_top100_omega <= 1.0
+
+
+def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world):
+    corpus, store = parity_world
+    base = SearchConfig(delta=0.9, top_k=2, max_comparisons=300)
+    row, = alpha_sweep(corpus.queries[:3], store, [0.02], base_cfg=base)
+    cfg = SearchConfig(alpha=0.02, delta=0.9, top_k=2, max_comparisons=300)
+    runs = [sliding_search(q, store, cfg) for q in corpus.queries[:3]]
+    assert row.mean_comparisons == np.mean([r.comparisons_made for r in runs])
+    assert row.mean_matches == np.mean([len(r.candidates) for r in runs])
+    assert row.mean_matches <= 2

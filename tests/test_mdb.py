@@ -69,6 +69,77 @@ def test_store_slices_are_parent_segments(tmp_path):
                               parent[off:off + SLICE_LEN])
 
 
+def test_store_holds_one_flat_float32_buffer(tmp_path):
+    signals = [make_signal(i, n=1000 + 700 * i) for i in range(3)]
+    store = build_store(signals, tmp_path / "store")
+    assert store.flat.dtype == np.float32
+    assert store.flat.size == sum(s.samples.size for s in signals)
+    assert store.slice_starts.dtype == np.int64
+    for sig in signals:
+        parent = store.parent_samples(sig.id)
+        assert np.shares_memory(parent, store.flat)
+        assert np.array_equal(parent, sig.samples.astype("<f4"))
+    for sid in range(store.num_slices):
+        start = store.slice_starts[sid]
+        assert np.array_equal(store.flat[start:start + SLICE_LEN],
+                              store.get_slice(sid).samples)
+
+
+def corrupt_index(root, edit):
+    path = root / "index.json"
+    index = json.loads(path.read_text())
+    edit(index)
+    path.write_text(json.dumps(index))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ix: ix.reverse(), "expected set_id 0"),
+    (lambda ix: ix.pop(0), "expected set_id 0"),
+    (lambda ix: ix[1].__setitem__(0, 7), "expected set_id 1"),
+    (lambda ix: ix[2].__setitem__(1, 99), "unknown parent 99"),
+    (lambda ix: ix[0].__setitem__(2, -1), "offset -1"),
+    (lambda ix: ix[1].__setitem__(2, 1001), "offset 1001"),
+    (lambda ix: ix[3].__setitem__(2, 1.5), "offset 1.5"),
+    (lambda ix: ix[0].pop(), "expected set_id 0"),
+])
+def test_load_rejects_a_corrupt_index(tmp_path, edit, message):
+    # parent 0 has two slices and 2000 samples, parent 1 has two slices
+    # and 2500: an offset of 1001 would read 1 sample into parent 1
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
+    MdbStore.load(root)
+    corrupt_index(root, edit)
+    with pytest.raises(ValueError, match=message):
+        MdbStore.load(root)
+
+
+def test_load_rejects_a_signal_listed_twice(tmp_path):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000), make_signal(1, n=2000)], root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["signals"][1]["id"] = 0
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="signal 0 twice"):
+        MdbStore.load(root)
+
+
+def test_load_rejects_a_truncated_payload(tmp_path):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000)], root)
+    payload = root / "signal_00000.f32"
+    payload.write_bytes(payload.read_bytes()[:-4])
+    with pytest.raises(ValueError, match="1999 samples"):
+        MdbStore.load(root)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_build_store_rejects_non_finite_samples(tmp_path, bad):
+    sig = make_signal(4, n=2000)
+    sig.samples[1234] = bad
+    with pytest.raises(ValueError, match="signal 4"):
+        build_store([make_signal(0), sig], tmp_path / "store")
+
+
 def test_build_store_rejects_duplicate_ids(tmp_path):
     with pytest.raises(ValueError):
         build_store([make_signal(3), make_signal(3)], tmp_path / "store")
@@ -150,6 +221,14 @@ def test_ingest_csv_reports_bad_line_number(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         ingest_csv(p, sample_rate_hz=256)
     assert "line 4" in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_ingest_csv_rejects_non_finite_samples(tmp_path, token):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"amplitude\n1.0\n2.0\n{token}\n4.0\n")
+    with pytest.raises(CsvFormatError, match="line 4"):
+        ingest_csv(p, sample_rate_hz=256)
 
 
 def test_ingest_csv_rejects_empty(tmp_path):
