@@ -29,7 +29,6 @@ from .mdb import (
     build_store,
     get_parent_segment,
     ingest_csv,
-    slice_signal,
     synth_corpus,
 )
 from .cloud_search import (
@@ -76,7 +75,6 @@ __all__ = [
     "SignalSet",
     "MdbStore",
     "ingest_csv",
-    "slice_signal",
     "synth_corpus",
     "build_store",
     "get_parent_segment",

@@ -16,17 +16,11 @@ import time
 
 import numpy as np
 
-from . import dsp, mdb, scenarios
+from . import dsp, scenarios
 from .cloud_search import SearchConfig, alpha_sweep, exhaustive_search, sliding_search
-from .edge_tracker import TrackerConfig, init_tracker, report_json_record, tracker_step
+from .edge_tracker import init_tracker, report_json_record, tracker_step
 from .mdb import CsvFormatError, MdbStore, build_store, ingest_csv, synth_corpus
-from .orchestrator import (
-    LinkModel,
-    RunConfig,
-    SimConfig,
-    evaluate_batch,
-    run_stream,
-)
+from .orchestrator import RunConfig, evaluate_batch, run_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -267,15 +261,25 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _parse_alphas(text, search: SearchConfig):
+    try:
+        alphas = [float(a) for a in text.split(",") if a]
+        for alpha in alphas:
+            dataclasses.replace(search, alpha=alpha)
+    except ValueError as e:
+        raise SystemExit(_usage_error(f"--alphas {text!r}: {e}"))
+    if not alphas:
+        raise SystemExit(_usage_error("--alphas must list at least one value"))
+    return alphas
+
+
 def cmd_sweep_alpha(args, cfg: RunConfig) -> int:
+    alphas = _parse_alphas(args.alphas, cfg.search)
     store = MdbStore.load(args.store)
     paths = sorted(glob.glob(os.path.join(args.inputs, "*.csv")))
     if not paths:
         raise ValueError(f"no .csv files in {args.inputs}")
     windows = [_load_query_window(p) for p in paths]
-    alphas = [float(a) for a in args.alphas.split(",") if a]
-    if not alphas:
-        raise SystemExit(_usage_error("--alphas must list at least one value"))
     rows = alpha_sweep(windows, store, alphas, base_cfg=cfg.search)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("alpha,mean_comparisons,mean_matches,mean_top100_omega\n")

@@ -1,9 +1,12 @@
 """The mega-database of labeled 1000-sample signal slices.
 
 A store is a plain directory: a JSON manifest describing each source
-signal, one little-endian float32 payload file per signal, and a flat
-JSON index mapping every slice to (parent, offset, label). Everything is
-immutable after build, so concurrent readers need no coordination.
+signal (id, length, anomaly spans) and one little-endian float32
+payload file per signal. The slice table is not stored: it is a
+function of the manifest (consecutive non-overlapping 1000-sample cuts
+from offset 0 of each signal, in manifest order, each labelled
+anomalous if any span overlaps it) and is derived at load. Everything
+is immutable after build, so concurrent readers need no coordination.
 
 In memory, a loaded store keeps all samples in one flat float32 buffer
 (see MdbStore); that is what the cloud search scans.
@@ -21,7 +24,7 @@ from . import dsp
 
 SLICE_LEN = 1000
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CsvFormatError(ValueError):
@@ -155,26 +158,14 @@ def _slice_label(spans, offset):
     return 0, None
 
 
-def slice_signal(signal: SourceSignal, start_set_id: int = 0):
-    """Cut a source signal into consecutive non-overlapping 1000-sample
-    slices; the trailing remainder is discarded."""
-    n = signal.samples.size
-    if n < SLICE_LEN:
+def _slice_offsets(signal_id, length):
+    """Offsets of a signal's consecutive non-overlapping slices; the
+    trailing remainder is discarded."""
+    if length < SLICE_LEN:
         raise ValueError(
-            f"signal {signal.id} has {n} samples; at least {SLICE_LEN} "
+            f"signal {signal_id} has {length} samples; at least {SLICE_LEN} "
             "are required to form a slice")
-    out = []
-    for k, offset in enumerate(range(0, n - SLICE_LEN + 1, SLICE_LEN)):
-        label, kind = _slice_label(signal.anomaly_spans, offset)
-        out.append(SignalSet(
-            set_id=start_set_id + k,
-            parent_id=signal.id,
-            parent_offset=offset,
-            samples=signal.samples[offset:offset + SLICE_LEN],
-            label=label,
-            anomaly_kind=kind,
-        ))
-    return out
+    return range(0, length - SLICE_LEN + 1, SLICE_LEN)
 
 
 class MdbStore:
@@ -201,16 +192,20 @@ class MdbStore:
 
     @classmethod
     def load(cls, root) -> "MdbStore":
+        """Read the payloads and derive the slice table from the manifest."""
         with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("format_version") != FORMAT_VERSION:
+        version = manifest.get("format_version")
+        if version != FORMAT_VERSION:
             raise ValueError(
-                f"unsupported store format {manifest.get('format_version')}")
+                f"store format {version!r} is not supported (format "
+                f"{FORMAT_VERSION} expected); rebuild the store")
         signals = manifest["signals"]
         flat = np.empty(sum(int(sig["length"]) for sig in signals),
                         dtype="<f4")
         parents = {}
-        base = {}
+        index = []
+        starts = []
         pos = 0
         for sig in signals:
             length = int(sig["length"])
@@ -224,29 +219,15 @@ class MdbStore:
             if sig["id"] in parents:
                 raise ValueError(f"manifest lists signal {sig['id']} twice")
             parents[sig["id"]] = view
-            base[sig["id"]] = pos
+            spans = [_norm_span(sp, length) for sp in sig["spans"]]
+            _check_spans(spans, length)
+            for offset in _slice_offsets(sig["id"], length):
+                label, kind = _slice_label(spans, offset)
+                index.append((len(index), sig["id"], offset, label, kind))
+                starts.append(pos + offset)
             pos += length
-        with open(os.path.join(root, "index.json"), encoding="utf-8") as fh:
-            index = [tuple(row) for row in json.load(fh)]
-        # a bad row would otherwise read a neighbouring parent through
-        # the flat buffer without any error
-        starts = np.empty(len(index), dtype=np.int64)
-        for set_id, row in enumerate(index):
-            if len(row) != 5 or row[0] != set_id:
-                raise ValueError(f"index.json: row {set_id} is {list(row)}, "
-                                 f"expected set_id {set_id} first")
-            _sid, parent_id, offset, _label, _kind = row
-            if parent_id not in parents:
-                raise ValueError(f"index.json: slice {set_id} names unknown "
-                                 f"parent {parent_id!r}")
-            if not (isinstance(offset, int) and 0 <= offset
-                    and offset + SLICE_LEN <= parents[parent_id].size):
-                raise ValueError(
-                    f"index.json: slice {set_id} at offset {offset!r} does "
-                    f"not fit parent {parent_id} of "
-                    f"{parents[parent_id].size} samples")
-            starts[set_id] = base[parent_id] + offset
-        return cls(manifest, flat, parents, index, starts, root=root)
+        return cls(manifest, flat, parents, index,
+                   np.array(starts, dtype=np.int64), root=root)
 
     # -- queries ------------------------------------------------------
 
@@ -275,63 +256,46 @@ class MdbStore:
 
 
 def build_store(signals, out_dir) -> MdbStore:
-    """Slice a corpus, quantize payloads to float32, and write the store.
+    """Quantize a corpus to float32 payloads and write its manifest.
 
-    Raises ValueError for duplicate ids and for NaN, infinite or
-    beyond-float32 samples, which no correlation could score. Returns
-    the reopened store, so the arrays in hand are exactly what any later
-    reader will see.
+    Raises ValueError, before any file is written, for duplicate ids,
+    signals shorter than one slice, and NaN, infinite or beyond-float32
+    samples, which no correlation could score. Returns the reopened
+    store, so the arrays in hand are exactly what any later reader will
+    see.
     """
     ids = [s.id for s in signals]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate signal ids in corpus")
     for sig in signals:
+        _slice_offsets(sig.id, sig.samples.size)
         if not np.all(np.abs(sig.samples) <= np.finfo(np.float32).max):
             raise ValueError(f"signal {sig.id} has NaN, infinite or "
                              "beyond-float32 samples")
     os.makedirs(out_dir, exist_ok=True)
 
     sig_entries = []
-    index = []
-    set_id = 0
     for sig in signals:
-        payload = sig.samples.astype("<f4")
         fname = f"signal_{sig.id:05d}.f32"
-        payload.tofile(os.path.join(out_dir, fname))
+        sig.samples.astype("<f4").tofile(os.path.join(out_dir, fname))
         sig_entries.append({
             "id": sig.id,
             "file": fname,
-            "length": int(payload.size),
+            "length": int(sig.samples.size),
             "dataset_tag": sig.dataset_tag,
             "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
             "onset_sample": sig.onset_sample,
         })
-        # labels must reflect the stored (quantized) signal, so slice the
-        # float32-rounded samples rather than the originals
-        quantized = SourceSignal(id=sig.id,
-                                 samples=payload.astype(np.float64),
-                                 anomaly_spans=sig.anomaly_spans,
-                                 dataset_tag=sig.dataset_tag,
-                                 onset_sample=sig.onset_sample)
-        for sl in slice_signal(quantized, start_set_id=set_id):
-            index.append([sl.set_id, sl.parent_id, sl.parent_offset,
-                          sl.label, sl.anomaly_kind])
-            set_id += 1
 
     manifest = {
         "format_version": FORMAT_VERSION,
         "sample_rate_hz": dsp.SAMPLE_RATE_HZ,
         "slice_len": SLICE_LEN,
         "signals": sig_entries,
-        "num_slices": len(index),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "index.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(index, fh, separators=(",", ":"))
         fh.write("\n")
     return MdbStore.load(out_dir)
 

@@ -77,21 +77,10 @@ class SimConfig:
 class RunConfig:
     """Everything one experiment needs, serializable to one JSON file."""
     seed: int = 7
-    sample_rate_hz: int = dsp.SAMPLE_RATE_HZ
-    window_len: int = dsp.WINDOW_LEN
-    slice_len: int = 1000
     search: SearchConfig = field(default_factory=SearchConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     link: LinkModel = field(default_factory=LinkModel)
     sim: SimConfig = field(default_factory=SimConfig)
-
-    def __post_init__(self):
-        if self.sample_rate_hz != dsp.SAMPLE_RATE_HZ:
-            raise ValueError("sample_rate_hz is fixed at 256")
-        if self.window_len != dsp.WINDOW_LEN:
-            raise ValueError("window_len is fixed at 256")
-        if self.slice_len != 1000:
-            raise ValueError("slice_len is fixed at 1000")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -176,7 +165,6 @@ class _PendingCall:
     delivery_us: int
     result: object
     matched_timestep: int
-    initial: bool
 
 
 def run_stream(live: SourceSignal, store: MdbStore,
@@ -207,12 +195,20 @@ def run_stream(live: SourceSignal, store: MdbStore,
     def emit(t_us, kind, **detail):
         events.append(TimelineEvent(t_sim_us=t_us, kind=kind, detail=detail))
 
-    def schedule_call(w: int, t_request_us: int, initial: bool):
+    def schedule_call(w: int, t_request_us: int):
+        """The pending call and its (uplink, search, downlink) times, or
+        (None, None) when window w has zero energy: no search can score
+        it, so the call waits for the next window."""
+        try:
+            result = sliding_search(window(w), store, search_cfg)
+        except dsp.DegenerateSignalError:
+            emit(t_request_us, "cloud_call_deferred", window=w,
+                 reason="zero_energy_window")
+            return None, None
         up = link.uplink_latency(dsp.WINDOW_LEN)
         emit(t_request_us, "uplink", n_samples=dsp.WINDOW_LEN, duration_us=up)
         t_start = t_request_us + up
         emit(t_start, "search_start", window=w)
-        result = sliding_search(window(w), store, search_cfg)
         if sim.cloud_search_time_mode == "measured":
             cs = int(round(result.elapsed * US_PER_S))
         else:
@@ -225,7 +221,7 @@ def run_stream(live: SourceSignal, store: MdbStore,
         emit(t_done, "downlink", n_signals=len(result.candidates),
              duration_us=down)
         return _PendingCall(delivery_us=t_done + down, result=result,
-                            matched_timestep=w, initial=initial), (up, cs, down)
+                            matched_timestep=w), (up, cs, down)
 
     tracker = None
     first_tracked = None
@@ -238,11 +234,13 @@ def run_stream(live: SourceSignal, store: MdbStore,
         w_b = k - 1
         emit(t_b, "sample", window=w_b)
 
-        if k == 1:
-            pending, (up, cs, down) = schedule_call(0, t_b, initial=True)
-            timing = TimingReport(delta_ec_us=up, delta_cs_us=cs,
-                                  delta_ce_us=down,
-                                  delta_initial_us=up + cs + down)
+        if tracker is None and pending is None:
+            pending, deltas = schedule_call(w_b, t_b)
+            if pending is not None:
+                up, cs, down = deltas
+                timing = TimingReport(delta_ec_us=up, delta_cs_us=cs,
+                                      delta_ce_us=down,
+                                      delta_initial_us=up + cs + down)
             continue
 
         if pending is not None and pending.delivery_us <= t_b:
@@ -278,7 +276,7 @@ def run_stream(live: SourceSignal, store: MdbStore,
             if report.cloud_call is not None and pending is None:
                 emit(t_b, "cloud_call_request", reason=report.cloud_call,
                      window=w_b)
-                pending, _deltas = schedule_call(w_b, t_b, initial=False)
+                pending, _deltas = schedule_call(w_b, t_b)
 
     final = reports[-1].classification if reports else "undecided"
     # delivery events are emitted when scheduled, i.e. dated in the

@@ -6,15 +6,12 @@ reuse the session corpora from conftest, so the whole gate is seeded
 and reproducible.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from emap import cli as emap_cli
-from emap import dsp
 from emap.cloud_search import SearchConfig, exhaustive_search, sliding_search
 from emap.dsp import SignalWindow, WINDOW_LEN, apply_filter, area_between, design_bandpass, xcorr
 from emap.edge_tracker import init_tracker, tracker_step

@@ -248,6 +248,34 @@ def test_sweep_alpha_csv_contract(tiny_store, tmp_path, capsys):
     assert comps == sorted(comps)
 
 
+@pytest.mark.parametrize("alphas", ["0.004,1.5", "abc", "0", "nan"])
+def test_sweep_alpha_rejects_bad_values_as_usage(tiny_store, tmp_path,
+                                                 capsys, alphas):
+    store_dir, raw = tiny_store
+    qdir = tmp_path / "queries"
+    qdir.mkdir()
+    write_signal_csv(qdir / "q0.csv", raw[:256])
+    rc = emap_cli.main(["sweep-alpha", "--store", str(store_dir),
+                        "--inputs", str(qdir), "--alphas", alphas,
+                        "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    assert "--alphas" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_format_1_store_is_a_data_error(tiny_store, tmp_path, capsys):
+    store_dir, raw = tiny_store
+    manifest = json.loads((store_dir / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    (store_dir / "manifest.json").write_text(json.dumps(manifest))
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, raw[:256])
+    rc = emap_cli.main(["search", "--store", str(store_dir),
+                        "--input", str(q)])
+    assert rc == 3
+    assert "store format 1" in capsys.readouterr().err
+
+
 def test_synth_corpus_then_build(tmp_path, capsys):
     raw = tmp_path / "corpus"
     rc = emap_cli.main(["--seed", "11", "synth", "--out", str(raw),

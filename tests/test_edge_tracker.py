@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import emap.edge_tracker as et
-from emap.cloud_search import Candidate, SearchConfig, SearchResult, sliding_search
+from emap.cloud_search import Candidate, SearchResult, sliding_search
 from emap.dsp import SignalWindow, WINDOW_LEN, area_between
 from emap.edge_tracker import (
     ANOMALY_PREDICTED,

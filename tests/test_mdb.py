@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emap.dsp import SAMPLE_RATE_HZ
 from emap.mdb import (
@@ -14,9 +16,9 @@ from emap.mdb import (
     build_store,
     get_parent_segment,
     ingest_csv,
-    slice_signal,
     synth_corpus,
 )
+from emap import scenarios
 
 
 def make_signal(sid, n=2500, spans=(), seed=0, tag="test"):
@@ -25,21 +27,97 @@ def make_signal(sid, n=2500, spans=(), seed=0, tag="test"):
                         anomaly_spans=list(spans), dataset_tag=tag)
 
 
-def test_slice_layout_and_any_overlap_labels():
-    sig = make_signal(0, n=2500, spans=[(1500, 1700, "seizure")])
-    slices = slice_signal(sig)
-    assert len(slices) == 2          # trailing 500 samples are dropped
-    assert [s.parent_offset for s in slices] == [0, 1000]
-    assert [s.label for s in slices] == [0, 1]
-    assert slices[1].anomaly_kind == "seizure"
-    # a span clipping just one sample of a slice still marks it
-    sig2 = make_signal(1, n=2000, spans=[(999, 1001, "stroke")])
-    assert [s.label for s in slice_signal(sig2)] == [1, 1]
+def reference_slice_table(signals):
+    """The slicing rule written out as a plain loop: consecutive
+    non-overlapping SLICE_LEN cuts from offset 0 of each signal, in
+    order, the trailing remainder dropped, each slice labelled by the
+    first span that overlaps it. Returns the (set_id, parent_id, offset,
+    label, kind) rows and each slice's start in the concatenated
+    samples."""
+    rows, starts, base = [], [], 0
+    for sig in signals:
+        for offset in range(0, sig.samples.size - SLICE_LEN + 1, SLICE_LEN):
+            label, kind = 0, None
+            for start, end, k in sig.anomaly_spans:
+                if start < offset + SLICE_LEN and end > offset:
+                    label, kind = 1, k
+                    break
+            rows.append((len(rows), sig.id, offset, label, kind))
+            starts.append(base + offset)
+        base += sig.samples.size
+    return rows, starts
 
 
-def test_slice_signal_needs_full_slice():
-    with pytest.raises(ValueError):
-        slice_signal(make_signal(0, n=SLICE_LEN - 1))
+def assert_matches_reference(store, signals):
+    rows, starts = reference_slice_table(signals)
+    assert store.num_slices == len(rows)
+    metas = [store.slice_meta(i) for i in range(store.num_slices)]
+    assert metas == rows
+    # plain Python values, as a JSON-backed table used to hand out
+    assert all(type(v) is type(r) for m, row in zip(metas, rows)
+               for v, r in zip(m, row))
+    assert store.slice_starts.tolist() == starts
+
+
+def test_slice_layout_and_any_overlap_labels(tmp_path):
+    signals = [make_signal(0, n=2500, spans=[(1500, 1700, "seizure")]),
+               # a span clipping just one sample of a slice still marks it
+               make_signal(1, n=2000, spans=[(999, 1001, "stroke")]),
+               # spans are half-open: touching a slice is not overlapping
+               make_signal(2, n=3000, spans=[(500, 1000, "a"),
+                                             (2000, 2400, "b")])]
+    store = build_store(signals, tmp_path / "store")
+    # the trailing 500 samples of signal 0 are dropped
+    assert [store.slice_meta(i) for i in range(store.num_slices)] == [
+        (0, 0, 0, 0, None), (1, 0, 1000, 1, "seizure"),
+        (2, 1, 0, 1, "stroke"), (3, 1, 1000, 1, "stroke"),
+        (4, 2, 0, 1, "a"), (5, 2, 1000, 0, None), (6, 2, 2000, 1, "b")]
+    assert store.slice_starts.tolist() == [0, 1000, 2500, 3500,
+                                           4500, 5500, 6500]
+
+
+def test_slice_signal_needs_full_slice(tmp_path):
+    root = tmp_path / "store"
+    with pytest.raises(ValueError, match="signal 1 has 999 samples"):
+        build_store([make_signal(0), make_signal(1, n=SLICE_LEN - 1)], root)
+    assert not root.exists()      # rejected before any file is written
+
+
+@st.composite
+def spanned_signal(draw, sid):
+    """A signal of 1000-5000 samples with random non-overlapping spans."""
+    n = draw(st.integers(SLICE_LEN, 5000))
+    # slice boundaries are drawn often, so spans touch slices exactly
+    cut = st.one_of(st.integers(0, n),
+                    st.sampled_from(range(0, n + 1, SLICE_LEN)))
+    cuts = sorted(draw(st.lists(cut, max_size=8, unique=True)))
+    kinds = draw(st.lists(st.sampled_from([None, "seizure", "stroke"]),
+                          min_size=len(cuts) // 2, max_size=len(cuts) // 2))
+    return make_signal(sid, n=n, spans=zip(cuts[0::2], cuts[1::2], kinds))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_derived_slice_table_matches_the_reference(tmp_path_factory, data):
+    n_signals = data.draw(st.integers(1, 4))
+    signals = [data.draw(spanned_signal(i)) for i in range(n_signals)]
+    store = build_store(signals, tmp_path_factory.mktemp("store"))
+    assert_matches_reference(store, signals)
+
+
+def test_derived_slice_table_matches_the_reference_on_the_worlds(
+        tmp_path, parity_world, eval_world):
+    corpus, store = parity_world
+    assert_matches_reference(store, corpus.store_signals)
+    world, store = eval_world
+    assert_matches_reference(store, world.store_signals)
+    # the benchmark's 160-group cloud-queries world, 7680 slices
+    signals = scenarios.evaluation_world(2026, n_anomalous=80,
+                                         n_normal=80).store_signals
+    store = build_store(signals, tmp_path / "store")
+    assert store.num_slices == 7680
+    assert_matches_reference(store, signals)
 
 
 def test_store_round_trip(tmp_path):
@@ -85,30 +163,25 @@ def test_store_holds_one_flat_float32_buffer(tmp_path):
                               store.get_slice(sid).samples)
 
 
-def corrupt_index(root, edit):
-    path = root / "index.json"
-    index = json.loads(path.read_text())
-    edit(index)
-    path.write_text(json.dumps(index))
+def set_span(manifest):
+    manifest["signals"][1]["spans"] = [[2400, 2600, "seizure"]]
+
+
+def set_format_1(manifest):
+    manifest["format_version"] = 1
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda ix: ix.reverse(), "expected set_id 0"),
-    (lambda ix: ix.pop(0), "expected set_id 0"),
-    (lambda ix: ix[1].__setitem__(0, 7), "expected set_id 1"),
-    (lambda ix: ix[2].__setitem__(1, 99), "unknown parent 99"),
-    (lambda ix: ix[0].__setitem__(2, -1), "offset -1"),
-    (lambda ix: ix[1].__setitem__(2, 1001), "offset 1001"),
-    (lambda ix: ix[3].__setitem__(2, 1.5), "offset 1.5"),
-    (lambda ix: ix[0].pop(), "expected set_id 0"),
-])
-def test_load_rejects_a_corrupt_index(tmp_path, edit, message):
-    # parent 0 has two slices and 2000 samples, parent 1 has two slices
-    # and 2500: an offset of 1001 would read 1 sample into parent 1
+    (set_span, r"span \(2400, 2600\) outside signal of length 2500"),
+    (set_format_1, "store format 1 is not supported"),
+], ids=["span-outside-signal", "format-1"])
+def test_load_rejects_a_corrupt_manifest(tmp_path, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
     MdbStore.load(root)
-    corrupt_index(root, edit)
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=message):
         MdbStore.load(root)
 
@@ -154,10 +227,11 @@ def test_manifest_is_readable_json(tmp_path):
     assert entry["id"] == 0
     assert entry["spans"] == [[100, 300, "seizure"]]
     assert entry["onset_sample"] == 100
-    assert manifest["format_version"] == 1
-    assert manifest["num_slices"] == 2
-    index = json.loads((tmp_path / "store" / "index.json").read_text())
-    assert len(index) == 2
+    assert manifest["format_version"] == 2
+    assert "num_slices" not in manifest
+    # the store is its manifest plus payloads; the slice table is derived
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+        "manifest.json", "signal_00000.f32"]
 
 
 def test_get_parent_segment_contract(tmp_path):

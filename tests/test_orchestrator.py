@@ -1,14 +1,16 @@
 """Simulated cloud-edge loop: timing, overlap, determinism, evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from emap.cloud_search import SearchConfig, sliding_search
+from emap.cloud_search import sliding_search
 from emap.dsp import SignalWindow, WINDOW_LEN
-from emap.edge_tracker import TrackerConfig, init_tracker, tracker_step
+from emap.edge_tracker import init_tracker, tracker_step
 from emap.mdb import SourceSignal, build_store
+from emap.scenarios import evaluation_world
 from emap.orchestrator import (
     LinkModel,
     RunConfig,
@@ -18,7 +20,6 @@ from emap.orchestrator import (
     predict_at_offsets,
     run_stream,
 )
-from emap import scenarios
 
 
 ZERO_LINK = LinkModel(uplink_fixed_us=0, uplink_per_sample_us=0,
@@ -254,6 +255,76 @@ def test_run_config_round_trips():
     assert base.search.top_k == 100
     assert base.tracker.area_threshold == 900.0
     assert base.tracker.max_iterations_per_set == 5
-    assert base.window_len == 256
-    assert base.slice_len == 1000
-    assert base.sample_rate_hz == 256
+    # the fixed geometry lives in dsp and mdb, not in the config
+    assert set(base.to_dict()) == {"seed", "search", "tracker", "link", "sim"}
+    with pytest.raises(TypeError):
+        RunConfig.from_dict({"window_len": 256})
+
+
+@pytest.fixture(scope="module")
+def small_eval(tmp_path_factory):
+    world = evaluation_world(2026, n_anomalous=2, n_normal=2)
+    store = build_store(world.store_signals,
+                        tmp_path_factory.mktemp("small_eval") / "store")
+    live = next(s for s in world.streams if s.id == 5000)
+    return world.run_config, store, live
+
+
+def run_with(cfg, store, live, samples):
+    stream = SourceSignal(id=live.id, samples=samples,
+                          anomaly_spans=live.anomaly_spans,
+                          dataset_tag=live.dataset_tag)
+    return run_stream(stream, store, cfg.search, cfg.tracker, cfg.link,
+                      cfg.sim)
+
+
+def events(out):
+    return [(e.t_sim_us, e.kind, e.detail) for e in out.timeline]
+
+
+def test_zero_energy_window_defers_the_cloud_call(small_eval):
+    cfg, store, live = small_eval
+    samples = live.samples.copy()
+    samples[14 * WINDOW_LEN:15 * WINDOW_LEN] = 0.0   # a flat second
+    out = run_with(cfg, store, live, samples)
+    base = run_with(cfg, store, live, live.samples)
+    # identical until the flat second completes at 15 s
+    before = [e for e in events(out) if e[0] < 15_000_000]
+    assert before == [e for e in events(base) if e[0] < 15_000_000]
+    at = lambda t: [(k, d) for tt, k, d in events(out) if tt == t]
+    # the flat second empties the tracked set; no search is sent for it
+    assert ("cloud_call_deferred",
+            {"window": 14, "reason": "zero_energy_window"}) in at(15_000_000)
+    assert "uplink" not in [k for k, _d in at(15_000_000)]
+    assert all(d.get("window") != 14 for _t, k, d in events(out)
+               if k == "search_start")
+    # the call goes out with the next window
+    kinds = [k for k, _d in at(16_000_000)]
+    assert kinds.index("cloud_call_request") < kinds.index("uplink")
+    assert ("search_start", {"window": 15}) in [
+        (k, d) for _t, k, d in events(out) if k == "search_start"]
+    assert len(out.reports) == len(base.reports)
+    times = [e.t_sim_us for e in out.timeline]
+    assert times == sorted(times)
+
+
+def test_initial_call_waits_for_a_nonzero_window(small_eval):
+    cfg, store, live = small_eval
+    # a flat first second, then the stream as it was
+    samples = np.concatenate([np.zeros(WINDOW_LEN),
+                              live.samples[:-WINDOW_LEN]])
+    out = run_with(cfg, store, live, samples)
+    base = run_with(cfg, store, live, live.samples)
+    assert events(out)[:3] == [
+        (1_000_000, "sample", {"window": 0}),
+        (1_000_000, "cloud_call_deferred",
+         {"window": 0, "reason": "zero_energy_window"}),
+        (2_000_000, "sample", {"window": 1})]
+    assert events(out)[3][1] == "uplink"
+    assert ("search_start", {"window": 1}) in [
+        (k, d) for _t, k, d in events(out)]
+    assert out.timing == dataclasses.replace(
+        base.timing, step_micros=out.timing.step_micros)
+    # one second late, the same initial set is tracked
+    assert out.reports[0].timestep_index == base.reports[0].timestep_index + 1
+    assert out.reports[0].alive == base.reports[0].alive
