@@ -29,7 +29,6 @@ from .mdb import (
     build_store,
     get_parent_segment,
     ingest_csv,
-    synth_corpus,
 )
 from .cloud_search import (
     Candidate,
@@ -58,6 +57,7 @@ from .orchestrator import (
     predict_at_offsets,
     run_stream,
 )
+from .scenarios import synth_corpus
 
 __all__ = [
     "SAMPLE_RATE_HZ",

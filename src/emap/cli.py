@@ -19,7 +19,7 @@ import numpy as np
 from . import dsp, scenarios
 from .cloud_search import SearchConfig, alpha_sweep, exhaustive_search, sliding_search
 from .edge_tracker import init_tracker, report_json_record, tracker_step
-from .mdb import CsvFormatError, MdbStore, build_store, ingest_csv, synth_corpus
+from .mdb import CsvFormatError, MdbStore, build_store, ingest_csv
 from .orchestrator import RunConfig, evaluate_batch, run_stream
 
 EXIT_OK = 0
@@ -88,9 +88,10 @@ def _corpus_from_dir(in_dir):
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     if args.mode == "corpus":
-        signals = synth_corpus(cfg.seed, args.normal, args.anomalous,
-                               anomaly_kind=args.kind,
-                               length_s=args.length_s)
+        signals = scenarios.synth_corpus(cfg.seed, args.normal,
+                                         args.anomalous,
+                                         anomaly_kind=args.kind,
+                                         length_s=args.length_s)
         scenarios.write_corpus_csv(signals, args.out)
         n_anom = sum(1 for s in signals if s.anomaly_spans)
         print(f"wrote {len(signals)} signals to {args.out} "

@@ -10,6 +10,10 @@ Both scans are one kernel that moves a chunk of slices through their
 offsets in lockstep: each round gathers every active slice's current
 window from the store's flat float32 buffer, correlates them all with
 the query at once and advances each slice by its own step.
+
+Every search scans every slice in the store: chunks of slices are
+scanned serially or on `workers` threads and folded in slice order, so
+the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ class SearchConfig:
     alpha: float = 0.004
     delta: float = 0.8
     top_k: int = 100
-    max_comparisons: int | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -143,7 +146,6 @@ def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
 
     t0 = time.perf_counter()
     n = store.num_slices
-    budget = cfg.max_comparisons
     windows = sliding_window_view(store.flat, dsp.WINDOW_LEN) if n else None
 
     def scan(lo):
@@ -151,30 +153,18 @@ def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
                            store.slice_starts[lo:lo + _CHUNK], cfg.alpha,
                            cfg.delta, exhaustive, record_trace)
 
-    # Chunks are folded in slice order, and the comparison guard cuts at
-    # a slice boundary of that order, so the result does not depend on
-    # the worker count.
     chunks = range(0, n, _CHUNK)
-    if cfg.workers > 1 and budget is None:
+    if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = iter(list(pool.map(scan, chunks)))
     else:
-        results = map(scan, chunks)  # lazy: no chunk past the cut is scanned
+        results = map(scan, chunks)
     candidates = []
     trace = [] if record_trace else None
-    used = scanned = degenerate = 0
+    used = degenerate = 0
     for lo in chunks:
-        if budget is not None and used >= budget:
-            break
         comps, degen, best, best_beta, part = next(results)
-        if budget is not None:
-            before = used + np.cumsum(comps) - comps
-            cut = int(np.count_nonzero(before < budget))
-            comps, degen, best_beta = comps[:cut], degen[:cut], best_beta[:cut]
-            if part is not None:
-                part = [c[part[0] < cut] for c in part]
         used += int(comps.sum())
-        scanned += comps.size
         degenerate += int(degen.sum())
         candidates += [Candidate(set_id=lo + row, omega=float(best[row]),
                                  beta=int(best_beta[row]))
@@ -187,7 +177,7 @@ def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
     return SearchResult(
         candidates=candidates[:cfg.top_k],
         comparisons_made=used,
-        slices_scanned=scanned,
+        slices_scanned=n,
         elapsed=time.perf_counter() - t0,
         degenerate_skipped=degenerate,
         trace=trace,

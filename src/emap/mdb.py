@@ -9,7 +9,9 @@ anomalous if any span overlaps it) and is derived at load. Everything
 is immutable after build, so concurrent readers need no coordination.
 
 In memory, a loaded store keeps all samples in one flat float32 buffer
-(see MdbStore); that is what the cloud search scans.
+(see MdbStore); that is what the cloud search scans. This module is
+only the store and its CSV ingestion; synthetic corpora come from
+`scenarios`.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ class SourceSignal:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.anomaly_spans = [_norm_span(s, self.samples.size)
-                              for s in self.anomaly_spans]
+        self.anomaly_spans = [_norm_span(s) for s in self.anomaly_spans]
         _check_spans(self.anomaly_spans, self.samples.size)
 
 
@@ -63,7 +64,7 @@ class SignalSet:
     anomaly_kind: str | None = None
 
 
-def _norm_span(span, length):
+def _norm_span(span):
     if len(span) == 2:
         start, end = span
         kind = None
@@ -74,7 +75,8 @@ def _norm_span(span, length):
 
 def _check_spans(spans, length):
     prev_end = None
-    for start, end, _kind in sorted(spans):
+    # kinds may be None or str, which do not compare: order by position
+    for start, end, _kind in sorted(spans, key=lambda s: s[:2]):
         if not (0 <= start < end <= length):
             raise ValueError(
                 f"anomaly span ({start}, {end}) outside signal of "
@@ -85,8 +87,7 @@ def _check_spans(spans, length):
 
 
 def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
-               dataset_tag: str = "", signal_id: int = 0,
-               band=(11.0, 40.0), num_taps: int = 100) -> SourceSignal:
+               dataset_tag: str = "", signal_id: int = 0) -> SourceSignal:
     """Load one recording from a text file of amplitudes.
 
     Format: one sample per line; blank lines and `#` comments are
@@ -125,9 +126,8 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     ratio = dsp.SAMPLE_RATE_HZ / float(sample_rate_hz)
     x = dsp.resample(x, sample_rate_hz, dsp.SAMPLE_RATE_HZ)
     spans = [(int(round(s * ratio)), int(round(e * ratio)), k)
-             for s, e, k in (_norm_span(sp, None) for sp in anomaly_spans)]
-    taps = dsp.design_bandpass(band[0], band[1], dsp.SAMPLE_RATE_HZ, num_taps)
-    filtered = dsp.apply_filter(x, taps)
+             for s, e, k in (_norm_span(sp) for sp in anomaly_spans)]
+    filtered = dsp.apply_filter(x, dsp.design_bandpass())
     return SourceSignal(id=signal_id, samples=filtered,
                         anomaly_spans=spans, dataset_tag=dataset_tag)
 
@@ -168,6 +168,31 @@ def _slice_offsets(signal_id, length):
     return range(0, length - SLICE_LEN + 1, SLICE_LEN)
 
 
+_SIGNAL_FIELDS = (("id", int, "integer"), ("file", str, "string"),
+                  ("length", int, "integer"), ("spans", list, "array"))
+
+
+def _signal_entries(manifest):
+    """The manifest's signal list, once every entry is known to carry
+    the fields load reads, with their JSON types; ValueError otherwise."""
+    signals = manifest.get("signals")
+    if not isinstance(signals, list):
+        raise ValueError("manifest 'signals' is not a list")
+    for i, sig in enumerate(signals):
+        if not isinstance(sig, dict):
+            raise ValueError(f"manifest signal #{i} is not an object")
+        name = f"manifest signal #{i} (id {sig.get('id')!r})"
+        for key, typ, json_type in _SIGNAL_FIELDS:
+            if type(sig.get(key)) is not typ:   # bool is not an int here
+                raise ValueError(f"{name} has no {json_type} {key!r}")
+        for span in sig["spans"]:
+            if not (isinstance(span, list) and len(span) in (2, 3)
+                    and all(type(v) is int for v in span[:2])):
+                raise ValueError(f"{name}: 'spans' entry {span!r} is not "
+                                 "[start, end] or [start, end, kind]")
+    return signals
+
+
 class MdbStore:
     """Immutable directory-backed slice database.
 
@@ -195,20 +220,21 @@ class MdbStore:
         """Read the payloads and derive the slice table from the manifest."""
         with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest is not a JSON object")
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"store format {version!r} is not supported (format "
                 f"{FORMAT_VERSION} expected); rebuild the store")
-        signals = manifest["signals"]
-        flat = np.empty(sum(int(sig["length"]) for sig in signals),
-                        dtype="<f4")
+        signals = _signal_entries(manifest)
+        flat = np.empty(sum(sig["length"] for sig in signals), dtype="<f4")
         parents = {}
         index = []
         starts = []
         pos = 0
         for sig in signals:
-            length = int(sig["length"])
+            length = sig["length"]
             view = flat[pos:pos + length]
             with open(os.path.join(root, sig["file"]), "rb") as fh:
                 size = os.fstat(fh.fileno()).st_size
@@ -219,7 +245,7 @@ class MdbStore:
             if sig["id"] in parents:
                 raise ValueError(f"manifest lists signal {sig['id']} twice")
             parents[sig["id"]] = view
-            spans = [_norm_span(sp, length) for sp in sig["spans"]]
+            spans = [_norm_span(sp) for sp in sig["spans"]]
             _check_spans(spans, length)
             for offset in _slice_offsets(sig["id"], length):
                 label, kind = _slice_label(spans, offset)
@@ -313,71 +339,3 @@ def get_parent_segment(store: MdbStore, set_id: int, offset: int,
     if start + length > parent.size:
         return None
     return parent[start:start + length]
-
-
-# -- synthetic corpus ---------------------------------------------------
-
-def _colored_noise(rng, n, rms=15.0, n_components=40,
-                   band=(11.0, 40.0)):
-    """Sum of random-phase in-band sinusoids, scaled to the target RMS.
-
-    The band matches the preprocessing filter's passband, so these
-    signals behave like recordings that have already been filtered.
-    """
-    t = np.arange(n, dtype=np.float64) / dsp.SAMPLE_RATE_HZ
-    freqs = rng.uniform(band[0], band[1], size=n_components)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_components)
-    amps = rng.uniform(0.7, 1.3, size=n_components)
-    x = np.zeros(n, dtype=np.float64)
-    for f, p, a in zip(freqs, phases, amps):
-        x += a * np.sin(2.0 * np.pi * f * t + p)
-    scale = rms / max(np.sqrt(np.mean(x * x)), 1e-12)
-    return x * scale
-
-
-def _seizure_signature(rng, n_span, amplitude):
-    """Growing rhythmic burst: an in-band carrier, amplitude-modulated
-    at 3-5 Hz, ramping linearly from zero to full amplitude."""
-    t = np.arange(n_span, dtype=np.float64) / dsp.SAMPLE_RATE_HZ
-    f_carrier = rng.uniform(16.0, 24.0)
-    f_mod = rng.uniform(3.0, 5.0)
-    phase_c = rng.uniform(0.0, 2.0 * np.pi)
-    phase_m = rng.uniform(0.0, 2.0 * np.pi)
-    ramp = np.linspace(0.0, 1.0, n_span)
-    mod = 1.0 + 0.8 * np.sin(2.0 * np.pi * f_mod * t + phase_m)
-    return amplitude * ramp * mod * np.sin(2.0 * np.pi * f_carrier * t + phase_c)
-
-
-def synth_corpus(seed: int, n_normal: int, n_anomalous: int,
-                 anomaly_kind: str = "seizure", length_s: float = 20.0,
-                 start_id: int = 0):
-    """Deterministic labeled corpus: colored-noise normals plus
-    anomalous signals carrying an injected growing signature over a
-    marked span."""
-    if n_normal < 0 or n_anomalous < 0:
-        raise ValueError("signal counts must be >= 0")
-    rng = np.random.default_rng(seed)
-    n = int(round(length_s * dsp.SAMPLE_RATE_HZ))
-    rms = 15.0
-    out = []
-    next_id = start_id
-    for _ in range(n_normal):
-        out.append(SourceSignal(
-            id=next_id, samples=_colored_noise(rng, n, rms=rms),
-            anomaly_spans=[], dataset_tag="synthetic"))
-        next_id += 1
-    for _ in range(n_anomalous):
-        x = _colored_noise(rng, n, rms=rms)
-        span_len = int(rng.uniform(4.0, 8.0) * dsp.SAMPLE_RATE_HZ)
-        span_len = min(span_len, n - dsp.SAMPLE_RATE_HZ)
-        start = int(rng.uniform(0.2, 0.7) * (n - span_len))
-        # amplitude 3.2x background keeps in-span RMS comfortably above
-        # the 1.5x contract after modulation averaging
-        x[start:start + span_len] += _seizure_signature(
-            rng, span_len, amplitude=3.2 * rms)
-        out.append(SourceSignal(
-            id=next_id, samples=x,
-            anomaly_spans=[(start, start + span_len, anomaly_kind)],
-            dataset_tag="synthetic", onset_sample=start))
-        next_id += 1
-    return out

@@ -55,16 +55,12 @@ class LinkModel:
 
 @dataclass
 class SimConfig:
-    cloud_search_time_mode: str = "configured"  # "configured" | "measured"
     cloud_search_s: float = 2.8
     eval_after_cloud_calls: int = 2   # transmissions before predictions count
     batch_size: int = 20
     report_step_micros: int = 0       # value serialized into report files
 
     def __post_init__(self):
-        if self.cloud_search_time_mode not in ("configured", "measured"):
-            raise ValueError("cloud_search_time_mode must be "
-                             "'configured' or 'measured'")
         if self.cloud_search_s < 0:
             raise ValueError("cloud_search_s must be non-negative")
         if self.eval_after_cloud_calls < 1:
@@ -165,6 +161,7 @@ class _PendingCall:
     delivery_us: int
     result: object
     matched_timestep: int
+    timing: TimingReport
 
 
 def run_stream(live: SourceSignal, store: MdbStore,
@@ -175,7 +172,9 @@ def run_stream(live: SourceSignal, store: MdbStore,
     Window w covers [w, w+1) seconds and completes at (w+1) s; the
     boundary at k seconds processes window k-1. A delivered search
     result is applied at the first boundary at or after its delivery
-    time, before that boundary's tracking step.
+    time, before that boundary's tracking step. An initial result with
+    no candidates is dropped, and the next boundary sends a fresh
+    initial call; a stream that never gets candidates ends undecided.
     """
     sim = sim or SimConfig()
     n_windows = live.samples.size // dsp.WINDOW_LEN
@@ -196,23 +195,19 @@ def run_stream(live: SourceSignal, store: MdbStore,
         events.append(TimelineEvent(t_sim_us=t_us, kind=kind, detail=detail))
 
     def schedule_call(w: int, t_request_us: int):
-        """The pending call and its (uplink, search, downlink) times, or
-        (None, None) when window w has zero energy: no search can score
-        it, so the call waits for the next window."""
+        """The pending call, or None when window w has zero energy: no
+        search can score it, so the call waits for the next window."""
         try:
             result = sliding_search(window(w), store, search_cfg)
         except dsp.DegenerateSignalError:
             emit(t_request_us, "cloud_call_deferred", window=w,
                  reason="zero_energy_window")
-            return None, None
+            return None
         up = link.uplink_latency(dsp.WINDOW_LEN)
         emit(t_request_us, "uplink", n_samples=dsp.WINDOW_LEN, duration_us=up)
         t_start = t_request_us + up
         emit(t_start, "search_start", window=w)
-        if sim.cloud_search_time_mode == "measured":
-            cs = int(round(result.elapsed * US_PER_S))
-        else:
-            cs = int(round(sim.cloud_search_s * US_PER_S))
+        cs = int(round(sim.cloud_search_s * US_PER_S))
         t_done = t_start + cs
         emit(t_done, "search_done", window=w,
              comparisons=result.comparisons_made,
@@ -220,8 +215,11 @@ def run_stream(live: SourceSignal, store: MdbStore,
         down = link.downlink_latency(len(result.candidates))
         emit(t_done, "downlink", n_signals=len(result.candidates),
              duration_us=down)
-        return _PendingCall(delivery_us=t_done + down, result=result,
-                            matched_timestep=w), (up, cs, down)
+        return _PendingCall(
+            delivery_us=t_done + down, result=result, matched_timestep=w,
+            timing=TimingReport(delta_ec_us=up, delta_cs_us=cs,
+                                delta_ce_us=down,
+                                delta_initial_us=up + cs + down))
 
     tracker = None
     first_tracked = None
@@ -235,19 +233,19 @@ def run_stream(live: SourceSignal, store: MdbStore,
         emit(t_b, "sample", window=w_b)
 
         if tracker is None and pending is None:
-            pending, deltas = schedule_call(w_b, t_b)
-            if pending is not None:
-                up, cs, down = deltas
-                timing = TimingReport(delta_ec_us=up, delta_cs_us=cs,
-                                      delta_ce_us=down,
-                                      delta_initial_us=up + cs + down)
+            pending = schedule_call(w_b, t_b)
             continue
 
         if pending is not None and pending.delivery_us <= t_b:
             if tracker is None:
                 if not pending.result.candidates:
-                    raise ValueError(
-                        "initial search found no candidates; nothing to track")
+                    # nothing to track yet: the next boundary sends a
+                    # fresh initial call with its own window
+                    emit(t_b, "initial_call_empty",
+                         window=pending.matched_timestep)
+                    pending = None
+                    continue
+                timing = pending.timing
                 first_tracked = max(pending.matched_timestep + 1, w_b)
                 tracker = init_tracker(
                     pending.result, store, tracker_cfg,
@@ -271,12 +269,11 @@ def run_stream(live: SourceSignal, store: MdbStore,
                  classification=report.classification)
             reports.append(report)
             transmissions_before.append(transmissions_applied)
-            if timing is not None:
-                timing.step_micros.append(report.step_micros)
+            timing.step_micros.append(report.step_micros)
             if report.cloud_call is not None and pending is None:
                 emit(t_b, "cloud_call_request", reason=report.cloud_call,
                      window=w_b)
-                pending, _deltas = schedule_call(w_b, t_b)
+                pending = schedule_call(w_b, t_b)
 
     final = reports[-1].classification if reports else "undecided"
     # delivery events are emitted when scheduled, i.e. dated in the
@@ -389,27 +386,26 @@ def predict_at_offsets(live: SourceSignal, offsets_before_onset_s,
                        store: MdbStore, search_cfg: SearchConfig,
                        tracker_cfg: TrackerConfig, link: LinkModel,
                        sim: SimConfig | None = None):
-    """Truncate the stream at onset minus each offset and report whether
-    the anomaly had been predicted by then."""
+    """Report, for each offset, whether the anomaly had been predicted on
+    a stream cut at onset minus that offset.
+
+    The loop is causal (boundary k reads only window k-1), so a stream
+    cut at sample `cut` replays the first cut // 256 windows of the full
+    run exactly. One run of the full stream answers every offset: its
+    first prediction counts if it falls at t_s <= cut // 256.
+    """
     sim = sim or SimConfig()
     if live.onset_sample is None:
         raise ValueError("stream has no ground-truth onset")
+    out = run_stream(live, store, search_cfg, tracker_cfg, link, sim)
+    hit = out.first_prediction(sim.eval_after_cloud_calls)
     results = []
     for off_s in offsets_before_onset_s:
         cut = live.onset_sample - int(round(off_s * dsp.SAMPLE_RATE_HZ))
         if cut < 2 * dsp.WINDOW_LEN:
             raise ValueError(
                 f"offset {off_s}s leaves less than 2 s of stream")
-        truncated = SourceSignal(
-            id=live.id, samples=live.samples[:cut].copy(),
-            anomaly_spans=[(s, min(e, cut), k)
-                           for s, e, k in live.anomaly_spans if s < cut],
-            dataset_tag=live.dataset_tag, onset_sample=live.onset_sample)
-        out = run_stream(truncated, store, search_cfg, tracker_cfg, link, sim)
-        hit = out.first_prediction(sim.eval_after_cloud_calls)
-        results.append({
-            "offset_s": float(off_s),
-            "predicted": hit is not None,
-            "prediction_t_s": hit[1] if hit else None,
-        })
+        seen = hit is not None and hit[1] <= cut // dsp.WINDOW_LEN
+        results.append({"offset_s": float(off_s), "predicted": seen,
+                        "prediction_t_s": hit[1] if seen else None})
     return results

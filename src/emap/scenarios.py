@@ -7,6 +7,10 @@ content (so the first search finds them at a known offset), then either
 keep following it (twins) or diverge into independent noise at a chosen
 window (decoys). Staggering the divergence windows scripts the anomaly
 probability trajectory exactly.
+
+Every synthetic sample comes from the two generators at the top: in-band
+colored noise and a growing rhythmic signature. `synth_corpus`, the
+labeled corpus behind `emap synth --mode corpus`, is built from them too.
 """
 
 from __future__ import annotations
@@ -20,10 +24,28 @@ import numpy as np
 from . import dsp
 from .cloud_search import SearchConfig
 from .edge_tracker import TrackerConfig
-from .mdb import SourceSignal, _colored_noise
+from .mdb import SourceSignal
 from .orchestrator import LinkModel, RunConfig, SimConfig
 
 RMS = 15.0
+
+
+def _colored_noise(rng, n, rms=RMS):
+    """Sum of 40 random-phase sinusoids in 11-40 Hz, scaled to the
+    target RMS.
+
+    The band is the preprocessing filter's passband, so these signals
+    behave like recordings that have already been filtered.
+    """
+    t = np.arange(n, dtype=np.float64) / dsp.SAMPLE_RATE_HZ
+    freqs = rng.uniform(11.0, 40.0, size=40)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=40)
+    amps = rng.uniform(0.7, 1.3, size=40)
+    x = np.zeros(n, dtype=np.float64)
+    for f, p, a in zip(freqs, phases, amps):
+        x += a * np.sin(2.0 * np.pi * f * t + p)
+    scale = rms / max(np.sqrt(np.mean(x * x)), 1e-12)
+    return x * scale
 
 
 def _signature(rng, n, peak_amplitude, ramp_frac=1.0):
@@ -57,6 +79,38 @@ def _decoy(rng, live_samples, death_window, sigma):
     out = np.empty(n, dtype=np.float64)
     out[:cut] = _jittered_copy(rng, live_samples[:cut], sigma)
     out[cut:] = _colored_noise(rng, n - cut, rms=RMS)
+    return out
+
+
+# -- labeled corpus ---------------------------------------------------------
+
+def synth_corpus(seed: int, n_normal: int, n_anomalous: int,
+                 anomaly_kind: str = "seizure", length_s: float = 20.0):
+    """Deterministic labeled corpus: colored-noise normals plus
+    anomalous signals carrying an injected growing signature over a
+    marked span."""
+    if n_normal < 0 or n_anomalous < 0:
+        raise ValueError("signal counts must be >= 0")
+    rng = np.random.default_rng(seed)
+    n = int(round(length_s * dsp.SAMPLE_RATE_HZ))
+    out = []
+    for _ in range(n_normal):
+        out.append(SourceSignal(
+            id=len(out), samples=_colored_noise(rng, n),
+            anomaly_spans=[], dataset_tag="synthetic"))
+    for _ in range(n_anomalous):
+        x = _colored_noise(rng, n)
+        span_len = int(rng.uniform(4.0, 8.0) * dsp.SAMPLE_RATE_HZ)
+        span_len = min(span_len, n - dsp.SAMPLE_RATE_HZ)
+        start = int(rng.uniform(0.2, 0.7) * (n - span_len))
+        # amplitude 3.2x background keeps in-span RMS comfortably above
+        # the 1.5x contract after modulation averaging
+        x[start:start + span_len] += _signature(
+            rng, span_len, peak_amplitude=3.2 * RMS)
+        out.append(SourceSignal(
+            id=len(out), samples=x,
+            anomaly_spans=[(start, start + span_len, anomaly_kind)],
+            dataset_tag="synthetic", onset_sample=start))
     return out
 
 

@@ -147,6 +147,26 @@ def test_bad_config_file_is_a_usage_error(tiny_store, tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("search", "max_comparisons", None),
+    ("sim", "cloud_search_time_mode", "configured"),
+], ids=["max_comparisons", "cloud_search_time_mode"])
+def test_config_with_a_removed_setting_is_a_usage_error(tiny_store, tmp_path,
+                                                        capsys, section, key,
+                                                        value):
+    d = RunConfig().to_dict()
+    d[section][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, tiny_store[1][:256])
+    rc = emap_cli.main(["--config", str(cfg), "search",
+                        "--store", str(tiny_store[0]), "--input", str(q)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and key in err
+
+
 def test_global_flags_go_before_the_subcommand(tmp_path, capsys):
     # argparse owns this contract: trailing global flags are rejected
     rc = emap_cli.main(["synth", "--out", str(tmp_path / "x"),
@@ -274,6 +294,21 @@ def test_format_1_store_is_a_data_error(tiny_store, tmp_path, capsys):
                         "--input", str(q)])
     assert rc == 3
     assert "store format 1" in capsys.readouterr().err
+
+
+def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
+                                                             capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_signal_csv(raw / "sig0.csv",
+                     np.random.default_rng(3).normal(0.0, 15.0, 1000))
+    (raw / "sig0.json").write_text(json.dumps(
+        {"spans": [[0, 10, None], [0, 10, "x"]]}))
+    rc = emap_cli.main(["build-mdb", "--in", str(raw),
+                        "--out", str(tmp_path / "store")])
+    assert rc == 3
+    assert "anomaly spans overlap" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 def test_synth_corpus_then_build(tmp_path, capsys):

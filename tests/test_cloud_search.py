@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emap import cloud_search
 from emap.cloud_search import (
     LAST_OFFSET,
     SearchConfig,
@@ -167,23 +168,6 @@ def test_worker_count_does_not_change_results(parity_world):
         assert got.degenerate_skipped == ref.degenerate_skipped
 
 
-def test_comparison_budget_guard(parity_world):
-    corpus, store = parity_world
-    q = corpus.queries[3]
-    capped = sliding_search(q, store, SearchConfig(max_comparisons=50))
-    free = sliding_search(q, store, SearchConfig())
-    assert capped.comparisons_made < free.comparisons_made
-    # the guard cuts at a slice boundary, so it may finish the slice
-    # in flight but never start another one past the budget
-    assert capped.comparisons_made <= 50 + 745
-    assert capped.slices_scanned < free.slices_scanned
-    for workers in (2, 4):
-        again = sliding_search(q, store,
-                               SearchConfig(max_comparisons=50, workers=workers))
-        assert again.candidates == capped.candidates
-        assert again.comparisons_made == capped.comparisons_made
-
-
 def test_degenerate_slices_are_skipped_not_fatal(tmp_path):
     rng = np.random.default_rng(22)
     sig_ok = SourceSignal(id=0, samples=rng.normal(0, 15, SLICE_LEN),
@@ -230,11 +214,20 @@ def test_alpha_sweep_report(parity_world):
         assert 0.8 < r.mean_top100_omega <= 1.0
 
 
-def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world):
+def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world,
+                                                       monkeypatch):
     corpus, store = parity_world
-    base = SearchConfig(delta=0.9, top_k=2, max_comparisons=300)
+    base = SearchConfig(delta=0.9, top_k=2, workers=2)
+    seen = []
+
+    def recording(window, store, cfg, record_trace=False):
+        seen.append(cfg)
+        return sliding_search(window, store, cfg, record_trace)
+
+    monkeypatch.setattr(cloud_search, "sliding_search", recording)
     row, = alpha_sweep(corpus.queries[:3], store, [0.02], base_cfg=base)
-    cfg = SearchConfig(alpha=0.02, delta=0.9, top_k=2, max_comparisons=300)
+    cfg = SearchConfig(alpha=0.02, delta=0.9, top_k=2, workers=2)
+    assert seen == [cfg] * 3
     runs = [sliding_search(q, store, cfg) for q in corpus.queries[:3]]
     assert row.mean_comparisons == np.mean([r.comparisons_made for r in runs])
     assert row.mean_matches == np.mean([len(r.candidates) for r in runs])

@@ -1,6 +1,7 @@
 """Ingestion, slicing, labeling, and the on-disk store format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from emap.mdb import (
     build_store,
     get_parent_segment,
     ingest_csv,
-    synth_corpus,
 )
+from emap import cli as emap_cli
 from emap import scenarios
 
 
@@ -171,19 +172,60 @@ def set_format_1(manifest):
     manifest["format_version"] = 1
 
 
+def drop_spans(manifest):
+    del manifest["signals"][1]["spans"]
+
+
+def drop_length(manifest):
+    del manifest["signals"][1]["length"]
+
+
+def length_as_text(manifest):
+    manifest["signals"][1]["length"] = "2500"
+
+
+def signals_not_a_list(manifest):
+    manifest["signals"] = 5
+
+
+def span_without_end(manifest):
+    manifest["signals"][1]["spans"] = [[100]]
+
+
+def equal_spans_of_two_kinds(manifest):
+    # None and "x" do not compare, so only a sort by position can order them
+    manifest["signals"][1]["spans"] = [[0, 10, None], [0, 10, "x"]]
+
+
 @pytest.mark.parametrize("edit, message", [
     (set_span, r"span \(2400, 2600\) outside signal of length 2500"),
     (set_format_1, "store format 1 is not supported"),
-], ids=["span-outside-signal", "format-1"])
-def test_load_rejects_a_corrupt_manifest(tmp_path, edit, message):
+    (drop_spans, r"manifest signal #1 \(id 1\) has no array 'spans'"),
+    (drop_length, r"manifest signal #1 \(id 1\) has no integer 'length'"),
+    (length_as_text, r"manifest signal #1 \(id 1\) has no integer 'length'"),
+    (signals_not_a_list, "manifest 'signals' is not a list"),
+    (lambda m: [m], "manifest is not a JSON object"),
+    (span_without_end, r"signal #1 \(id 1\): 'spans' entry \[100\]"),
+    (equal_spans_of_two_kinds, "anomaly spans overlap"),
+], ids=["span-outside-signal", "format-1", "no-spans", "no-length",
+        "length-as-text", "signals-not-a-list", "manifest-not-an-object",
+        "span-without-end", "equal-spans-of-two-kinds"])
+def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
     MdbStore.load(root)
     manifest = json.loads((root / "manifest.json").read_text())
-    edit(manifest)
+    manifest = edit(manifest) or manifest
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=message):
         MdbStore.load(root)
+    # the CLI reports it as a data error, not a traceback
+    query = tmp_path / "query.csv"
+    query.write_text("".join(f"{v!r}\n" for v in np.arange(1.0, 257.0)))
+    rc = emap_cli.main(["search", "--store", str(root),
+                        "--input", str(query)])
+    assert rc == 3
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_load_rejects_a_signal_listed_twice(tmp_path):
@@ -319,10 +361,13 @@ def test_source_signal_validates_spans():
         make_signal(0, n=1000, spans=[(300, 200, "seizure")])   # reversed
     with pytest.raises(ValueError):
         make_signal(0, n=2000, spans=[(100, 600, "a"), (500, 900, "b")])
+    with pytest.raises(ValueError, match="anomaly spans overlap"):
+        make_signal(0, n=2000, spans=[(0, 10, None), (0, 10, "x")])
 
 
 def test_synth_corpus_contract():
-    signals = synth_corpus(123, n_normal=4, n_anomalous=4, length_s=12.0)
+    signals = scenarios.synth_corpus(123, n_normal=4, n_anomalous=4,
+                                     length_s=12.0)
     assert len(signals) == 8
     assert len({s.id for s in signals}) == 8
     n_anom = 0
@@ -342,9 +387,9 @@ def test_synth_corpus_contract():
 
 
 def test_synth_corpus_is_seed_deterministic():
-    a = synth_corpus(9, 2, 2)
-    b = synth_corpus(9, 2, 2)
-    c = synth_corpus(10, 2, 2)
+    a = scenarios.synth_corpus(9, 2, 2)
+    b = scenarios.synth_corpus(9, 2, 2)
+    c = scenarios.synth_corpus(10, 2, 2)
     for x, y in zip(a, b):
         assert np.array_equal(x.samples, y.samples)
         assert x.anomaly_spans == y.anomaly_spans

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from emap import orchestrator
 from emap.cloud_search import sliding_search
-from emap.dsp import SignalWindow, WINDOW_LEN
+from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, WINDOW_LEN
 from emap.edge_tracker import init_tracker, tracker_step
 from emap.mdb import SourceSignal, build_store
 from emap.scenarios import evaluation_world
@@ -41,7 +44,7 @@ def test_initial_overhead_is_the_exact_sum(prob_world):
     # 1 ms up, 2.8 s search, 199 ms down: exactly 3.0 s end to end
     link = LinkModel(uplink_fixed_us=1000, uplink_per_sample_us=0,
                      downlink_fixed_us=199_000, downlink_per_signal_us=0)
-    sim = SimConfig(cloud_search_time_mode="configured", cloud_search_s=2.8)
+    sim = SimConfig(cloud_search_s=2.8)
     out = run_stream(sc.live, store, sc.search_cfg, sc.tracker_cfg, link, sim)
     t = out.timing
     assert t.delta_ec_us == 1000
@@ -59,7 +62,7 @@ def test_timing_report_rejects_broken_sum():
 
 def test_zero_latency_run_equals_direct_tracking(prob_world):
     sc, store = prob_world
-    sim = SimConfig(cloud_search_time_mode="configured", cloud_search_s=0.0)
+    sim = SimConfig(cloud_search_s=0.0)
     out = run_stream(sc.live, store, sc.search_cfg, sc.tracker_cfg,
                      ZERO_LINK, sim)
 
@@ -182,8 +185,7 @@ def test_evaluate_batch_shape_and_gate(eval_world):
     world, store = eval_world
     cfg = world.run_config
     streams = world.streams[:3] + world.streams[-3:]   # 3 anomalous, 3 normal
-    sim = SimConfig(cloud_search_time_mode=cfg.sim.cloud_search_time_mode,
-                    cloud_search_s=cfg.sim.cloud_search_s,
+    sim = SimConfig(cloud_search_s=cfg.sim.cloud_search_s,
                     eval_after_cloud_calls=cfg.sim.eval_after_cloud_calls,
                     batch_size=3, report_step_micros=0)
     table = evaluate_batch(streams, store, cfg.search, cfg.tracker,
@@ -233,6 +235,51 @@ def test_predict_at_offsets_truncation(eval_world):
     with pytest.raises(ValueError):
         predict_at_offsets(normal, [2.0], store, cfg.search, cfg.tracker,
                            cfg.link, cfg.sim)
+
+
+def truncate_and_rerun(live, offsets, store, cfg):
+    """predict_at_offsets as a fresh run of each truncated stream."""
+    rows = []
+    for off_s in offsets:
+        cut = live.onset_sample - int(round(off_s * SAMPLE_RATE_HZ))
+        truncated = SourceSignal(
+            id=live.id, samples=live.samples[:cut].copy(),
+            anomaly_spans=[(s, min(e, cut), k)
+                           for s, e, k in live.anomaly_spans if s < cut],
+            dataset_tag=live.dataset_tag, onset_sample=live.onset_sample)
+        out = run_stream(truncated, store, cfg.search, cfg.tracker,
+                         cfg.link, cfg.sim)
+        hit = out.first_prediction(cfg.sim.eval_after_cloud_calls)
+        rows.append({"offset_s": float(off_s), "predicted": hit is not None,
+                     "prediction_t_s": hit[1] if hit else None})
+    return rows
+
+
+def test_predict_at_offsets_equals_truncate_and_rerun(eval_world,
+                                                      monkeypatch):
+    world, store = eval_world
+    cfg = world.run_config
+    offsets = [0, 0.5, 1, 2, 2.9, 3, 3.1, 4, 5, 8, 12, 17, -2]
+    anomalous = [s for s in world.streams if s.anomaly_spans]
+    assert len(anomalous) == 20
+    runs = []
+
+    def counting(*args):
+        runs.append(args[0].id)
+        return run_stream(*args)
+
+    predicted = 0
+    for live in anomalous:
+        monkeypatch.setattr(orchestrator, "run_stream", counting)
+        got = predict_at_offsets(live, offsets, store, cfg.search,
+                                 cfg.tracker, cfg.link, cfg.sim)
+        monkeypatch.undo()
+        assert runs == [live.id], "one run per call"
+        runs.clear()
+        assert got == truncate_and_rerun(live, offsets, store, cfg)
+        predicted += sum(r["predicted"] for r in got)
+    # both answers occur, so the comparison is not vacuous
+    assert 0 < predicted < len(anomalous) * len(offsets)
 
 
 def test_run_config_round_trips():
@@ -328,3 +375,127 @@ def test_initial_call_waits_for_a_nonzero_window(small_eval):
     # one second late, the same initial set is tracked
     assert out.reports[0].timestep_index == base.reports[0].timestep_index + 1
     assert out.reports[0].alive == base.reports[0].alive
+
+
+@pytest.mark.parametrize("flat", [[0], [0, 1]], ids=["window-0", "windows-0-1"])
+def test_an_empty_initial_call_is_retried(small_eval, flat):
+    cfg, store, live = small_eval
+    samples = live.samples.copy()
+    for w in flat:
+        samples[w * WINDOW_LEN:(w + 1) * WINDOW_LEN] = 0.0
+    out = run_with(cfg, store, live, samples)
+    first = len(flat)     # the first window a search can score
+    empties = [(t, d["window"]) for t, k, d in events(out)
+               if k == "initial_call_empty"]
+    starts = [(t, d["window"]) for t, k, d in events(out)
+              if k == "search_start"]
+    # that window is off the slice grid: no candidate comes back
+    assert empties[0][1] == first
+    up = cfg.link.uplink_latency(WINDOW_LEN)
+    for t, _w in empties:
+        # the next boundary sends a fresh initial call with its own window
+        assert (t + 1_000_000 + up, t // 1_000_000) in starts
+    # no retry on this stream lands on the grid either
+    assert all(d["candidates"] == 0 for _t, k, d in events(out)
+               if k == "search_done")
+    assert len(empties) > 1     # it keeps retrying
+    assert out.reports == []
+    assert out.final_classification == "undecided"
+    assert out.degraded is True
+    assert out.timing is None
+
+
+def test_a_retried_initial_call_starts_tracking(small_eval):
+    cfg, store, live = small_eval
+    # four seconds of noise that matches nothing, then the stream: the
+    # first call (window 0) comes back empty at 4 s and the retry at 5 s
+    # sends window 4, the stream's opening second
+    noise = np.random.default_rng(8).normal(0.0, 15.0, 4 * WINDOW_LEN)
+    samples = np.concatenate([noise, live.samples[:-4 * WINDOW_LEN]])
+    out = run_with(cfg, store, live, samples)
+    base = run_with(cfg, store, live, live.samples)
+    assert ("initial_call_empty", {"window": 0}) in \
+        [(k, d) for t, k, d in events(out) if t == 4_000_000]
+    assert ("search_start", {"window": 4}) in \
+        [(k, d) for _t, k, d in events(out)]
+    # timing describes the call that started tracking
+    assert out.timing == dataclasses.replace(
+        base.timing, step_micros=out.timing.step_micros)
+    assert out.reports[0].timestep_index == base.reports[0].timestep_index + 4
+    assert out.reports[0].alive == base.reports[0].alive
+
+
+@pytest.fixture(scope="module")
+def small_eval_streams():
+    return evaluation_world(2026, n_anomalous=2, n_normal=2).streams
+
+
+def checked_tracker_step(state, window, store):
+    """tracker_step that checks the report's alive count against the
+    tracked set it leaves behind."""
+    report = tracker_step(state, window, store)
+    assert report.alive == len(state.alive_candidates())
+    return report
+
+
+def outcome_key(out):
+    timing = out.timing and dataclasses.replace(out.timing, step_micros=[])
+    return (events(out),
+            [(r.iteration, r.alive, r.p_anomaly, r.classification,
+              r.cloud_call, r.removed_dissimilar, r.removed_exhausted)
+             for r in out.reports],
+            out.final_classification, out.degraded, timing,
+            out.transmissions_before_report)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(stream=0, flat={0}, link=LinkModel(), cloud_search_s=2.8)
+@given(stream=st.integers(0, 3),
+       flat=st.sets(st.integers(0, 23), max_size=24),
+       link=st.builds(LinkModel,
+                      uplink_fixed_us=st.integers(0, 2_000_000),
+                      uplink_per_sample_us=st.integers(0, 5_000),
+                      downlink_fixed_us=st.integers(0, 3_000_000),
+                      downlink_per_signal_us=st.integers(0, 30_000)),
+       cloud_search_s=st.floats(0.0, 8.0))
+def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
+                               link, cloud_search_s):
+    cfg, store, _live = small_eval
+    live = small_eval_streams[stream]
+    samples = live.samples.copy()
+    for w in flat:
+        samples[w * WINDOW_LEN:(w + 1) * WINDOW_LEN] = 0.0
+    zeroed = SourceSignal(id=live.id, samples=samples,
+                          anomaly_spans=live.anomaly_spans,
+                          dataset_tag=live.dataset_tag)
+    sim = dataclasses.replace(cfg.sim, cloud_search_s=cloud_search_s)
+    outs = []
+    for workers in (1, 2):
+        search = dataclasses.replace(cfg.search, workers=workers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orchestrator, "tracker_step", checked_tracker_step)
+            outs.append(run_stream(zeroed, store, search, cfg.tracker,
+                                   link, sim))
+    out = outs[0]
+    assert outcome_key(outs[1]) == outcome_key(out)
+
+    times = [e.t_sim_us for e in out.timeline]
+    assert times == sorted(times)
+    n_windows = samples.size // WINDOW_LEN
+    assert [e.detail["window"] for e in out.timeline
+            if e.kind == "sample"] == list(range(n_windows))
+    # calls are sequential: the i-th delivery is the one the i-th
+    # swap_in (or dropped empty initial result) applies
+    deliveries = [e.t_sim_us + e.detail["duration_us"]
+                  for e in out.timeline if e.kind == "downlink"]
+    applied = [e.t_sim_us for e in out.timeline
+               if e.kind in ("swap_in", "initial_call_empty")]
+    assert len(applied) <= len(deliveries)
+    for t_applied, t_delivered in zip(applied, deliveries):
+        assert t_delivered <= t_applied
+    for r in out.reports:
+        assert 0.0 <= r.p_anomaly <= 1.0
+    if not out.reports:
+        assert out.final_classification == "undecided"
+        assert out.degraded is True
