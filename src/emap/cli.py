@@ -61,14 +61,21 @@ def _read_sidecar(csv_path):
     if not os.path.exists(side):
         return {}
     with open(side, encoding="utf-8") as fh:
-        return json.load(fh)
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{side}: not a JSON object")
+    rate = meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ)
+    if type(rate) is not int or rate <= 0:    # bool is not an int here
+        raise ValueError(f"{side}: sample_rate_hz {rate!r} is not a "
+                         "positive integer")
+    return meta
 
 
 def _ingest_with_sidecar(csv_path, default_id):
     meta = _read_sidecar(csv_path)
     sig = ingest_csv(
         csv_path,
-        sample_rate_hz=int(meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ)),
+        sample_rate_hz=meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ),
         anomaly_spans=[tuple(s) for s in meta.get("spans", [])],
         dataset_tag=meta.get("dataset_tag", ""),
         signal_id=int(meta.get("id", default_id)))
@@ -86,7 +93,19 @@ def _corpus_from_dir(in_dir):
 
 # -- subcommands -----------------------------------------------------------
 
+def _check_synth_args(args):
+    for flag, count in (("--normal", args.normal),
+                        ("--anomalous", args.anomalous)):
+        if count < 0:
+            raise SystemExit(_usage_error(f"{flag} must be >= 0, got {count}"))
+    try:
+        scenarios.synth_length_samples(args.length_s)
+    except ValueError as e:
+        raise SystemExit(_usage_error(f"--length-s: {e}"))
+
+
 def cmd_synth(args, cfg: RunConfig) -> int:
+    _check_synth_args(args)
     if args.mode == "corpus":
         signals = scenarios.synth_corpus(cfg.seed, args.normal,
                                          args.anomalous,

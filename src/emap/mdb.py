@@ -12,10 +12,20 @@ In memory, a loaded store keeps all samples in one flat float32 buffer
 (see MdbStore); that is what the cloud search scans. This module is
 only the store and its CSV ingestion; synthetic corpora come from
 `scenarios`.
+
+A sample file (what `ingest_csv` reads) is UTF-8 text, with or without
+a byte-order mark, holding one value per line. Blank and
+whitespace-only lines and whole-line `#` comments (the first non-blank
+character is `#`) are skipped. The first remaining row may be a
+non-numeric header; every other row must be one number as Python's
+`float` reads it: no inline comment, no second value. Only finite
+values are accepted. A row that breaks these rules, or reads as NaN or
+infinite, is a CsvFormatError naming its line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -88,40 +98,29 @@ def _check_spans(spans, length):
 
 def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
                dataset_tag: str = "", signal_id: int = 0) -> SourceSignal:
-    """Load one recording from a text file of amplitudes.
+    """Load one recording from a sample file (format in the module
+    docstring).
 
-    Format: one sample per line; blank lines and `#` comments are
-    skipped; a single non-numeric first row is tolerated as a header.
-    NaN and infinite samples are rejected with their line number.
-    The signal is resampled to 256 Hz, bandpass filtered, and its
-    anomaly spans are rescaled by the resampling ratio.
+    Most files are parsed by one np.loadtxt call (_parse_bulk); the
+    line scanner _rows parses the others, with the same result. The
+    signal is resampled to 256 Hz, bandpass filtered, and its anomaly
+    spans are rescaled by the resampling ratio.
     """
-    values = []
-    header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                if header_allowed and not values:
-                    header_allowed = False
-                    continue
-                raise CsvFormatError(
-                    f"{path}: non-numeric value {line!r} on line {lineno}"
-                ) from None
-            header_allowed = False
-    if not values:
-        raise CsvFormatError(f"{path}: no samples found")
-    x = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise CsvFormatError(f"{path}: non-finite value on line "
-                             f"{_line_of_sample(path, int(np.argmin(finite)))}")
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    x = _parse_bulk(path, text)
+    if x is None:
+        x = np.array([v for _n, v in _rows(path, text) if v is not None],
+                     dtype=np.float64)
+    if x.size == 0:
+        raise CsvFormatError(f"{path}: no samples found")
+    finite = np.isfinite(x)
+    if not finite.all():
+        lines = (n for n, v in _rows(path, text) if v is not None)
+        lineno = next(itertools.islice(lines, int(np.argmin(finite)), None))
+        raise CsvFormatError(f"{path}: non-finite value on line {lineno}")
 
     ratio = dsp.SAMPLE_RATE_HZ / float(sample_rate_hz)
     x = dsp.resample(x, sample_rate_hz, dsp.SAMPLE_RATE_HZ)
@@ -132,22 +131,61 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
                         anomaly_spans=spans, dataset_tag=dataset_tag)
 
 
-def _line_of_sample(path, k):
-    """Line number of the k-th sample ingest_csv read from `path`; every
-    numeric row is a sample, since the only other row it accepts is a
-    header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+def _rows(path, text):
+    """The sample file's row scanner: (line number, value) for each row
+    that is not blank or a `#` comment, with value None for a header.
+    Only the first row may be a header; any later row that `float`
+    cannot read raises CsvFormatError naming its line."""
+    first = True
+    start = 0
+    for lineno in itertools.count(1):
+        # split lazily: finding the header must not split the whole file
+        end = text.find("\n", start)
+        line = text[start:end if end >= 0 else None].strip()
+        if line and not line.startswith("#"):
             try:
-                float(line)
+                value = float(line)
             except ValueError:
-                continue
-            if k == 0:
-                return lineno
-            k -= 1
+                if not first:
+                    raise CsvFormatError(f"{path}: non-numeric value "
+                                         f"{line!r} on line {lineno}") from None
+                value = None
+            first = False
+            yield lineno, value
+        if end < 0:
+            return
+        start = end + 1
+
+
+def _parse_bulk(path, text):
+    """All samples of `text` (the file at `path`) from one np.loadtxt
+    call, or None where loadtxt could read the file otherwise than
+    _rows does; the caller then runs _rows.
+
+    loadtxt skips only empty lines and text after a `#`, and with no
+    `,` in the file every other line is one field, which it reads as
+    `float` does or refuses. So a file whose every `#` starts a line
+    gets the same rows and values from both, once a header row found
+    by _rows is skipped. Files loadtxt refuses (whitespace-only lines,
+    `1_000`, two values on a line, non-ASCII digits) go to _rows.
+    """
+    if "," in text:
+        return None
+    at = text.find("#")           # find, unlike count, scans with memchr
+    while at >= 0:
+        if at and text[at - 1] != "\n":
+            return None
+        at = text.find("#", at + 1)
+    rows = _rows(path, text)
+    first = next(rows, None)
+    header = first is not None and first[1] is None
+    if first is None or (header and next(rows, None) is None):
+        return None               # no sample row: loadtxt would only warn
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=first[0] if header
+                          else 0, ndmin=1, encoding="utf-8-sig")
+    except ValueError:
+        return None
 
 
 def _slice_label(spans, offset):

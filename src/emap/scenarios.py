@@ -16,6 +16,7 @@ labeled corpus behind `emap synth --mode corpus`, is built from them too.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -84,6 +85,20 @@ def _decoy(rng, live_samples, death_window, sigma):
 
 # -- labeled corpus ---------------------------------------------------------
 
+def synth_length_samples(length_s: float) -> int:
+    """Samples in a synth_corpus signal of `length_s` seconds. An
+    anomaly span leaves one second of its signal clear, so the signal
+    must be longer than one second; ValueError naming length_s
+    otherwise."""
+    n = (int(round(length_s * dsp.SAMPLE_RATE_HZ))
+         if math.isfinite(length_s) else 0)
+    if n <= dsp.SAMPLE_RATE_HZ:
+        raise ValueError(f"length_s must be a finite number of seconds "
+                         f"above 1 (more than {dsp.SAMPLE_RATE_HZ} "
+                         f"samples), got {length_s!r}")
+    return n
+
+
 def synth_corpus(seed: int, n_normal: int, n_anomalous: int,
                  anomaly_kind: str = "seizure", length_s: float = 20.0):
     """Deterministic labeled corpus: colored-noise normals plus
@@ -91,8 +106,8 @@ def synth_corpus(seed: int, n_normal: int, n_anomalous: int,
     marked span."""
     if n_normal < 0 or n_anomalous < 0:
         raise ValueError("signal counts must be >= 0")
+    n = synth_length_samples(length_s)
     rng = np.random.default_rng(seed)
-    n = int(round(length_s * dsp.SAMPLE_RATE_HZ))
     out = []
     for _ in range(n_normal):
         out.append(SourceSignal(

@@ -311,6 +311,45 @@ def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ('{"sample_rate_hz": 250.7}', "sample_rate_hz 250.7 is not a positive"),
+    ('{"sample_rate_hz": 0}', "sample_rate_hz 0 is not a positive"),
+    ('{"sample_rate_hz": -256}', "sample_rate_hz -256 is not a positive"),
+    ('{"sample_rate_hz": true}', "sample_rate_hz True is not a positive"),
+    ('{"sample_rate_hz": "256"}', "sample_rate_hz '256' is not a positive"),
+    ('{"sample_rate_hz": null}', "sample_rate_hz None is not a positive"),
+    ("[256]", "not a JSON object"),
+])
+def test_bad_sidecar_is_a_data_error(tmp_path, capsys, sidecar, message):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_signal_csv(raw / "sig0.csv",
+                     np.random.default_rng(3).normal(0.0, 15.0, 1000))
+    (raw / "sig0.json").write_text(sidecar)
+    rc = emap_cli.main(["build-mdb", "--in", str(raw),
+                        "--out", str(tmp_path / "store")])
+    assert rc == 3
+    assert f"{raw / 'sig0.json'}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("mode", ["corpus", "eval-scenario"])
+@pytest.mark.parametrize("flag, value, named", [
+    ("--length-s", "1", "got 1.0"), ("--length-s", "1.001", "got 1.001"),
+    ("--length-s", "0", "got 0.0"), ("--length-s", "-5", "got -5.0"),
+    ("--length-s", "nan", "got nan"), ("--length-s", "inf", "got inf"),
+    ("--normal", "-1", "got -1"), ("--anomalous", "-2", "got -2")])
+def test_synth_rejects_bad_arguments_as_usage(tmp_path, capsys, mode, flag,
+                                              value, named):
+    out = tmp_path / "out"
+    rc = emap_cli.main(["synth", "--out", str(out), "--mode", mode,
+                        "--normal", "1", "--anomalous", "1", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and named in err
+    assert not out.exists()      # checked before anything is generated
+
+
 def test_synth_corpus_then_build(tmp_path, capsys):
     raw = tmp_path / "corpus"
     rc = emap_cli.main(["--seed", "11", "synth", "--out", str(raw),

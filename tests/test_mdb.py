@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emap.dsp import SAMPLE_RATE_HZ
+from emap import mdb
+from emap.dsp import SAMPLE_RATE_HZ, apply_filter, design_bandpass
 from emap.mdb import (
     SLICE_LEN,
     CsvFormatError,
@@ -354,6 +355,169 @@ def test_ingest_csv_rejects_empty(tmp_path):
         ingest_csv(p, sample_rate_hz=256)
 
 
+def reference_parse(path):
+    """The sample-file parse as a plain line loop, the way ingest_csv
+    read every file before its bulk path: strip each line, skip blank
+    lines and `#` comments, take a non-numeric first row as the header,
+    and `float` every other row. Returns the raw float64 samples and
+    their line numbers, or raises ingest_csv's CsvFormatError."""
+    values, lines = [], []
+    header_allowed = True
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                if header_allowed and not values:
+                    header_allowed = False
+                    continue
+                raise CsvFormatError(
+                    f"{path}: non-numeric value {line!r} on line {lineno}"
+                ) from None
+            lines.append(lineno)
+            header_allowed = False
+    if not values:
+        raise CsvFormatError(f"{path}: no samples found")
+    return np.asarray(values, dtype=np.float64), lines
+
+
+@pytest.fixture()
+def bulk_results(monkeypatch):
+    """Every _parse_bulk result in the test, None where it refused or
+    raised."""
+    results = []
+
+    def spy(path, text):
+        results.append(None)
+        results[-1] = real(path, text)
+        return results[-1]
+
+    real = mdb._parse_bulk
+    monkeypatch.setattr(mdb, "_parse_bulk", spy)
+    return results
+
+
+def assert_ingest_matches_reference(path, bulk_results):
+    """ingest_csv gives the filtered reference samples bit for bit, or
+    the reference's exception type and message (a non-finite sample
+    named by its line, as ingest_csv does); a bulk result, when there
+    was one, is the reference's raw samples bit for bit."""
+    del bulk_results[:]
+    try:
+        got = ingest_csv(path, sample_rate_hz=256).samples.tobytes()
+    except ValueError as e:
+        got = type(e), str(e)
+    raw = None
+    try:
+        raw, lines = reference_parse(path)
+        finite = np.isfinite(raw)
+        if not finite.all():
+            raise CsvFormatError(f"{path}: non-finite value on line "
+                                 f"{lines[int(np.argmin(finite))]}")
+        want = apply_filter(raw, design_bandpass()).tobytes()
+    except ValueError as e:
+        want = type(e), str(e)
+    assert got == want
+    assert len(bulk_results) == 1
+    bulk = bulk_results[0]
+    if bulk is not None:
+        assert bulk.tobytes() == raw.tobytes()
+    return bulk is not None
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:+.6e}"),
+    st.sampled_from(["0", "-0", "+1.5", ".5", "5.", "1E5", "-2e-3", "inf",
+                     "-Infinity", "nan", "NaN", "1e999", "-1e999", " 3.25 ",
+                     "\t7\t"]))
+# rows that keep a file on the bulk path (or fail the same way on both)
+CLEAN_ROWS = st.one_of(NUMBERS, NUMBERS, NUMBERS, st.sampled_from(
+    ["", "#", "# a comment", "#1.0", "amplitude_uv", "abc", "1.0.0"]))
+# rows the guard or loadtxt must refuse, so the line scanner reads them
+HOSTILE_ROWS = st.sampled_from(
+    ["  # indented", "\t#tab", " ", "\t", " \t ", "1_000", "-1_0.5",
+     "1.0 # inline", "2#x", "1.0,2.0", "3,5", ",", "1.0 2.0", "--1",
+     "\u0661\u0662", "\xa01.5"])
+
+
+@st.composite
+def sample_file(draw):
+    lines = draw(st.lists(CLEAN_ROWS, max_size=12))
+    # few hostile rows, so each is often the only thing the guard sees
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(HOSTILE_ROWS))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]          # no final line ending
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=sample_file())
+def test_ingest_csv_matches_the_line_loop(tmp_path, bulk_results, data):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(data)
+    assert_ingest_matches_reference(path, bulk_results)
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("1.5\n2.5\n", True),
+    ("# c\n\namplitude\n1.5\r\n2.5\r3.5", True),
+    ("\ufeffamplitude\n1.5\n", True),
+    ("1.5\nnan\n", True),                   # read in bulk, then rejected
+    ("1.5\n \n2.5\n", False),              # whitespace-only line
+    ("1.5\n1_000\n", False),
+    ("1.5\n2.5 # note\n", False),
+    ("1.5\n2.5 3.5\n", False),
+    ("1.5\n2.5,3.5\n", False),
+    ("1.5\n # indented\n2.5\n", False),
+    ("", False),
+    ("amplitude\n# only a header\n", False),
+], ids=["plain", "comments-header-line-endings", "bom-header", "nan",
+        "whitespace-line", "underscore", "inline-comment", "two-values",
+        "comma", "indented-comment", "empty", "header-only"])
+def test_ingest_csv_takes_the_bulk_path_when_loadtxt_agrees(
+        tmp_path, bulk_results, text, bulk):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert assert_ingest_matches_reference(path, bulk_results) is bulk
+
+
+def test_eval_world_csvs_take_the_bulk_path(tmp_path, eval_world,
+                                            bulk_results):
+    world, _store = eval_world
+    scenarios.write_corpus_csv(world.store_signals, tmp_path)
+    scenarios.write_corpus_csv(world.streams, tmp_path)
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 360
+    for path in paths:
+        assert assert_ingest_matches_reference(path, bulk_results), path
+
+
+def test_ingest_csv_reads_past_a_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("1.5\n2.0\n3.0\n", encoding="utf-8")
+    bom.write_text("1.5\n2.0\n3.0\n", encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    a = ingest_csv(plain, sample_rate_hz=256).samples
+    b = ingest_csv(bom, sample_rate_hz=256).samples
+    assert b.size == 3
+    assert a.tobytes() == b.tobytes()
+
+
+def test_ingest_csv_checks_the_rate_before_reading(tmp_path):
+    with pytest.raises(ValueError, match="sample_rate_hz must be positive"):
+        ingest_csv(tmp_path / "missing.csv", sample_rate_hz=0)
+
+
 def test_source_signal_validates_spans():
     with pytest.raises(ValueError):
         make_signal(0, n=1000, spans=[(900, 1200, "seizure")])  # out of range
@@ -384,6 +548,14 @@ def test_synth_corpus_contract():
             ratio = np.sqrt(np.mean(inside ** 2) / np.mean(outside ** 2))
             assert ratio >= 1.5, f"in-span RMS only {ratio:.2f}x"
     assert n_anom == 4
+
+
+def test_synth_corpus_rejects_a_length_of_one_second_or_less():
+    with pytest.raises(ValueError, match="length_s .* got 1.0"):
+        scenarios.synth_corpus(0, 1, 1, length_s=1.0)
+    # the shortest length that gives more than one second of samples
+    signals = scenarios.synth_corpus(0, 1, 1, length_s=257 / 256)
+    assert [s.samples.size for s in signals] == [257, 257]
 
 
 def test_synth_corpus_is_seed_deterministic():
