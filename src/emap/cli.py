@@ -12,14 +12,12 @@ import glob
 import json
 import os
 import sys
-import time
-
-import numpy as np
 
 from . import dsp, scenarios
 from .cloud_search import SearchConfig, alpha_sweep, exhaustive_search, sliding_search
-from .edge_tracker import init_tracker, report_json_record, tracker_step
-from .mdb import CsvFormatError, MdbStore, build_store, ingest_csv
+from .edge_tracker import report_json_record
+from .mdb import (CsvFormatError, MdbStore, build_store, check_span_entries,
+                  ingest_csv)
 from .orchestrator import RunConfig, evaluate_batch, run_stream
 
 EXIT_OK = 0
@@ -43,7 +41,10 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = RunConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError as e:
+            raise SystemExit(_usage_error(f"--seed: {e}"))
     if args.threads is not None:
         if args.threads < 1:
             raise SystemExit(_usage_error("--threads must be >= 1"))
@@ -54,6 +55,14 @@ def _load_config(args) -> RunConfig:
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
+
+
+# optional sidecar keys and the JSON types they take (bool is not an int
+# here); sample_rate_hz, which must also be positive, is checked apart
+_SIDECAR_TYPES = (("id", (int,), "an integer"),
+                  ("onset_sample", (int, type(None)), "an integer or null"),
+                  ("dataset_tag", (str,), "a string"),
+                  ("spans", (list,), "an array"))
 
 
 def _read_sidecar(csv_path):
@@ -68,6 +77,11 @@ def _read_sidecar(csv_path):
     if type(rate) is not int or rate <= 0:    # bool is not an int here
         raise ValueError(f"{side}: sample_rate_hz {rate!r} is not a "
                          "positive integer")
+    for key, types, json_type in _SIDECAR_TYPES:
+        if key in meta and type(meta[key]) not in types:
+            raise ValueError(f"{side}: {key} {meta[key]!r} is not "
+                             f"{json_type}")
+    check_span_entries(meta.get("spans", []), side)
     return meta
 
 
@@ -76,11 +90,10 @@ def _ingest_with_sidecar(csv_path, default_id):
     sig = ingest_csv(
         csv_path,
         sample_rate_hz=meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ),
-        anomaly_spans=[tuple(s) for s in meta.get("spans", [])],
+        anomaly_spans=meta.get("spans", []),
         dataset_tag=meta.get("dataset_tag", ""),
-        signal_id=int(meta.get("id", default_id)))
-    if meta.get("onset_sample") is not None:
-        sig.onset_sample = int(meta["onset_sample"])
+        signal_id=meta.get("id", default_id))
+    sig.onset_sample = meta.get("onset_sample")
     return sig
 
 
@@ -314,56 +327,6 @@ def cmd_sweep_alpha(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    a = rng.normal(0, 15, dsp.WINDOW_LEN)
-    b = rng.normal(0, 15, dsp.WINDOW_LEN)
-
-    def time_fn(fn, reps):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        return (time.perf_counter() - t0) / reps
-
-    reps = 2000
-    t_x = time_fn(lambda: dsp.xcorr(a, b), reps)
-    t_a = time_fn(lambda: dsp.area_between(a, b), reps)
-    print(f"xcorr per window:        {t_x * 1e6:9.2f} us")
-    print(f"area per window:         {t_a * 1e6:9.2f} us")
-    print(f"wall ratio xcorr/area:   {t_x / t_a:9.2f}x "
-          f"(operation-count model: "
-          f"{dsp.XCORR_OPS_PER_WINDOW / dsp.AREA_OPS_PER_WINDOW:.2f}x)")
-
-    if args.store:
-        store = MdbStore.load(args.store)
-    else:
-        corpus = scenarios.parity_corpus(cfg.seed)
-        store = build_store(corpus.store_signals,
-                            os.path.join(args.workdir, "bench_store"))
-    q = dsp.SignalWindow(samples=store.get_slice(0).samples[:dsp.WINDOW_LEN],
-                         timestep_index=0)
-    fast = sliding_search(q, store, cfg.search)
-    oracle = exhaustive_search(q, store, cfg.search)
-    print(f"sliding search:          {fast.comparisons_made} comparisons, "
-          f"{fast.elapsed:.4f}s")
-    print(f"exhaustive search:       {oracle.comparisons_made} comparisons, "
-          f"{oracle.elapsed:.4f}s")
-    print(f"comparison reduction:    "
-          f"{oracle.comparisons_made / max(fast.comparisons_made, 1):.2f}x; "
-          f"wall speedup {oracle.elapsed / max(fast.elapsed, 1e-9):.2f}x")
-
-    res = sliding_search(q, store, SearchConfig(
-        alpha=cfg.search.alpha, delta=-0.99, top_k=100))
-    if res.candidates:
-        state = init_tracker(res, store, cfg.tracker)
-        live = dsp.SignalWindow(samples=rng.normal(0, 15, dsp.WINDOW_LEN),
-                                timestep_index=1)
-        rep = tracker_step(state, live, store)
-        print(f"tracker step over {rep.area_computations} candidates: "
-              f"{rep.step_micros} us")
-    return EXIT_OK
-
-
 # -- entry point -------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--alphas", default="0.001,0.004,0.02,0.1")
     wp.add_argument("--out", default="sweep.csv")
     wp.set_defaults(fn=cmd_sweep_alpha)
-
-    np_ = sub.add_parser("bench", help="report wall-clock figures")
-    np_.add_argument("--store")
-    np_.add_argument("--workdir", default=".")
-    np_.set_defaults(fn=cmd_bench)
     return p
 
 

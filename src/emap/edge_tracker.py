@@ -49,7 +49,6 @@ class TrackedCandidate:
     omega_at_match: float
     alive: bool = True
     removal_reason: str | None = None
-    removed_iteration: int | None = None
 
 
 @dataclass
@@ -82,7 +81,6 @@ class TrackerState:
     iteration: int = 0          # total completed tracking iterations
     iteration_in_set: int = 0   # resets whenever a cloud response is applied
     degraded: bool = False
-    initial_removed_exhausted: int = 0
     reports: list = field(default_factory=list)
 
     def alive_candidates(self):
@@ -104,22 +102,18 @@ def _seed_candidates(result, store: MdbStore, steps_ahead: int):
     arrival (reason "exhausted").
     """
     tracked = []
-    n_exhausted = 0
     for cand in result.candidates:
         _sid, parent_id, parent_offset, label, kind = store.slice_meta(
             cand.set_id)
         rel = cand.beta + dsp.WINDOW_LEN * steps_ahead
         seg = get_parent_segment(store, cand.set_id, rel, dsp.WINDOW_LEN)
         alive = seg is not None
-        if not alive:
-            n_exhausted += 1
         tracked.append(TrackedCandidate(
             set_id=cand.set_id, label=label, anomaly_kind=kind,
             cursor=parent_offset + rel, parent_offset=parent_offset,
             omega_at_match=cand.omega, alive=alive,
-            removal_reason=None if alive else "exhausted",
-            removed_iteration=None if alive else 0))
-    return tracked, n_exhausted
+            removal_reason=None if alive else "exhausted"))
+    return tracked
 
 
 def init_tracker(result, store: MdbStore, cfg: TrackerConfig,
@@ -134,9 +128,8 @@ def init_tracker(result, store: MdbStore, cfg: TrackerConfig,
         raise ValueError("cannot start tracking from an empty search result")
     if steps_ahead < 1:
         raise ValueError("steps_ahead must be >= 1")
-    tracked, n_exhausted = _seed_candidates(result, store, steps_ahead)
-    state = TrackerState(tracked=tracked, pa_history=[], config=cfg,
-                         initial_removed_exhausted=n_exhausted)
+    state = TrackerState(tracked=_seed_candidates(result, store, steps_ahead),
+                         pa_history=[], config=cfg)
     state.degraded = not state.alive_candidates()
     state.pa_history.append(state.p_anomaly())
     return state
@@ -158,7 +151,6 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
         if seg is None:
             cand.alive = False
             cand.removal_reason = "exhausted"
-            cand.removed_iteration = state.iteration + 1
             removed_exhausted.append(Removal(
                 set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
             continue
@@ -167,7 +159,6 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
         if area > state.config.area_threshold:
             cand.alive = False
             cand.removal_reason = "dissimilar"
-            cand.removed_iteration = state.iteration + 1
             removed_dissimilar.append(Removal(
                 set_id=cand.set_id, reason="dissimilar", cursor=cand.cursor,
                 area=area))
@@ -243,9 +234,7 @@ def swap_in(state: TrackerState, fresh, store: MdbStore,
     applied cloud response.
     """
     if fresh is not None and fresh.candidates:
-        tracked, n_exhausted = _seed_candidates(fresh, store, steps_ahead)
-        state.tracked = tracked
-        state.initial_removed_exhausted += n_exhausted
+        state.tracked = _seed_candidates(fresh, store, steps_ahead)
         state.degraded = not state.alive_candidates()
     else:
         state.degraded = True

@@ -223,12 +223,19 @@ def _signal_entries(manifest):
         for key, typ, json_type in _SIGNAL_FIELDS:
             if type(sig.get(key)) is not typ:   # bool is not an int here
                 raise ValueError(f"{name} has no {json_type} {key!r}")
-        for span in sig["spans"]:
-            if not (isinstance(span, list) and len(span) in (2, 3)
-                    and all(type(v) is int for v in span[:2])):
-                raise ValueError(f"{name}: 'spans' entry {span!r} is not "
-                                 "[start, end] or [start, end, kind]")
+        check_span_entries(sig["spans"], name)
     return signals
+
+
+def check_span_entries(spans, name):
+    """ValueError naming `name` unless every entry of the JSON array
+    `spans` is [start, end] or [start, end, kind] with integer positions
+    (manifest entries and sample-file sidecars share this rule)."""
+    for span in spans:
+        if not (isinstance(span, list) and len(span) in (2, 3)
+                and all(type(v) is int for v in span[:2])):
+            raise ValueError(f"{name}: 'spans' entry {span!r} is not "
+                             "[start, end] or [start, end, kind]")
 
 
 class MdbStore:
@@ -243,9 +250,8 @@ class MdbStore:
     """
 
     def __init__(self, manifest: dict, flat: np.ndarray, parents: dict,
-                 index: list, slice_starts: np.ndarray, root=None):
+                 index: list, slice_starts: np.ndarray):
         self.manifest = manifest
-        self.root = root
         self.flat = flat
         self.slice_starts = slice_starts
         self._parents = parents
@@ -291,7 +297,7 @@ class MdbStore:
                 starts.append(pos + offset)
             pos += length
         return cls(manifest, flat, parents, index,
-                   np.array(starts, dtype=np.int64), root=root)
+                   np.array(starts, dtype=np.int64))
 
     # -- queries ------------------------------------------------------
 

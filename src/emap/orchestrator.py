@@ -10,7 +10,8 @@ search is an event, not a thread.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -78,17 +79,45 @@ class RunConfig:
     link: LinkModel = field(default_factory=LinkModel)
     sim: SimConfig = field(default_factory=SimConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        for key, typ in (("search", SearchConfig), ("tracker", TrackerConfig),
-                         ("link", LinkModel), ("sim", SimConfig)):
-            if key in d and isinstance(d[key], dict):
-                d[key] = typ(**d[key])
-        return cls(**d)
+        """The config a parsed JSON object describes.
+
+        Each value must have the JSON type of its field's default: a
+        section is an object, an int field takes an integer (not a
+        bool), a float field a finite number. ValueError names the key
+        otherwise; an unknown key is a TypeError, as in the constructor.
+        """
+        return _from_json(cls, d)
+
+
+def _from_json(cls, d, section: str | None = None):
+    if not isinstance(d, dict):
+        raise ValueError(f"{section or 'config'} is not an object")
+    d = dict(d)
+    defaults = cls()
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        key = f"{section}.{f.name}" if section else f.name
+        value = d[f.name]
+        default = getattr(defaults, f.name)
+        if is_dataclass(default):
+            d[f.name] = _from_json(type(default), value, key)
+        elif type(default) is int and type(value) is not int:
+            raise ValueError(f"{key}: {value!r} is not an integer")
+        elif type(default) is float and not (
+                type(value) is int
+                or (type(value) is float and math.isfinite(value))):
+            raise ValueError(f"{key}: {value!r} is not a finite number")
+    return cls(**d)
 
 
 @dataclass
@@ -104,13 +133,11 @@ class TimelineEvent:
 
 @dataclass
 class TimingReport:
-    """Latency accounting for the initial cloud call plus per-iteration
-    step durations (measured wall time, informational)."""
+    """Simulated latency accounting for the initial cloud call."""
     delta_ec_us: int
     delta_cs_us: int
     delta_ce_us: int
     delta_initial_us: int
-    step_micros: list = field(default_factory=list)
 
     def __post_init__(self):
         expected = self.delta_ec_us + self.delta_cs_us + self.delta_ce_us
@@ -188,7 +215,6 @@ def run_stream(live: SourceSignal, store: MdbStore,
         return dsp.SignalWindow(samples=seg, timestep_index=w)
 
     events: list[TimelineEvent] = []
-    reports = []
     transmissions_before = []
 
     def emit(t_us, kind, **detail):
@@ -267,14 +293,13 @@ def run_stream(live: SourceSignal, store: MdbStore,
             emit(t_b, "track_step", iteration=report.iteration,
                  alive=report.alive, p_anomaly=report.p_anomaly,
                  classification=report.classification)
-            reports.append(report)
             transmissions_before.append(transmissions_applied)
-            timing.step_micros.append(report.step_micros)
             if report.cloud_call is not None and pending is None:
                 emit(t_b, "cloud_call_request", reason=report.cloud_call,
                      window=w_b)
                 pending = schedule_call(w_b, t_b)
 
+    reports = tracker.reports if tracker is not None else []
     final = reports[-1].classification if reports else "undecided"
     # delivery events are emitted when scheduled, i.e. dated in the
     # future; stable sort puts the log in simulated-time order without

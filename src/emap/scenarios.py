@@ -308,8 +308,6 @@ class EvaluationWorld:
     streams: list          # SourceSignal live streams, labels via spans
     run_config: RunConfig
     anomaly_kind: str = "seizure"
-    ramp_start_s: float = 12.0
-    onset_s: float = 20.0
 
 
 def evaluation_world(seed: int = 2026, n_anomalous: int = 20,

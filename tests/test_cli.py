@@ -167,6 +167,60 @@ def test_config_with_a_removed_setting_is_a_usage_error(tiny_store, tmp_path,
     assert "bad config" in err and key in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"search": {"top_k": 2.5}}', "search.top_k: 2.5 is not an integer"),
+    ('{"search": {"workers": 2.5}}', "search.workers: 2.5 is not an integer"),
+    ('{"tracker": {"trend_window": 1.5}}',
+     "tracker.trend_window: 1.5 is not an integer"),
+    ('{"tracker": {"max_iterations_per_set": true}}',
+     "tracker.max_iterations_per_set: True is not an integer"),
+    ('{"link": {"uplink_fixed_us": 0.5}}',
+     "link.uplink_fixed_us: 0.5 is not an integer"),
+    ('{"sim": {"cloud_search_s": Infinity}}',
+     "sim.cloud_search_s: inf is not a finite number"),
+    ('{"sim": {"cloud_search_s": NaN}}',
+     "sim.cloud_search_s: nan is not a finite number"),
+    ('{"tracker": {"pa_floor": "0.5"}}',
+     "tracker.pa_floor: '0.5' is not a finite number"),
+    ('{"tracker": {"area_threshold": false}}',
+     "tracker.area_threshold: False is not a finite number"),
+    ('{"search": null}', "search is not an object"),
+    ('{"sim": [1]}', "sim is not an object"),
+    ("[7]", "config is not an object"),
+    ('{"seed": "x"}', "seed: 'x' is not an integer"),
+    ('{"seed": -1}', "seed must be >= 0, got -1"),
+])
+def test_config_value_of_the_wrong_json_type_is_a_usage_error(
+        tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = emap_cli.main(["--config", str(cfg), "synth",
+                        "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"bad config file {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    rc = emap_cli.main(["--seed", "-1", "synth",
+                        "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_of_whole_numbers_for_float_fields_is_accepted(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tracker": {"area_threshold": 900}, '
+                   '"sim": {"cloud_search_s": 3}}')
+    rc = emap_cli.main(["--config", str(cfg), "synth", "--normal", "1",
+                        "--anomalous", "0", "--length-s", "4",
+                        "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc == 0
+
+
 def test_global_flags_go_before_the_subcommand(tmp_path, capsys):
     # argparse owns this contract: trailing global flags are rejected
     rc = emap_cli.main(["synth", "--out", str(tmp_path / "x"),
@@ -319,6 +373,20 @@ def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
     ('{"sample_rate_hz": "256"}', "sample_rate_hz '256' is not a positive"),
     ('{"sample_rate_hz": null}', "sample_rate_hz None is not a positive"),
     ("[256]", "not a JSON object"),
+    ('{"id": 1.5}', "id 1.5 is not an integer"),
+    ('{"id": "7"}', "id '7' is not an integer"),
+    ('{"id": true}', "id True is not an integer"),
+    ('{"onset_sample": 2.7}', "onset_sample 2.7 is not an integer or null"),
+    ('{"onset_sample": "x"}', "onset_sample 'x' is not an integer or null"),
+    ('{"dataset_tag": 3}', "dataset_tag 3 is not a string"),
+    ('{"spans": 5}', "spans 5 is not an array"),
+    ('{"spans": [[0]]}',
+     "'spans' entry [0] is not [start, end] or [start, end, kind]"),
+    ('{"spans": [[0, 10.5]]}',
+     "'spans' entry [0, 10.5] is not [start, end] or [start, end, kind]"),
+    ('{"spans": [[0, 10, "x", 1]]}',
+     "'spans' entry [0, 10, 'x', 1] is not [start, end] or [start, end, "
+     "kind]"),
 ])
 def test_bad_sidecar_is_a_data_error(tmp_path, capsys, sidecar, message):
     raw = tmp_path / "raw"
@@ -386,11 +454,3 @@ def test_synth_is_seed_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert outs[0] == outs[1]
 
-
-def test_bench_smoke(tiny_store, tmp_path, capsys):
-    rc = emap_cli.main(["bench", "--store", str(tiny_store[0]),
-                        "--workdir", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "xcorr per window" in out
-    assert "tracker step over" in out

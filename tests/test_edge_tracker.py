@@ -138,7 +138,6 @@ def test_candidate_dead_on_arrival_when_parent_cannot_continue(tmp_path):
     # the second candidate would need samples [956:1212) of its
     # 1000-sample parent
     state = init_tracker(res, store, TrackerConfig())
-    assert state.initial_removed_exhausted == 1
     assert state.tracked[1].alive is False
     assert state.tracked[1].removal_reason == "exhausted"
     assert len(state.alive_candidates()) == 1
@@ -265,6 +264,17 @@ def test_removal_decisions_replay_exactly(prob_world):
                                      snapshot[cand.set_id] - cand.parent_offset,
                                      WINDOW_LEN)
             assert area_between(win.samples, seg) <= thresh
+
+
+def test_probability_follows_the_scripted_trajectory(prob_world):
+    # the scenario's schedule fixes every alive count, so P_A is exact:
+    # 22/100, 22/77, 22/62, 22/50, 22/40, 22/32
+    sc, store = prob_world
+    res = sliding_search(window_at(sc.live.samples, 0), store, sc.search_cfg)
+    state = init_tracker(res, store, sc.tracker_cfg)
+    for it in range(1, 6):
+        tracker_step(state, window_at(sc.live.samples, it), store)
+    assert state.pa_history == sc.expected_pa
 
 
 def test_report_json_shape(tmp_path):
