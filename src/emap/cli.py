@@ -87,14 +87,13 @@ def _read_sidecar(csv_path):
 
 def _ingest_with_sidecar(csv_path, default_id):
     meta = _read_sidecar(csv_path)
-    sig = ingest_csv(
+    return ingest_csv(
         csv_path,
         sample_rate_hz=meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ),
         anomaly_spans=meta.get("spans", []),
         dataset_tag=meta.get("dataset_tag", ""),
-        signal_id=meta.get("id", default_id))
-    sig.onset_sample = meta.get("onset_sample")
-    return sig
+        signal_id=meta.get("id", default_id),
+        onset_sample=meta.get("onset_sample"))
 
 
 def _corpus_from_dir(in_dir):
@@ -337,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--threads", type=int,
                    help="threads that scan chunks of the store in "
-                        "parallel (results are identical for any value)")
+                        "parallel in the sliding scan (results are "
+                        "identical for any value)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit code 4 on latency/real-time "
                         "budget violations")

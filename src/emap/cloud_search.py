@@ -3,22 +3,32 @@
 The production scan slides through each 1000-sample slice with a step
 that shrinks exponentially as correlation rises, so promising regions
 are combed at single-sample resolution while dissimilar ones are crossed
-in jumps of up to 250 samples. The exhaustive scan at step 1 is kept as
-the oracle the fast path is tested against.
+in jumps of up to 250 samples. The exhaustive scan, which correlates
+every offset, is the oracle the fast path is tested against.
 
-Both scans are one kernel that moves a chunk of slices through their
+The sliding scan is a kernel that moves a chunk of slices through their
 offsets in lockstep: each round gathers every active slice's current
 window from the store's flat float32 buffer, correlates them all with
-the query at once and advances each slice by its own step.
+the query at once and advances each slice by its own step. Chunks of
+slices are scanned serially or on `workers` threads and folded in slice
+order, so the result does not depend on the worker count.
 
-Every search scans every slice in the store: chunks of slices are
-scanned serially or on `workers` threads and folded in slice order, so
-the result does not depend on the worker count.
+The exhaustive scan correlates the query with every slice in the
+frequency domain instead (one float32 FFT product per slice, from a
+table of slice spectra built on the store's first exhaustive search),
+then recomputes with the kernel's float64 arithmetic every offset whose
+FFT correlation, within a derived error bound, could exceed delta and
+be its slice's best (see _error_bound). Its result is the kernel's at
+step 1 bit for bit. With record_trace, which needs the exact omega of
+every offset, it runs the kernel at step 1.
+
+Every search scans every slice in the store.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,8 +40,17 @@ from . import dsp
 from .mdb import SLICE_LEN, MdbStore
 
 LAST_OFFSET = SLICE_LEN - dsp.WINDOW_LEN  # 744, scanned inclusively
+_OFFSETS = LAST_OFFSET + 1
 
 _CHUNK = 1024  # slices moved in lockstep by one kernel call
+
+_NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
+_FFT_ROWS = 16      # slices correlated per block of an FFT scan
+_BUILD_ROWS = 8     # slices per block while building the spectra table
+# query energies for which the kernel's float64 arithmetic neither
+# overflows nor underflows on float32 samples; outside, the FFT scan
+# defers to the kernel
+_FFT_Q_ENERGY = (2.0 ** -600, 2.0 ** 600)
 
 
 @dataclass(frozen=True)
@@ -85,6 +104,16 @@ def _steps(alpha: float, clamped: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore")  # flat segments score 0/0
+def _omegas(segs, q, q_energy):
+    """(energy, omega) of each float64 row of `segs` against the query.
+
+    vecdot takes each row's dot with the same kernel as np.dot, so an
+    identical segment scores exactly 1.0; sqrt of the product keeps it
+    there."""
+    energy = np.vecdot(segs, segs)
+    return energy, np.vecdot(segs, q) / np.sqrt(q_energy * energy)
+
+
 def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
                 record_trace):
     """Scan the slices starting at `starts` in lockstep.
@@ -106,17 +135,13 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
     while rows.size:
         segs = buf[:rows.size]
         segs[...] = windows[starts[rows] + beta]
-        # vecdot takes each row's dot with the same kernel as np.dot, so
-        # an identical segment scores exactly 1.0 against the query
-        energy = np.vecdot(segs, segs)
+        energy, omega = _omegas(segs, q, q_energy)
         visits[rows] += 1
         # a flat segment carries no information: it is skipped, and its
         # omega of NaN clamps to 0, the maximum step
         flat = energy == 0.0
         if np.count_nonzero(flat):
             degenerate[rows[flat]] += 1
-        # sqrt of the product keeps an identical segment at exactly 1.0
-        omega = np.vecdot(segs, q) / np.sqrt(q_energy * energy)
         hit = (omega > delta) & (omega > best[rows])
         if np.count_nonzero(hit):
             best[rows[hit]] = omega[hit]
@@ -137,14 +162,9 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
     return visits - degenerate, degenerate, best, best_beta, trace
 
 
-def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
-                record_trace: bool):
-    q = dsp.window_samples(window)
-    q_energy = float(np.dot(q, q))
-    if q_energy == 0.0:
-        raise dsp.DegenerateSignalError("query window has zero energy")
-
-    t0 = time.perf_counter()
+def _lockstep_scan(q, q_energy, store, cfg, exhaustive, record_trace):
+    """(candidates, comparisons, degenerate skips, trace) from the
+    kernel, over chunks of slices folded in slice order."""
     n = store.num_slices
     windows = sliding_window_view(store.flat, dsp.WINDOW_LEN) if n else None
 
@@ -172,6 +192,202 @@ def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
         if part is not None:
             trace.extend(zip((part[0] + lo).tolist(),
                              *(c.tolist() for c in part[1:])))
+    return candidates, used, degenerate, trace
+
+
+# -- the exhaustive scan in the frequency domain ------------------------------
+
+_U16 = 2.0 ** -11   # unit roundoff of float16
+_U32 = 2.0 ** -24   # unit roundoff of float32
+_U64 = 2.0 ** -53   # unit roundoff of float64
+# Normwise relative error of a float32 FFT of length 1024. Higham,
+# Accuracy and Stability of Numerical Algorithms (2002), Thm 24.2 gives
+# log2(N)·η with η = μ + γ4(√2 + μ) < 8u for radix 2 and correctly
+# rounded twiddles; doubled for pocketfft's radix-4 butterflies and
+# its real-input pass.
+_FFT_REL = 2 * 10 * 8 * _U32
+# Error at one offset of irfft(conj(rfft q)·rfft x), over ‖q‖‖x‖, for
+# a 256-sample q and a 1000-sample x. With ε = _FFT_REL, |Q_k| ≤ ‖q‖₁ ≤
+# 16‖q‖ and |X_k| ≤ ‖x‖₁ ≤ √1000‖x‖: 31.7ε from the error of Q times X,
+# 16ε from Q times the error of X, 16ε from the inverse transform and
+# 16·√2γ2 < 46u from the complex products.
+_FFT_ABS = 64 * _FFT_REL + 46 * _U32
+# The same over the table's float16 copy of the spectra: at one offset
+# (1/N)·‖Q‖·‖ΔX‖ over the Hermitian spectrum is at most √2·u16‖q‖‖x‖,
+# and float16's subnormals add under u32
+_SPECTRUM_ABS = 1.5 * _U16
+# cumulative sums of 1000 exact squares are each within γ999 of the
+# slice energy, so a window's energy from two of them is within
+# _ENERGY_ERR times the slice's cumulative total
+_ENERGY_ERR = 2002 * _U64
+# a window's ratio is kept only where its table energy is above this
+# share of the slice's: the ratio then fits float16 (it is below 2^15)
+# and the window's true energy is at least 3/4 of the table's (2^-30 is
+# far above 4·_ENERGY_ERR); other windows are always rescored
+_ENERGY_KEEP = 2.0 ** -30
+
+
+def _error_bound(t):
+    """Bound on |FFT omega - kernel omega| at offsets whose table ratio
+    (slice norm over window norm) is t, in float32.
+
+    The FFT omega is y·t, y the float32 correlation of the query and
+    the slice, each scaled to unit norm and rounded to float32. Its
+    error relative to the true omega is ψ + (1 + ψ)ρ, as |omega| ≤ 1,
+    where
+      ψ = 2u32 (the float32 rounding of the scaled query and slice)
+          + 1.156·(_FFT_ABS + _SPECTRUM_ABS)·t (the FFT error and the
+          float16 spectra over the window norm: the true energy is at
+          least 3/4 of the table's, and t is rounded to float16);
+      ρ = 1.01·_ENERGY_ERR·t² (the energy table, through the square
+          root of its relative error)
+          + u16 + u32 + 2u64 (the ratio's float64 division and float16
+          copy, and the float32 product y·t).
+    The kernel's own float64 rounding (three 256-term dot products, a
+    product, a sqrt and a division) adds 520u64. Underflow in the
+    float32 data after scaling adds under 2^-140·t, inside the rounding
+    up of _FFT_ABS. The bound is raised by 1% and 4u32 to cover its own
+    float32 evaluation and the float32 sums and comparisons made with it.
+    """
+    psi = 2 * _U32 + (1.156 * (_FFT_ABS + _SPECTRUM_ABS)) * t
+    rho = (1.01 * _ENERGY_ERR) * (t * t) + (_U16 + _U32 + 2 * _U64)
+    return 1.01 * (520 * _U64 + psi + (1 + psi) * rho) + 4 * _U32
+
+
+def _flat_windows(x):
+    """Which of the 745 windows of each row of `x` are all zero."""
+    zeros = np.zeros((x.shape[0], SLICE_LEN + 1), dtype=np.int32)
+    np.cumsum(x == 0, axis=1, out=zeros[:, 1:])
+    w = dsp.WINDOW_LEN
+    return zeros[:, w:] - zeros[:, :-w] == w
+
+
+@dataclass(frozen=True)
+class _Spectra:
+    """The FFT scan's per-store table, about 3.5 KB per slice.
+
+    Each slice is scaled to unit norm before its FFT: correlation does
+    not see the scale, and float32 then neither overflows nor loses
+    quiet slices to underflow. Both arrays are kept in float16, whose
+    rounding the error bound covers, because the table stays in memory
+    as long as its store does.
+    """
+    # (n, 1026) float16: rfft of each scaled slice, real and imaginary
+    # parts interleaved
+    spectra: np.ndarray
+    # (n, 745) float16: ‖slice‖/‖window‖, NaN where the window is not kept
+    ratio: np.ndarray
+    flat: np.ndarray       # (n,) int64: all-zero windows per slice
+
+    @classmethod
+    def build(cls, store: MdbStore) -> "_Spectra":
+        n = store.num_slices
+        w = dsp.WINDOW_LEN
+        table = cls(np.empty((n, _NFFT + 2), dtype=np.float16),
+                    np.empty((n, _OFFSETS), dtype=np.float16),
+                    np.empty(n, dtype=np.int64))
+        slices = sliding_window_view(store.flat, SLICE_LEN)
+        for lo in range(0, n, _BUILD_ROWS):
+            hi = min(lo + _BUILD_ROWS, n)
+            x = slices[store.slice_starts[lo:hi]]
+            table.flat[lo:hi] = np.count_nonzero(_flat_windows(x), axis=1)
+            cum = np.zeros((hi - lo, SLICE_LEN + 1))
+            np.cumsum(np.square(x, dtype=np.float64), axis=1, out=cum[:, 1:])
+            energy = cum[:, w:] - cum[:, :-w]
+            norm = np.sqrt(cum[:, -1:])
+            ratio = np.full(energy.shape, np.nan)
+            np.divide(norm, np.sqrt(energy), out=ratio,
+                      where=energy > _ENERGY_KEEP * cum[:, -1:])
+            table.ratio[lo:hi] = ratio
+            unit = np.divide(x, norm, out=np.zeros(x.shape), where=norm > 0)
+            table.spectra[lo:hi] = np.fft.rfft(unit.astype(np.float32),
+                                               _NFFT).view(np.float32)
+        return table
+
+
+def _spectra(store: MdbStore) -> _Spectra:
+    """The store's table, built on its first exhaustive search."""
+    if store.scan_table is None:
+        store.scan_table = _Spectra.build(store)
+    return store.scan_table
+
+
+@np.errstate(invalid="ignore")  # windows not kept score NaN
+def _fft_scan(q, q_energy, store, delta):
+    """(candidates, degenerate skips) of the exhaustive scan: an FFT
+    correlation per slice, then the kernel's arithmetic at every offset
+    that could beat delta and be its slice's best."""
+    table = _spectra(store)
+    n = store.num_slices
+    slices = sliding_window_view(store.flat, SLICE_LEN)
+    unit = (q / math.sqrt(q_energy)).astype(np.float32)
+    query = np.conj(np.fft.rfft(unit, _NFFT))
+    product = np.empty((_FFT_ROWS, _NFFT // 2 + 1), dtype=np.complex64)
+    y = np.empty((_FFT_ROWS, _NFFT), dtype=np.float32)
+    rows, betas = [], []
+    for lo in range(0, n, _FFT_ROWS):
+        m = min(_FFT_ROWS, n - lo)
+        product[:m].view(np.float32)[...] = table.spectra[lo:lo + m]
+        product[:m] *= query
+        np.fft.irfft(product[:m], _NFFT, out=y[:m])
+        ratio = table.ratio[lo:lo + m].astype(np.float32)
+        omega = y[:m, :_OFFSETS]
+        omega *= ratio
+        err = _error_bound(ratio)
+        high = omega + err
+        # the slice's best is at least the largest lower bound. Windows
+        # not kept score NaN: they never raise it and are always
+        # rescored, except flat ones, which the kernel skips
+        floor = np.fmax.reduce(omega - err, axis=1, keepdims=True)
+        pick = ~(high < floor) & ~(high <= delta)
+        some = np.flatnonzero(table.flat[lo:lo + m])
+        if some.size:
+            pick[some] &= ~_flat_windows(slices[store.slice_starts[lo + some]])
+        r, b = np.nonzero(pick)
+        rows.append(lo + r)
+        betas.append(b)
+    rows, betas = np.concatenate(rows), np.concatenate(betas)
+    return (_best_per_slice(q, q_energy, store, rows, betas, delta),
+            int(table.flat.sum()))
+
+
+def _best_per_slice(q, q_energy, store, rows, betas, delta):
+    """Candidates from the kernel's omegas at offsets `betas` of slices
+    `rows`: per slice, the best omega above delta at its lowest beta."""
+    if not rows.size:
+        return []
+    windows = sliding_window_view(store.flat, dsp.WINDOW_LEN)
+    at = store.slice_starts[rows] + betas
+    # in chunks: a hostile store can have most of its windows picked
+    omega = np.concatenate([
+        _omegas(windows[at[i:i + _CHUNK]].astype(np.float64), q, q_energy)[1]
+        for i in range(0, at.size, _CHUNK)])
+    hit = omega > delta
+    rows, betas, omega = rows[hit], betas[hit], omega[hit]
+    order = np.lexsort((betas, -omega, rows))
+    first = order[np.unique(rows[order], return_index=True)[1]]
+    return [Candidate(set_id=r, omega=w, beta=b) for r, w, b in
+            zip(rows[first].tolist(), omega[first].tolist(),
+                betas[first].tolist())]
+
+
+def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
+                record_trace: bool):
+    q = dsp.window_samples(window)
+    q_energy = float(np.dot(q, q))
+    if q_energy == 0.0:
+        raise dsp.DegenerateSignalError("query window has zero energy")
+
+    t0 = time.perf_counter()
+    n = store.num_slices
+    if (exhaustive and not record_trace and n
+            and _FFT_Q_ENERGY[0] <= q_energy <= _FFT_Q_ENERGY[1]):
+        candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
+        used = n * _OFFSETS - degenerate
+        trace = None
+    else:
+        candidates, used, degenerate, trace = _lockstep_scan(
+            q, q_energy, store, cfg, exhaustive, record_trace)
 
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
@@ -198,7 +414,15 @@ def sliding_search(window, store: MdbStore, cfg: SearchConfig,
 def exhaustive_search(window, store: MdbStore, cfg: SearchConfig,
                       record_trace: bool = False) -> SearchResult:
     """Brute-force oracle: correlate at all 745 offsets of every slice,
-    with identical thresholding, deduplication and ordering."""
+    with identical thresholding, deduplication and ordering.
+
+    Without record_trace this is one FFT correlation per slice, exactly
+    rescored (see _fft_scan): candidates, omegas and counters are those
+    of the lockstep kernel at step 1, bit for bit. cfg.workers is not
+    used. The store's spectra table is built on the first call and
+    kept on the store. With record_trace=True, or on an empty store, the
+    kernel runs at step 1 and the result carries every offset as
+    (set_id, beta, omega, omega_clamped, 1)."""
     return _run_search(window, store, cfg, True, record_trace)
 
 

@@ -97,14 +97,16 @@ def _check_spans(spans, length):
 
 
 def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
-               dataset_tag: str = "", signal_id: int = 0) -> SourceSignal:
+               dataset_tag: str = "", signal_id: int = 0,
+               onset_sample: int | None = None) -> SourceSignal:
     """Load one recording from a sample file (format in the module
     docstring).
 
     Most files are parsed by one np.loadtxt call (_parse_bulk); the
     line scanner _rows parses the others, with the same result. The
     signal is resampled to 256 Hz, bandpass filtered, and its anomaly
-    spans are rescaled by the resampling ratio.
+    spans and onset are rescaled by the resampling ratio. A span that
+    does not fit the signal is a ValueError naming the file.
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
@@ -123,12 +125,22 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
         raise CsvFormatError(f"{path}: non-finite value on line {lineno}")
 
     ratio = dsp.SAMPLE_RATE_HZ / float(sample_rate_hz)
+
+    def rescale(pos):
+        return int(round(pos * ratio))
+
     x = dsp.resample(x, sample_rate_hz, dsp.SAMPLE_RATE_HZ)
-    spans = [(int(round(s * ratio)), int(round(e * ratio)), k)
+    spans = [(rescale(s), rescale(e), k)
              for s, e, k in (_norm_span(sp) for sp in anomaly_spans)]
     filtered = dsp.apply_filter(x, dsp.design_bandpass())
-    return SourceSignal(id=signal_id, samples=filtered,
-                        anomaly_spans=spans, dataset_tag=dataset_tag)
+    try:
+        return SourceSignal(
+            id=signal_id, samples=filtered, anomaly_spans=spans,
+            dataset_tag=dataset_tag,
+            onset_sample=None if onset_sample is None
+            else rescale(onset_sample))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _rows(path, text):
@@ -230,12 +242,16 @@ def _signal_entries(manifest):
 def check_span_entries(spans, name):
     """ValueError naming `name` unless every entry of the JSON array
     `spans` is [start, end] or [start, end, kind] with integer positions
-    (manifest entries and sample-file sidecars share this rule)."""
+    and a string or null kind (manifest entries and sample-file sidecars
+    share this rule)."""
     for span in spans:
         if not (isinstance(span, list) and len(span) in (2, 3)
                 and all(type(v) is int for v in span[:2])):
             raise ValueError(f"{name}: 'spans' entry {span!r} is not "
                              "[start, end] or [start, end, kind]")
+        if len(span) == 3 and not isinstance(span[2], (str, type(None))):
+            raise ValueError(f"{name}: 'spans' entry {span!r} has a kind "
+                             "that is neither a string nor null")
 
 
 class MdbStore:
@@ -256,6 +272,8 @@ class MdbStore:
         self.slice_starts = slice_starts
         self._parents = parents
         self._index = index
+        # cloud_search's FFT table, built on the first exhaustive search
+        self.scan_table = None
 
     # -- construction -------------------------------------------------
 

@@ -7,6 +7,7 @@ subprocess overhead.
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -387,6 +388,12 @@ def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
     ('{"spans": [[0, 10, "x", 1]]}',
      "'spans' entry [0, 10, 'x', 1] is not [start, end] or [start, end, "
      "kind]"),
+    ('{"spans": [[0, 10, ["a"]]]}',
+     "'spans' entry [0, 10, ['a']] has a kind that is neither a string "
+     "nor null"),
+    ('{"spans": [[0, 10, 3]]}',
+     "'spans' entry [0, 10, 3] has a kind that is neither a string nor "
+     "null"),
 ])
 def test_bad_sidecar_is_a_data_error(tmp_path, capsys, sidecar, message):
     raw = tmp_path / "raw"
@@ -399,6 +406,58 @@ def test_bad_sidecar_is_a_data_error(tmp_path, capsys, sidecar, message):
     assert rc == 3
     assert f"{raw / 'sig0.json'}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
+
+
+def test_sidecar_span_outside_its_signal_names_the_file(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_signal_csv(raw / "sig0.csv",
+                     np.random.default_rng(3).normal(0.0, 15.0, 1000))
+    (raw / "sig0.json").write_text('{"spans": [[0, 99999]]}')
+    rc = emap_cli.main(["build-mdb", "--in", str(raw),
+                        "--out", str(tmp_path / "store")])
+    assert rc == 3
+    assert (f"{raw / 'sig0.csv'}: anomaly span (0, 99999) outside signal "
+            "of length 1000") in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_sidecar_onset_is_rescaled_with_the_spans(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_signal_csv(raw / "sig0.csv",
+                     np.random.default_rng(3).normal(0.0, 15.0, 4000))
+    (raw / "sig0.json").write_text(json.dumps(
+        {"sample_rate_hz": 512, "onset_sample": 3000,
+         "spans": [[2000, 3000, "seizure"]]}))
+    rc = emap_cli.main(["build-mdb", "--in", str(raw),
+                        "--out", str(tmp_path / "store")])
+    assert rc == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+    entry = manifest["signals"][0]
+    assert entry["length"] == 2000
+    assert entry["spans"] == [[1000, 1500, "seizure"]]
+    assert entry["onset_sample"] == 1500
+
+
+def test_evaluate_with_a_span_kind_that_is_a_list_is_a_data_error(
+        cli_world, tmp_path, capsys):
+    corpus = tmp_path / "eval"
+    shutil.copytree(cli_world["eval"], corpus)
+    side = next(p for p in sorted(corpus.glob("*.json"))
+                if json.loads(p.read_text())["spans"])
+    meta = json.loads(side.read_text())
+    meta["spans"][0][2] = ["a"]
+    side.write_text(json.dumps(meta))
+    rc = emap_cli.main(["--config", str(cli_world["config"]), "evaluate",
+                        "--store", str(cli_world["store"]),
+                        "--corpus", str(corpus),
+                        "--out", str(tmp_path / "acc.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{side}: 'spans' entry" in err
+    assert "neither a string nor null" in err
 
 
 @pytest.mark.parametrize("mode", ["corpus", "eval-scenario"])

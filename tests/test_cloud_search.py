@@ -159,13 +159,14 @@ def test_raising_delta_never_adds_candidates(parity_world):
 def test_worker_count_does_not_change_results(parity_world):
     corpus, store = parity_world
     q = corpus.queries[2]
-    ref = sliding_search(q, store, SearchConfig(workers=1))
-    for workers in (2, 4):
-        got = sliding_search(q, store, SearchConfig(workers=workers))
-        assert got.candidates == ref.candidates
-        assert got.comparisons_made == ref.comparisons_made
-        assert got.slices_scanned == ref.slices_scanned
-        assert got.degenerate_skipped == ref.degenerate_skipped
+    for search in (sliding_search, exhaustive_search):
+        ref = search(q, store, SearchConfig(workers=1))
+        for workers in (2, 4):
+            got = search(q, store, SearchConfig(workers=workers))
+            assert got.candidates == ref.candidates
+            assert got.comparisons_made == ref.comparisons_made
+            assert got.slices_scanned == ref.slices_scanned
+            assert got.degenerate_skipped == ref.degenerate_skipped
 
 
 def test_degenerate_slices_are_skipped_not_fatal(tmp_path):
@@ -183,8 +184,9 @@ def test_degenerate_slices_are_skipped_not_fatal(tmp_path):
 def test_zero_energy_query_raises(tmp_path):
     store = single_slice_store(tmp_path)
     q = SignalWindow(samples=np.zeros(WINDOW_LEN), timestep_index=0)
-    with pytest.raises(DegenerateSignalError):
-        sliding_search(q, store, SearchConfig())
+    for search in (sliding_search, exhaustive_search):
+        with pytest.raises(DegenerateSignalError):
+            search(q, store, SearchConfig())
 
 
 def test_search_config_validation():

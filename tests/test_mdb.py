@@ -193,6 +193,10 @@ def span_without_end(manifest):
     manifest["signals"][1]["spans"] = [[100]]
 
 
+def kind_as_list(manifest):
+    manifest["signals"][1]["spans"] = [[100, 200, ["a"]]]
+
+
 def equal_spans_of_two_kinds(manifest):
     # None and "x" do not compare, so only a sort by position can order them
     manifest["signals"][1]["spans"] = [[0, 10, None], [0, 10, "x"]]
@@ -208,9 +212,11 @@ def equal_spans_of_two_kinds(manifest):
     (lambda m: [m], "manifest is not a JSON object"),
     (span_without_end, r"signal #1 \(id 1\): 'spans' entry \[100\]"),
     (equal_spans_of_two_kinds, "anomaly spans overlap"),
+    (kind_as_list, r"signal #1 \(id 1\): 'spans' entry \[100, 200, \['a'\]\] "
+     "has a kind that is neither a string nor null"),
 ], ids=["span-outside-signal", "format-1", "no-spans", "no-length",
         "length-as-text", "signals-not-a-list", "manifest-not-an-object",
-        "span-without-end", "equal-spans-of-two-kinds"])
+        "span-without-end", "equal-spans-of-two-kinds", "kind-as-list"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)

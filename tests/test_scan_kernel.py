@@ -1,30 +1,37 @@
-"""The lockstep scan kernel against a plain per-slice loop.
+"""The lockstep scan kernel and the FFT exhaustive scan against a plain
+per-slice loop.
 
 `reference_search` below is the scan as a loop over one slice and one
 offset at a time, with two np.dot calls per comparison. The kernel must
 reproduce everything observable about it: candidates, counters and
 the trace. Its np.vecdot runs the same dot kernel
 as np.dot on each row, so omegas must agree exactly, not just within
-rounding.
+rounding. The FFT exhaustive scan rescores its picks with that same
+arithmetic, so it too must agree exactly, on hostile stores as well.
 """
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emap import cloud_search
 from emap.cloud_search import (
     LAST_OFFSET,
     SearchConfig,
+    _error_bound,
     _scan_chunk,
+    _spectra,
     _step_for,
     _steps,
     exhaustive_search,
     sliding_search,
 )
 from emap.dsp import WINDOW_LEN, SignalWindow, window_samples
-from emap.mdb import SLICE_LEN, SourceSignal, build_store
+from emap.mdb import SLICE_LEN, MdbStore, SourceSignal, build_store
 
 # -- the reference: one slice, one offset at a time --------------------------
 
@@ -134,6 +141,7 @@ def test_degenerate_slices_match_reference(tmp_path):
     for exhaustive in (False, True):
         got = assert_same_as_reference(q, store, SearchConfig(), exhaustive)
         assert got.degenerate_skipped > 0
+    assert_fft_matches(q, store, SearchConfig())
 
 
 def test_equal_omegas_in_a_slice_keep_the_lower_beta(tmp_path):
@@ -146,6 +154,7 @@ def test_equal_omegas_in_a_slice_keep_the_lower_beta(tmp_path):
         got = assert_same_as_reference(q, store, SearchConfig(), exhaustive)
         assert [(c.set_id, c.beta, c.omega) for c in got.candidates] == \
             [(0, 0, 1.0), (1, 0, 1.0)]
+    assert_fft_matches(q, store, SearchConfig())
 
 
 def test_workers_scan_chunks_with_identical_results(eval_world):
@@ -205,3 +214,145 @@ def test_trace_is_slice_major_in_beta_order(eval_world):
     assert {t[0] for t in res.trace} == set(range(store.num_slices))
     assert all(type(v) is int for v in (keys[0][0], keys[0][1],
                                         res.trace[0][4]))
+
+
+# -- the FFT exhaustive scan ----------------------------------------------------
+
+def assert_fft_matches(q, store, cfg, reference=True):
+    """The FFT path (no trace) against the kernel at step 1 and, with
+    `reference`, the per-offset loop: same candidates bit for bit, same
+    counters."""
+    got = exhaustive_search(q, store, cfg)
+    kernel = exhaustive_search(q, store, cfg, record_trace=True)
+    cands = [(c.set_id, c.beta, c.omega) for c in got.candidates]
+    counts = (got.comparisons_made, got.degenerate_skipped,
+              got.slices_scanned)
+    assert got.trace is None
+    assert cands == [(c.set_id, c.beta, c.omega) for c in kernel.candidates]
+    assert counts == (kernel.comparisons_made, kernel.degenerate_skipped,
+                      kernel.slices_scanned)
+    if reference:
+        ref, comps, scanned, degen, _trace = reference_search(
+            q, store, cfg, exhaustive=True)
+        assert cands == [(s, b, w) for s, w, b in ref]
+        assert counts == (comps, degen, scanned)
+    return got
+
+
+@st.composite
+def hostile_world(draw):
+    """A small store with zero runs of at least one window, windows
+    scaled by 1e-30 beside a loud burst, slices that repeat one segment
+    and signals near either end of float32's range, plus a query cut
+    where those are."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    signals, spots = [], []
+    for sid in range(draw(st.integers(1, 3))):
+        n = SLICE_LEN * draw(st.integers(1, 3)) + draw(st.integers(0, 300))
+        x = rng.normal(0, 15, n)
+        if draw(st.booleans()):
+            run = draw(st.integers(WINDOW_LEN, min(n, 3 * WINDOW_LEN)))
+            at = draw(st.integers(0, n - run))
+            x[at:at + run] = 0.0
+            spots += [(sid, max(0, at - WINDOW_LEN // 2)), (sid, at + run)]
+        if draw(st.booleans()):
+            # at 1e20 the quiet samples underflow float32 once the slice
+            # is scaled to unit norm
+            at = draw(st.integers(0, n - 2 * WINDOW_LEN))
+            x[at:at + WINDOW_LEN] *= 1e-30
+            x[at + WINDOW_LEN:at + 2 * WINDOW_LEN] *= draw(
+                st.sampled_from([1e6, 1e20]))
+            spots += [(sid, at), (sid, at + WINDOW_LEN // 2)]
+        if draw(st.booleans()):
+            at = SLICE_LEN * draw(st.integers(0, n // SLICE_LEN - 1))
+            period = draw(st.integers(8, 120))
+            x[at:at + SLICE_LEN] = np.resize(rng.normal(0, 15, period),
+                                             SLICE_LEN)
+            spots += [(sid, at), (sid, at + draw(st.integers(0, 200)))]
+        # near the ends of float32's range; 1e38 is within it
+        gain = draw(st.sampled_from([1.0, 1e-36, 1e30]))
+        signals.append(SourceSignal(id=sid,
+                                    samples=np.clip(x * gain, -1e38, 1e38)))
+        spots.append((sid, draw(st.integers(0, n - WINDOW_LEN))))
+    sid, at = draw(st.sampled_from(spots))
+    at = min(at, signals[sid].samples.size - WINDOW_LEN)
+    # float32 as the store holds it, then scaled as a live window may be
+    q = signals[sid].samples[at:at + WINDOW_LEN].astype(np.float32)
+    q = q.astype(np.float64) * draw(st.sampled_from([1.0, 1e-30, 3e25]))
+    if not q.any():
+        q = rng.normal(0, 15, WINDOW_LEN)
+    return signals, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=hostile_world(),
+       delta=st.one_of(st.sampled_from([-0.999999, -0.99, 0.0, 0.99,
+                                        0.999999]),
+                       st.floats(-0.999, 0.999)),
+       top_k=st.sampled_from([1, 3, 100]))
+def test_fft_scan_matches_reference_on_hostile_stores(world, delta, top_k):
+    signals, q = world
+    with tempfile.TemporaryDirectory() as root:
+        store = build_store(signals, root)
+        assert_fft_matches(SignalWindow(samples=q), store,
+                           SearchConfig(delta=delta, top_k=top_k))
+
+
+def test_fft_scan_matches_kernel_on_the_worlds(parity_world, eval_world):
+    corpus, store = parity_world
+    for q in corpus.queries:
+        assert_fft_matches(q, store, SearchConfig(), reference=False)
+    world, store = eval_world
+    for q in eval_windows(world, n=1):
+        assert_fft_matches(q, store, SearchConfig(), reference=False)
+
+
+def test_fft_scan_matches_kernel_at_extreme_query_energies(parity_world):
+    # energies whose float64 arithmetic would under- or overflow take
+    # the kernel; those just inside take the FFT scan
+    corpus, store = parity_world
+    q = window_samples(corpus.queries[0])
+    for scale in (1e-160, 1e-85, 1e85, 1e100):
+        assert_fft_matches(q * scale, store, SearchConfig(delta=0.5),
+                           reference=False)
+
+
+def test_spectra_are_built_on_the_first_exhaustive_search(tmp_path,
+                                                          parity_world):
+    corpus, _store = parity_world
+    build_store(corpus.store_signals, tmp_path / "s")
+    store = MdbStore.load(tmp_path / "s")
+    assert store.scan_table is None
+    sliding_search(corpus.queries[0], store, SearchConfig())
+    assert store.scan_table is None
+    exhaustive_search(corpus.queries[0], store, SearchConfig())
+    table = store.scan_table
+    exhaustive_search(corpus.queries[1], store, SearchConfig())
+    assert store.scan_table is table
+    # about 3.5 KB per slice
+    size = sum(a.nbytes for a in vars(table).values())
+    assert size < 3600 * store.num_slices
+
+
+def test_error_bound_holds_at_every_offset(parity_world):
+    """The derived bound against the FFT omega's measured error, at every
+    kept offset of the parity store."""
+    corpus, store = parity_world
+    table = _spectra(store)
+    windows = np.lib.stride_tricks.sliding_window_view(store.flat,
+                                                       WINDOW_LEN)
+    segs = windows[store.slice_starts[:, None]
+                   + np.arange(LAST_OFFSET + 1)].astype(np.float64)
+    bound = _error_bound(table.ratio.astype(np.float32))
+    for q in corpus.queries[:3]:
+        q = window_samples(q)
+        q_energy = float(np.dot(q, q))
+        exact = np.vecdot(segs, q) / np.sqrt(q_energy * np.vecdot(segs, segs))
+        unit = (q / math.sqrt(q_energy)).astype(np.float32)
+        spectra = table.spectra.astype(np.float32).view(np.complex64)
+        y = np.fft.irfft(spectra * np.conj(np.fft.rfft(unit, 1024)),
+                         1024)[:, :LAST_OFFSET + 1]
+        err = np.abs(y * table.ratio - exact)
+        kept = ~np.isnan(table.ratio)
+        assert kept.all()
+        assert np.all(err[kept] <= bound[kept])
