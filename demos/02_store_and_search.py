@@ -16,9 +16,10 @@ from emap.mdb import build_store
 
 # a seeded 200-slice corpus with planted matches for 20 query windows
 corpus = scenarios.parity_corpus()
-workdir = tempfile.mkdtemp(prefix="emap_demo_")
-store = build_store(corpus.store_signals, workdir + "/store")
-print(f"store: {store.num_slices} slices of 1000 samples at {workdir}/store")
+# loading reads every payload into memory, so the files can go at once
+with tempfile.TemporaryDirectory(prefix="emap_demo_") as workdir:
+    store = build_store(corpus.store_signals, workdir + "/store")
+print(f"store: {store.num_slices} slices of 1000 samples")
 
 cfg = SearchConfig()          # alpha=0.004, delta=0.8, top 100
 q = corpus.queries[0]

@@ -20,8 +20,8 @@ from emap.mdb import build_store
 # a corpus built so the initial set is 22% anomalous and normal
 # look-alikes die off on a fixed schedule
 sc = scenarios.probability_growth_scenario()
-store = build_store(sc.store_signals,
-                    tempfile.mkdtemp(prefix="emap_demo_") + "/store")
+with tempfile.TemporaryDirectory(prefix="emap_demo_") as workdir:
+    store = build_store(sc.store_signals, workdir + "/store")
 
 
 def window(i):

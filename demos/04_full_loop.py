@@ -16,8 +16,8 @@ from emap.mdb import build_store
 from emap.orchestrator import evaluate_batch, run_stream
 
 world = scenarios.evaluation_world()          # 20 anomalous + 20 normal
-store = build_store(world.store_signals,
-                    tempfile.mkdtemp(prefix="emap_demo_") + "/store")
+with tempfile.TemporaryDirectory(prefix="emap_demo_") as workdir:
+    store = build_store(world.store_signals, workdir + "/store")
 cfg = world.run_config
 
 # --- one anomalous stream, end to end ----------------------------------------

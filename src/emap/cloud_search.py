@@ -18,9 +18,14 @@ frequency domain instead (one float32 FFT product per slice, from a
 table of slice spectra built on the store's first exhaustive search),
 then recomputes with the kernel's float64 arithmetic every offset whose
 FFT correlation, within a derived error bound, could exceed delta and
-be its slice's best (see _error_bound). Its result is the kernel's at
-step 1 bit for bit. With record_trace, which needs the exact omega of
-every offset, it runs the kernel at step 1.
+be its slice's best (see _error_bound). Its candidates, omegas and
+counters are those of the kernel's arithmetic at every offset, bit for
+bit.
+
+Both scans first scale the query by the power of two that puts its
+largest |sample| in [0.5, 1) (dsp.peak_scaled). The scaling is exact,
+so no omega changes, and it keeps every float64 product and sum of
+either scan inside float64's range for any finite query.
 
 Every search scans every slice in the store.
 """
@@ -47,10 +52,6 @@ _CHUNK = 1024  # slices moved in lockstep by one kernel call
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
 _FFT_ROWS = 16      # slices correlated per block of an FFT scan
 _BUILD_ROWS = 8     # slices per block while building the spectra table
-# query energies for which the kernel's float64 arithmetic neither
-# overflows nor underflows on float32 samples; outside, the FFT scan
-# defers to the kernel
-_FFT_Q_ENERGY = (2.0 ** -600, 2.0 ** 600)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ def _omegas(segs, q, q_energy):
     return energy, np.vecdot(segs, q) / np.sqrt(q_energy * energy)
 
 
-def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
-                record_trace):
+def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
     """Scan the slices starting at `starts` in lockstep.
 
     Returns per-slice comparisons, degenerate skips, best omega above
@@ -149,7 +149,7 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
         # omega is clamped only after the threshold test, so a negative
         # correlation still produces the maximum step
         clamped = np.where(omega > 0.0, omega, 0.0)
-        step = np.ones_like(beta) if exhaustive else _steps(alpha, clamped)
+        step = _steps(alpha, clamped)
         if trace is not None:
             trace.append([c[~flat] for c in (rows, beta, omega, clamped, step)])
         beta += step
@@ -162,7 +162,7 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, exhaustive,
     return visits - degenerate, degenerate, best, best_beta, trace
 
 
-def _lockstep_scan(q, q_energy, store, cfg, exhaustive, record_trace):
+def _lockstep_scan(q, q_energy, store, cfg, record_trace):
     """(candidates, comparisons, degenerate skips, trace) from the
     kernel, over chunks of slices folded in slice order."""
     n = store.num_slices
@@ -171,7 +171,7 @@ def _lockstep_scan(q, q_energy, store, cfg, exhaustive, record_trace):
     def scan(lo):
         return _scan_chunk(q, q_energy, windows,
                            store.slice_starts[lo:lo + _CHUNK], cfg.alpha,
-                           cfg.delta, exhaustive, record_trace)
+                           cfg.delta, record_trace)
 
     chunks = range(0, n, _CHUNK)
     if cfg.workers > 1:
@@ -317,8 +317,10 @@ def _fft_scan(q, q_energy, store, delta):
     """(candidates, degenerate skips) of the exhaustive scan: an FFT
     correlation per slice, then the kernel's arithmetic at every offset
     that could beat delta and be its slice's best."""
-    table = _spectra(store)
     n = store.num_slices
+    if not n:
+        return [], 0
+    table = _spectra(store)
     slices = sliding_window_view(store.flat, SLICE_LEN)
     unit = (q / math.sqrt(q_energy)).astype(np.float32)
     query = np.conj(np.fft.rfft(unit, _NFFT))
@@ -372,22 +374,19 @@ def _best_per_slice(q, q_energy, store, rows, betas, delta):
 
 
 def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
-                record_trace: bool):
-    q = dsp.window_samples(window)
+                record_trace: bool = False):
+    q = dsp.peak_scaled(dsp.window_samples(window))
     q_energy = float(np.dot(q, q))
-    if q_energy == 0.0:
-        raise dsp.DegenerateSignalError("query window has zero energy")
 
     t0 = time.perf_counter()
     n = store.num_slices
-    if (exhaustive and not record_trace and n
-            and _FFT_Q_ENERGY[0] <= q_energy <= _FFT_Q_ENERGY[1]):
+    if exhaustive:
         candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
         used = n * _OFFSETS - degenerate
         trace = None
     else:
         candidates, used, degenerate, trace = _lockstep_scan(
-            q, q_energy, store, cfg, exhaustive, record_trace)
+            q, q_energy, store, cfg, record_trace)
 
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
@@ -411,19 +410,17 @@ def sliding_search(window, store: MdbStore, cfg: SearchConfig,
     return _run_search(window, store, cfg, False, record_trace)
 
 
-def exhaustive_search(window, store: MdbStore, cfg: SearchConfig,
-                      record_trace: bool = False) -> SearchResult:
+def exhaustive_search(window, store: MdbStore,
+                      cfg: SearchConfig) -> SearchResult:
     """Brute-force oracle: correlate at all 745 offsets of every slice,
     with identical thresholding, deduplication and ordering.
 
-    Without record_trace this is one FFT correlation per slice, exactly
-    rescored (see _fft_scan): candidates, omegas and counters are those
-    of the lockstep kernel at step 1, bit for bit. cfg.workers is not
-    used. The store's spectra table is built on the first call and
-    kept on the store. With record_trace=True, or on an empty store, the
-    kernel runs at step 1 and the result carries every offset as
-    (set_id, beta, omega, omega_clamped, 1)."""
-    return _run_search(window, store, cfg, True, record_trace)
+    This is one FFT correlation per slice, exactly rescored (see
+    _fft_scan): candidates, omegas and counters are those of the
+    sliding kernel's arithmetic at every offset, bit for bit.
+    cfg.workers is not used. The store's spectra table is built on the
+    first call and kept on the store. The result carries no trace."""
+    return _run_search(window, store, cfg, True)
 
 
 @dataclass

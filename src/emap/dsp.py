@@ -36,25 +36,39 @@ class SignalWindow:
     timestep_index: int = 0
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape != (WINDOW_LEN,):
-            raise ValueError(
-                f"a window holds exactly {WINDOW_LEN} samples, "
-                f"got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("window contains non-finite samples")
+        self.samples = window_samples(self.samples)
         if self.timestep_index < 0:
             raise ValueError("timestep_index must be >= 0")
 
 
 def window_samples(w) -> np.ndarray:
-    """Accept a SignalWindow or bare array and return the 256 samples."""
-    x = w.samples if hasattr(w, "samples") else np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    """Accept a SignalWindow or bare array and return the 256 samples
+    as float64; ValueError unless there are 256 and all are finite."""
+    x = np.asarray(getattr(w, "samples", w), dtype=np.float64)
     if x.shape != (WINDOW_LEN,):
         raise ValueError(
             f"expected {WINDOW_LEN} samples, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("window contains non-finite samples")
     return x
+
+
+def peak_scaled(x) -> np.ndarray:
+    """x times the power of two that puts its largest |sample| in
+    [0.5, 1); DegenerateSignalError if every sample is 0.
+
+    Scaling by a power of two is exact (for samples that stay normal
+    floats), so a correlation of scaled windows equals that of the
+    originals bit for bit. It also keeps a window's energy within
+    [0.25, len(x)), so float64 dot products of scaled windows, or of
+    one with float32 samples, neither overflow nor underflow, whatever
+    the finite window's scale.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if peak == 0.0:
+        raise DegenerateSignalError("window has zero energy")
+    return np.ldexp(x, -math.frexp(peak)[1])
 
 
 def design_bandpass(low_hz: float = 11.0, high_hz: float = 40.0,
@@ -135,16 +149,18 @@ def xcorr(a, b) -> float:
     """Normalized cross-correlation of two equal-length windows.
 
     Returns dot(a, b) / (||a|| * ||b||), in [-1, 1]. Raises
-    DegenerateSignalError if either window has zero energy.
+    DegenerateSignalError if either window has zero energy. Each window
+    is peak_scaled first: the result is unchanged, bit for bit, wherever
+    the unscaled arithmetic stays within float64's normal range, and
+    windows of any finite scale correlate.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"window shapes differ: {a.shape} vs {b.shape}")
+    a, b = peak_scaled(a), peak_scaled(b)
     ea = float(np.dot(a, a))
     eb = float(np.dot(b, b))
-    if ea == 0.0 or eb == 0.0:
-        raise DegenerateSignalError("zero-energy window in correlation")
     # sqrt of the energy product (not product of sqrts) so that a window
     # correlated with itself scores exactly 1.0
     return float(np.dot(a, b)) / math.sqrt(ea * eb)

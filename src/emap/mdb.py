@@ -289,6 +289,12 @@ class MdbStore:
             raise ValueError(
                 f"store format {version!r} is not supported (format "
                 f"{FORMAT_VERSION} expected); rebuild the store")
+        for key, want in (("slice_len", SLICE_LEN),
+                          ("sample_rate_hz", dsp.SAMPLE_RATE_HZ)):
+            got = manifest.get(key)
+            if type(got) is not int or got != want:
+                raise ValueError(f"manifest {key!r} is {got!r}; stores "
+                                 f"hold {want} here")
         signals = _signal_entries(manifest)
         flat = np.empty(sum(sig["length"] for sig in signals), dtype="<f4")
         parents = {}

@@ -1,5 +1,7 @@
 """Correlation search against the exhaustive oracle and its own contract."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,15 +136,23 @@ def test_soundness_reevaluation(parity_world):
 
 def test_exhaustive_dominates_and_agrees_on_shared_offsets(parity_world):
     corpus, store = parity_world
+    everything = SearchConfig(top_k=store.num_slices)
     for q in corpus.queries[:5]:
         fast = sliding_search(q, store, SearchConfig())
-        oracle = exhaustive_search(q, store, SearchConfig(), record_trace=True)
-        assert oracle.candidates[0].omega >= fast.candidates[0].omega
-        seen = {(t[0], t[1]): t[2] for t in oracle.trace}
+        oracle = {c.set_id: c for c in exhaustive_search(q, store,
+                                                         everything).candidates}
+        x = q.samples
         for c in fast.candidates:
             # the sliding scan saw a subset of the oracle's offsets and
-            # computed the very same correlation values there
-            assert seen[(c.set_id, c.beta)] == c.omega
+            # computed the per-offset correlation there, bit for bit
+            seg = store.get_slice(c.set_id).samples[c.beta:c.beta + WINDOW_LEN]
+            seg = seg.astype(np.float64)
+            assert c.omega == float(np.dot(x, seg)) / math.sqrt(
+                float(np.dot(x, x)) * float(np.dot(seg, seg)))
+            best = oracle[c.set_id]
+            assert best.omega >= c.omega
+            if best.beta == c.beta:
+                assert best.omega == c.omega
 
 
 def test_raising_delta_never_adds_candidates(parity_world):

@@ -1,0 +1,25 @@
+"""The walkthrough scripts in demos/ run to the end and clean up."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_demos_run_and_leave_no_temporary_files(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    demos = sorted((ROOT / "demos").glob("0*.py"))
+    assert len(demos) == 4
+    runs = [subprocess.Popen([sys.executable, str(d)], env=env,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
+            for d in demos]
+    for demo, run in zip(demos, runs):
+        _out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, f"{demo.name}: {err}"
+    assert list(tmp_path.iterdir()) == []

@@ -16,7 +16,9 @@ from emap.dsp import (
     apply_filter,
     area_between,
     design_bandpass,
+    peak_scaled,
     resample,
+    window_samples,
     xcorr,
 )
 
@@ -103,6 +105,9 @@ def test_xcorr_matches_two_pass_oracle():
         a = rng.normal(0, 15, WINDOW_LEN)
         b = rng.normal(0, 15, WINDOW_LEN)
         assert abs(xcorr(a, b) - naive_xcorr(a, b)) < 1e-9
+        # the scaling inside xcorr is exact: the plain formula, bit for bit
+        assert xcorr(a, b) == float(np.dot(a, b)) / math.sqrt(
+            float(np.dot(a, a)) * float(np.dot(b, b)))
 
 
 def test_self_correlation_is_exactly_one():
@@ -131,6 +136,26 @@ def test_xcorr_rejects_zero_energy():
         xcorr(a, b)
     with pytest.raises(DegenerateSignalError):
         xcorr(b, a)
+
+
+def test_xcorr_at_extreme_scales():
+    # the plain formula's energy product overflows at 2^520 and 1e150
+    # and underflows at 1e-170
+    q = np.random.default_rng(17).normal(0, 15, WINDOW_LEN)
+    assert xcorr(q * 2.0 ** 520, q) == xcorr(q, q) == 1.0
+    assert xcorr(q, q * 2.0 ** -560) == 1.0
+    assert abs(xcorr(q * 1e150, q) - 1.0) < 1e-12
+    assert abs(xcorr(q * 1e-170, q) - 1.0) < 1e-12
+
+
+def test_peak_scaled_is_an_exact_power_of_two():
+    x = np.random.default_rng(18).normal(0, 15, WINDOW_LEN)
+    for k in (-600, -1, 0, 7, 600):
+        y = peak_scaled(x * 2.0 ** k)
+        assert 0.5 <= np.max(np.abs(y)) < 1.0
+        assert np.array_equal(y, peak_scaled(x))
+    with pytest.raises(DegenerateSignalError):
+        peak_scaled(np.zeros(WINDOW_LEN))
 
 
 def test_xcorr_shape_mismatch():
@@ -197,6 +222,11 @@ def test_window_validation():
         SignalWindow(samples=np.full(WINDOW_LEN, np.nan), timestep_index=0)
     with pytest.raises(ValueError):
         SignalWindow(samples=np.ones(WINDOW_LEN), timestep_index=-1)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones(WINDOW_LEN)
+        x[9] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            window_samples(x)
 
 
 def test_operation_cost_model():

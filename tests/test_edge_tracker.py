@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import emap.edge_tracker as et
-from emap.cloud_search import Candidate, SearchResult, sliding_search
+from emap.cloud_search import (
+    Candidate,
+    SearchResult,
+    exhaustive_search,
+    sliding_search,
+)
 from emap.dsp import SignalWindow, WINDOW_LEN, area_between
 from emap.edge_tracker import (
     ANOMALY_PREDICTED,
@@ -264,6 +269,26 @@ def test_removal_decisions_replay_exactly(prob_world):
                                      snapshot[cand.set_id] - cand.parent_offset,
                                      WINDOW_LEN)
             assert area_between(win.samples, seg) <= thresh
+
+
+def test_non_finite_live_windows_are_rejected(prob_world):
+    # a bare array skips SignalWindow's own check; NaN areas would
+    # never exceed the threshold, and NaN omegas never exceed delta
+    sc, store = prob_world
+    state = init_tracker(sliding_search(window_at(sc.live.samples, 0), store,
+                                        sc.search_cfg),
+                         store, sc.tracker_cfg)
+    alive = len(state.alive_candidates())
+    for bad in (np.nan, np.inf, -np.inf):
+        x = sc.live.samples[WINDOW_LEN:2 * WINDOW_LEN].copy()
+        x[100] = bad
+        for search in (sliding_search, exhaustive_search):
+            with pytest.raises(ValueError, match="non-finite"):
+                search(x, store, sc.search_cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            tracker_step(state, x, store)
+    assert state.iteration == 0
+    assert len(state.alive_candidates()) == alive
 
 
 def test_probability_follows_the_scripted_trajectory(prob_world):

@@ -197,6 +197,18 @@ def kind_as_list(manifest):
     manifest["signals"][1]["spans"] = [[100, 200, ["a"]]]
 
 
+def slice_len_500(manifest):
+    manifest["slice_len"] = 500
+
+
+def rate_512(manifest):
+    manifest["sample_rate_hz"] = 512
+
+
+def drop_slice_len(manifest):
+    del manifest["slice_len"]
+
+
 def equal_spans_of_two_kinds(manifest):
     # None and "x" do not compare, so only a sort by position can order them
     manifest["signals"][1]["spans"] = [[0, 10, None], [0, 10, "x"]]
@@ -212,11 +224,15 @@ def equal_spans_of_two_kinds(manifest):
     (lambda m: [m], "manifest is not a JSON object"),
     (span_without_end, r"signal #1 \(id 1\): 'spans' entry \[100\]"),
     (equal_spans_of_two_kinds, "anomaly spans overlap"),
+    (slice_len_500, "manifest 'slice_len' is 500; stores hold 1000"),
+    (rate_512, "manifest 'sample_rate_hz' is 512; stores hold 256"),
+    (drop_slice_len, "manifest 'slice_len' is None"),
     (kind_as_list, r"signal #1 \(id 1\): 'spans' entry \[100, 200, \['a'\]\] "
      "has a kind that is neither a string nor null"),
 ], ids=["span-outside-signal", "format-1", "no-spans", "no-length",
         "length-as-text", "signals-not-a-list", "manifest-not-an-object",
-        "span-without-end", "equal-spans-of-two-kinds", "kind-as-list"])
+        "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
+        "rate-512", "no-slice-len", "kind-as-list"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)

@@ -8,8 +8,12 @@ the trace. Its np.vecdot runs the same dot kernel
 as np.dot on each row, so omegas must agree exactly, not just within
 rounding. The FFT exhaustive scan rescores its picks with that same
 arithmetic, so it too must agree exactly, on hostile stores as well.
+`exact_search` is the exhaustive reference vectorised over slices, for
+stores where the per-offset loop would take seconds per query.
 """
 
+import dataclasses
+import functools
 import math
 import tempfile
 
@@ -84,11 +88,53 @@ def reference_search(window, store, cfg, exhaustive=False,
     return cands[:cfg.top_k], comparisons, scanned, degenerate, trace
 
 
-def assert_same_as_reference(q, store, cfg, exhaustive=False):
-    search = exhaustive_search if exhaustive else sliding_search
-    got = search(q, store, cfg, record_trace=True)
-    cands, comps, scanned, degen, trace = reference_search(
-        q, store, cfg, exhaustive, record_trace=True)
+def exact_omegas(window, store, rows=16):
+    """(energy, omega), each (slices, 745): the reference's arithmetic at
+    every offset of every slice, `rows` slices at a time. np.vecdot
+    takes each dot with np.dot's kernel, so these are the per-offset
+    loop's values bit for bit."""
+    q = window_samples(window)
+    q_energy = float(np.dot(q, q))
+    windows = np.lib.stride_tricks.sliding_window_view(store.flat,
+                                                       WINDOW_LEN)
+    offsets = np.arange(LAST_OFFSET + 1)
+    energy = np.empty((store.num_slices, offsets.size))
+    omega = np.empty_like(energy)
+    for lo in range(0, store.num_slices, rows):
+        segs = windows[store.slice_starts[lo:lo + rows, None]
+                       + offsets].astype(np.float64)
+        e = energy[lo:lo + rows] = np.vecdot(segs, segs)
+        with np.errstate(invalid="ignore"):   # flat windows score 0/0
+            omega[lo:lo + rows] = np.vecdot(segs, q) / np.sqrt(q_energy * e)
+    return energy, omega
+
+
+def exact_search(window, store, cfg, exhaustive=True, record_trace=False):
+    """reference_search's exhaustive result, without a trace, from
+    exact_omegas."""
+    assert exhaustive and not record_trace
+    energy, omega = exact_omegas(window, store)
+    hit = omega > cfg.delta
+    cands = []
+    for set_id in np.flatnonzero(hit.any(axis=1)).tolist():
+        # argmax keeps the first, lowest, beta among equal omegas
+        beta = int(np.argmax(np.where(hit[set_id], omega[set_id], -np.inf)))
+        cands.append((set_id, float(omega[set_id, beta]), beta))
+    cands.sort(key=lambda c: (-c[1], c[0], c[2]))
+    flat = int(np.count_nonzero(energy == 0.0))
+    return cands[:cfg.top_k], energy.size - flat, store.num_slices, flat, None
+
+
+def assert_same_as_reference(q, store, cfg, exhaustive=False,
+                             reference=reference_search):
+    """The scan against `reference`: same candidates bit for bit, same
+    counters, and for the sliding scan the same trace."""
+    if exhaustive:
+        got = exhaustive_search(q, store, cfg)
+    else:
+        got = sliding_search(q, store, cfg, record_trace=True)
+    cands, comps, scanned, degen, trace = reference(
+        q, store, cfg, exhaustive, record_trace=not exhaustive)
     assert [(c.set_id, c.omega, c.beta) for c in got.candidates] == cands
     assert got.comparisons_made == comps
     assert got.slices_scanned == scanned
@@ -141,7 +187,6 @@ def test_degenerate_slices_match_reference(tmp_path):
     for exhaustive in (False, True):
         got = assert_same_as_reference(q, store, SearchConfig(), exhaustive)
         assert got.degenerate_skipped > 0
-    assert_fft_matches(q, store, SearchConfig())
 
 
 def test_equal_omegas_in_a_slice_keep_the_lower_beta(tmp_path):
@@ -154,7 +199,6 @@ def test_equal_omegas_in_a_slice_keep_the_lower_beta(tmp_path):
         got = assert_same_as_reference(q, store, SearchConfig(), exhaustive)
         assert [(c.set_id, c.beta, c.omega) for c in got.candidates] == \
             [(0, 0, 1.0), (1, 0, 1.0)]
-    assert_fft_matches(q, store, SearchConfig())
 
 
 def test_workers_scan_chunks_with_identical_results(eval_world):
@@ -177,14 +221,13 @@ def test_row_omega_does_not_depend_on_its_batch(eval_world):
     windows = np.lib.stride_tricks.sliding_window_view(store.flat, WINDOW_LEN)
     starts = store.slice_starts[:300]
     _c, _d, _b, _bb, batch = _scan_chunk(q, q_energy, windows, starts,
-                                         0.004, 0.8, False, True)
+                                         0.004, 0.8, True)
     batch_rows = {}
     for row, beta, omega in zip(*(c.tolist() for c in batch[:3])):
         batch_rows[(row, beta)] = omega
     for row in (0, 1, 17, 150, 299):
         _c, _d, _b, _bb, alone = _scan_chunk(
-            q, q_energy, windows, starts[row:row + 1], 0.004, 0.8, False,
-            True)
+            q, q_energy, windows, starts[row:row + 1], 0.004, 0.8, True)
         for beta, omega in zip(alone[1].tolist(), alone[2].tolist()):
             assert batch_rows[(row, beta)] == omega
 
@@ -217,27 +260,6 @@ def test_trace_is_slice_major_in_beta_order(eval_world):
 
 
 # -- the FFT exhaustive scan ----------------------------------------------------
-
-def assert_fft_matches(q, store, cfg, reference=True):
-    """The FFT path (no trace) against the kernel at step 1 and, with
-    `reference`, the per-offset loop: same candidates bit for bit, same
-    counters."""
-    got = exhaustive_search(q, store, cfg)
-    kernel = exhaustive_search(q, store, cfg, record_trace=True)
-    cands = [(c.set_id, c.beta, c.omega) for c in got.candidates]
-    counts = (got.comparisons_made, got.degenerate_skipped,
-              got.slices_scanned)
-    assert got.trace is None
-    assert cands == [(c.set_id, c.beta, c.omega) for c in kernel.candidates]
-    assert counts == (kernel.comparisons_made, kernel.degenerate_skipped,
-                      kernel.slices_scanned)
-    if reference:
-        ref, comps, scanned, degen, _trace = reference_search(
-            q, store, cfg, exhaustive=True)
-        assert cands == [(s, b, w) for s, w, b in ref]
-        assert counts == (comps, degen, scanned)
-    return got
-
 
 @st.composite
 def hostile_world(draw):
@@ -294,27 +316,44 @@ def test_fft_scan_matches_reference_on_hostile_stores(world, delta, top_k):
     signals, q = world
     with tempfile.TemporaryDirectory() as root:
         store = build_store(signals, root)
-        assert_fft_matches(SignalWindow(samples=q), store,
-                           SearchConfig(delta=delta, top_k=top_k))
+        assert_same_as_reference(SignalWindow(samples=q), store,
+                                 SearchConfig(delta=delta, top_k=top_k),
+                                 exhaustive=True)
 
 
 def test_fft_scan_matches_kernel_on_the_worlds(parity_world, eval_world):
+    # the kernel's arithmetic at every offset, vectorised over slices
     corpus, store = parity_world
     for q in corpus.queries:
-        assert_fft_matches(q, store, SearchConfig(), reference=False)
+        assert_same_as_reference(q, store, SearchConfig(), exhaustive=True,
+                                 reference=exact_search)
     world, store = eval_world
     for q in eval_windows(world, n=1):
-        assert_fft_matches(q, store, SearchConfig(), reference=False)
+        assert_same_as_reference(q, store, SearchConfig(), exhaustive=True,
+                                 reference=exact_search)
 
 
-def test_fft_scan_matches_kernel_at_extreme_query_energies(parity_world):
-    # energies whose float64 arithmetic would under- or overflow take
-    # the kernel; those just inside take the FFT scan
+def test_query_scale_changes_neither_scan(parity_world):
+    """A power-of-two scale is exact, so both scans give the unscaled
+    query's result bit for bit, out to scales whose energy products
+    would leave float64. Other scales round the samples: the picks
+    stay, the omegas move by rounding."""
     corpus, store = parity_world
     q = window_samples(corpus.queries[0])
-    for scale in (1e-160, 1e-85, 1e85, 1e100):
-        assert_fft_matches(q * scale, store, SearchConfig(delta=0.5),
-                           reference=False)
+    cfg = SearchConfig()
+    for search in (functools.partial(sliding_search, record_trace=True),
+                   exhaustive_search):
+        want = search(q, store, cfg)
+        assert want.candidates
+        for k in (-560, -300, 300, 520):
+            got = search(q * 2.0 ** k, store, cfg)
+            assert dataclasses.replace(got, elapsed=want.elapsed) == want
+        for scale in (1e150, 1e-170):
+            got = search(q * scale, store, cfg).candidates
+            assert [(c.set_id, c.beta) for c in got] == \
+                [(c.set_id, c.beta) for c in want.candidates]
+            assert max(abs(g.omega - w.omega)
+                       for g, w in zip(got, want.candidates)) <= 1e-12
 
 
 def test_spectra_are_built_on_the_first_exhaustive_search(tmp_path,
@@ -339,16 +378,11 @@ def test_error_bound_holds_at_every_offset(parity_world):
     kept offset of the parity store."""
     corpus, store = parity_world
     table = _spectra(store)
-    windows = np.lib.stride_tricks.sliding_window_view(store.flat,
-                                                       WINDOW_LEN)
-    segs = windows[store.slice_starts[:, None]
-                   + np.arange(LAST_OFFSET + 1)].astype(np.float64)
     bound = _error_bound(table.ratio.astype(np.float32))
     for q in corpus.queries[:3]:
+        _energy, exact = exact_omegas(q, store)
         q = window_samples(q)
-        q_energy = float(np.dot(q, q))
-        exact = np.vecdot(segs, q) / np.sqrt(q_energy * np.vecdot(segs, segs))
-        unit = (q / math.sqrt(q_energy)).astype(np.float32)
+        unit = (q / math.sqrt(np.dot(q, q))).astype(np.float32)
         spectra = table.spectra.astype(np.float32).view(np.complex64)
         y = np.fft.irfft(spectra * np.conj(np.fft.rfft(unit, 1024)),
                          1024)[:, :LAST_OFFSET + 1]
