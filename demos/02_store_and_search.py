@@ -16,7 +16,7 @@ from emap.mdb import build_store
 
 # a seeded 200-slice corpus with planted matches for 20 query windows
 corpus = scenarios.parity_corpus()
-# loading reads every payload into memory, so the files can go at once
+# loading reads the payload into memory, so the files can go at once
 with tempfile.TemporaryDirectory(prefix="emap_demo_") as workdir:
     store = build_store(corpus.store_signals, workdir + "/store")
 print(f"store: {store.num_slices} slices of 1000 samples")

@@ -55,7 +55,8 @@ def window_samples(w) -> np.ndarray:
 
 def peak_scaled(x) -> np.ndarray:
     """x times the power of two that puts its largest |sample| in
-    [0.5, 1); DegenerateSignalError if every sample is 0.
+    [0.5, 1); DegenerateSignalError if every sample is 0, ValueError
+    if any is NaN or infinite.
 
     Scaling by a power of two is exact (for samples that stay normal
     floats), so a correlation of scaled windows equals that of the
@@ -68,6 +69,8 @@ def peak_scaled(x) -> np.ndarray:
     peak = float(np.max(np.abs(x), initial=0.0))
     if peak == 0.0:
         raise DegenerateSignalError("window has zero energy")
+    if not math.isfinite(peak):
+        raise ValueError("window contains non-finite samples")
     return np.ldexp(x, -math.frexp(peak)[1])
 
 
@@ -149,7 +152,8 @@ def xcorr(a, b) -> float:
     """Normalized cross-correlation of two equal-length windows.
 
     Returns dot(a, b) / (||a|| * ||b||), in [-1, 1]. Raises
-    DegenerateSignalError if either window has zero energy. Each window
+    DegenerateSignalError if either window has zero energy, ValueError
+    if either holds a NaN or infinite sample. Each window
     is peak_scaled first: the result is unchanged, bit for bit, wherever
     the unscaled arithmetic stays within float64's normal range, and
     windows of any finite scale correlate.
@@ -173,9 +177,15 @@ def area_between(a, b) -> float:
     AREA_OPS_PER_WINDOW vs XCORR_OPS_PER_WINDOW for the per-window cost
     gap that motivates it. fsum keeps the result exactly the correctly
     rounded value of the true sum, independent of summation order.
+    A NaN sample, or the same infinity in both windows at one sample,
+    is a ValueError; an infinite sample against a finite one gives inf.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"window shapes differ: {a.shape} vs {b.shape}")
-    return math.fsum(np.abs(a - b))
+    area = math.fsum(np.abs(a - b))
+    if math.isnan(area):
+        raise ValueError("area is NaN: a window holds a NaN sample, or "
+                         "both hold the same infinity at one sample")
+    return area

@@ -2,13 +2,14 @@
 
 A store is a plain directory: a JSON manifest describing each source
 signal (id, length, anomaly spans) and one little-endian float32
-payload file per signal. The slice table is not stored: it is a
-function of the manifest (consecutive non-overlapping 1000-sample cuts
-from offset 0 of each signal, in manifest order, each labelled
-anomalous if any span overlaps it) and is derived at load. Everything
-is immutable after build, so concurrent readers need no coordination.
+payload file, `samples.f32`, of all signals in manifest order. The
+slice table is not stored: it is a function of the manifest
+(consecutive non-overlapping 1000-sample cuts from offset 0 of each
+signal, in manifest order, each labelled anomalous if any span
+overlaps it) and is derived at load. Everything is immutable after
+build, so concurrent readers need no coordination.
 
-In memory, a loaded store keeps all samples in one flat float32 buffer
+In memory, a loaded store is that payload in one flat float32 buffer
 (see MdbStore); that is what the cloud search scans. This module is
 only the store and its CSV ingestion; synthetic corpora come from
 `scenarios`.
@@ -36,7 +37,9 @@ from . import dsp
 
 SLICE_LEN = 1000
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+PAYLOAD_FILE = "samples.f32"
+_CHECK_CHUNK = 1 << 20  # samples per non-finite check at load
 
 
 class CsvFormatError(ValueError):
@@ -218,8 +221,8 @@ def _slice_offsets(signal_id, length):
     return range(0, length - SLICE_LEN + 1, SLICE_LEN)
 
 
-_SIGNAL_FIELDS = (("id", int, "integer"), ("file", str, "string"),
-                  ("length", int, "integer"), ("spans", list, "array"))
+_SIGNAL_FIELDS = (("id", int, "integer"), ("length", int, "integer"),
+                  ("spans", list, "array"))
 
 
 def _signal_entries(manifest):
@@ -237,6 +240,16 @@ def _signal_entries(manifest):
                 raise ValueError(f"{name} has no {json_type} {key!r}")
         check_span_entries(sig["spans"], name)
     return signals
+
+
+def _first_non_finite(flat):
+    """Position of the first NaN or infinite sample of `flat`, or None.
+    Checked 2^20 samples at a time, so no store-sized mask is made."""
+    for lo in range(0, flat.size, _CHECK_CHUNK):
+        finite = np.isfinite(flat[lo:lo + _CHECK_CHUNK])
+        if not finite.all():
+            return lo + int(np.argmin(finite))
+    return None
 
 
 def check_span_entries(spans, name):
@@ -257,7 +270,7 @@ def check_span_entries(spans, name):
 class MdbStore:
     """Immutable directory-backed slice database.
 
-    Load reads every payload into one flat float32 buffer (`flat`), in
+    Load reads the payload into one flat float32 buffer (`flat`), in
     manifest order. Parent arrays are views into it, and `slice_starts`
     holds each slice's first position in it, so a scan can address any
     window of any slice without building a SignalSet. No float64 copy
@@ -279,7 +292,7 @@ class MdbStore:
 
     @classmethod
     def load(cls, root) -> "MdbStore":
-        """Read the payloads and derive the slice table from the manifest."""
+        """Read the payload and derive the slice table from the manifest."""
         with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         if not isinstance(manifest, dict):
@@ -297,28 +310,31 @@ class MdbStore:
                                  f"hold {want} here")
         signals = _signal_entries(manifest)
         flat = np.empty(sum(sig["length"] for sig in signals), dtype="<f4")
+        with open(os.path.join(root, PAYLOAD_FILE), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != flat.nbytes or fh.readinto(flat) != size:
+                raise ValueError(
+                    f"payload {PAYLOAD_FILE} has {size} bytes; the manifest's "
+                    f"lengths sum to {flat.size} samples, {flat.nbytes} bytes")
+        bad = _first_non_finite(flat)
         parents = {}
         index = []
         starts = []
         pos = 0
         for sig in signals:
             length = sig["length"]
-            view = flat[pos:pos + length]
-            with open(os.path.join(root, sig["file"]), "rb") as fh:
-                size = os.fstat(fh.fileno()).st_size
-                if size != view.nbytes or fh.readinto(view) != size:
-                    raise ValueError(
-                        f"payload {sig['file']} has {size // 4} samples, "
-                        f"manifest says {length}")
             if sig["id"] in parents:
                 raise ValueError(f"manifest lists signal {sig['id']} twice")
-            parents[sig["id"]] = view
+            parents[sig["id"]] = flat[pos:pos + length]
             spans = [_norm_span(sp) for sp in sig["spans"]]
             _check_spans(spans, length)
             for offset in _slice_offsets(sig["id"], length):
                 label, kind = _slice_label(spans, offset)
                 index.append((len(index), sig["id"], offset, label, kind))
                 starts.append(pos + offset)
+            if bad is not None and bad < pos + length:
+                raise ValueError(f"signal {sig['id']} has a NaN or infinite "
+                                 f"sample at {bad - pos} in {PAYLOAD_FILE}")
             pos += length
         return cls(manifest, flat, parents, index,
                    np.array(starts, dtype=np.int64))
@@ -350,7 +366,7 @@ class MdbStore:
 
 
 def build_store(signals, out_dir) -> MdbStore:
-    """Quantize a corpus to float32 payloads and write its manifest.
+    """Quantize a corpus to one float32 payload and write its manifest.
 
     Raises ValueError, before any file is written, for duplicate ids,
     signals shorter than one slice, and NaN, infinite or beyond-float32
@@ -368,18 +384,16 @@ def build_store(signals, out_dir) -> MdbStore:
                              "beyond-float32 samples")
     os.makedirs(out_dir, exist_ok=True)
 
-    sig_entries = []
-    for sig in signals:
-        fname = f"signal_{sig.id:05d}.f32"
-        sig.samples.astype("<f4").tofile(os.path.join(out_dir, fname))
-        sig_entries.append({
-            "id": sig.id,
-            "file": fname,
-            "length": int(sig.samples.size),
-            "dataset_tag": sig.dataset_tag,
-            "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
-            "onset_sample": sig.onset_sample,
-        })
+    with open(os.path.join(out_dir, PAYLOAD_FILE), "wb") as fh:
+        for sig in signals:
+            sig.samples.astype("<f4").tofile(fh)
+    sig_entries = [{
+        "id": sig.id,
+        "length": int(sig.samples.size),
+        "dataset_tag": sig.dataset_tag,
+        "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
+        "onset_sample": sig.onset_sample,
+    } for sig in signals]
 
     manifest = {
         "format_version": FORMAT_VERSION,

@@ -386,8 +386,9 @@ def evaluation_world(seed: int = 2026, n_anomalous: int = 20,
 
 # -- corpus file export ----------------------------------------------------
 
-def write_corpus_csv(signals, out_dir, sample_rate_hz: int = dsp.SAMPLE_RATE_HZ):
-    """One CSV per signal plus a JSON sidecar with its annotations.
+def write_corpus_csv(signals, out_dir):
+    """One CSV per signal plus a JSON sidecar with its annotations; the
+    header and sidecar give the signals' rate, dsp.SAMPLE_RATE_HZ.
 
     Samples are written as full-precision reprs so a read-back is
     bit-exact.
@@ -399,14 +400,14 @@ def write_corpus_csv(signals, out_dir, sample_rate_hz: int = dsp.SAMPLE_RATE_HZ)
         csv_path = os.path.join(out_dir, stem + ".csv")
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(f"# id={sig.id} tag={sig.dataset_tag} "
-                     f"rate={sample_rate_hz}\n")
+                     f"rate={dsp.SAMPLE_RATE_HZ}\n")
             for v in sig.samples:
                 fh.write(repr(float(v)))
                 fh.write("\n")
         meta = {
             "id": sig.id,
             "dataset_tag": sig.dataset_tag,
-            "sample_rate_hz": sample_rate_hz,
+            "sample_rate_hz": dsp.SAMPLE_RATE_HZ,
             "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
             "onset_sample": sig.onset_sample,
         }

@@ -12,10 +12,11 @@ import time
 import numpy as np
 
 from emap import cli as emap_cli
+from emap import cloud_search
 from emap.cloud_search import SearchConfig, exhaustive_search, sliding_search
 from emap.dsp import SignalWindow, WINDOW_LEN, apply_filter, area_between, design_bandpass, xcorr
 from emap.edge_tracker import init_tracker, tracker_step
-from emap.mdb import get_parent_segment
+from emap.mdb import MdbStore, get_parent_segment
 from emap.orchestrator import LinkModel, evaluate_batch, run_stream
 
 
@@ -329,7 +330,11 @@ def test_c10_synthetic_accuracy(capsys, eval_world):
 
 # -- 11: determinism ---------------------------------------------------------
 
-def test_c11_determinism(capsys, cli_world, tmp_path):
+def test_c11_determinism(capsys, cli_world, tmp_path, monkeypatch):
+    # the CLI world has fewer slices than one default chunk; smaller
+    # chunks make `--threads 2` fold several, so fold order is tested
+    monkeypatch.setattr(cloud_search, "_CHUNK", 64)
+    n_chunks = -(-MdbStore.load(cli_world["store"]).num_slices // 64)
     live = sorted(cli_world["eval"].glob("*.csv"))[0]
     blobs = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
@@ -344,9 +349,10 @@ def test_c11_determinism(capsys, cli_world, tmp_path):
     capsys.readouterr()
     same_seed = blobs[0] == blobs[1]
     same_threads = blobs[0] == blobs[2]
-    ok = same_seed and same_threads
+    ok = same_seed and same_threads and n_chunks > 1
     _line(capsys, 11, "determinism", ok,
           f"repeat run byte-identical={same_seed}, 1 vs 2 workers "
-          f"byte-identical={same_threads}")
+          f"byte-identical={same_threads} over {n_chunks} chunks")
     assert same_seed
     assert same_threads
+    assert n_chunks > 1

@@ -158,6 +158,18 @@ def test_peak_scaled_is_an_exact_power_of_two():
         peak_scaled(np.zeros(WINDOW_LEN))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_xcorr_rejects_non_finite_samples(bad):
+    q = np.random.default_rng(19).normal(0, 15, WINDOW_LEN)
+    b = q.copy()
+    b[3] = bad
+    for args in ((q, b), (b, q), (b, b)):
+        with pytest.raises(ValueError, match="non-finite"):
+            xcorr(*args)
+    with pytest.raises(ValueError, match="non-finite"):
+        peak_scaled(b)
+
+
 def test_xcorr_shape_mismatch():
     with pytest.raises(ValueError):
         xcorr(np.ones(10), np.ones(11))
@@ -192,6 +204,26 @@ def test_area_basic_properties():
     assert area_between(a, c) <= area_between(a, b) + area_between(b, c) + 1e-9
     # a constant level difference of 10           -> area 256 * 10
     assert area_between(a, a + 10.0) == pytest.approx(2560.0)
+
+
+def test_area_is_never_nan():
+    a = np.random.default_rng(20).normal(0, 15, WINDOW_LEN)
+    b = a + 1.0
+    b[3] = np.nan
+    for args in ((a, b), (b, a), (b, b)):
+        with pytest.raises(ValueError, match="area is NaN"):
+            area_between(*args)
+    # an infinite sample against a finite one is an infinite area ...
+    for bad in (np.inf, -np.inf):
+        b[3] = bad
+        assert area_between(a, b) == area_between(b, a) == math.inf
+        # ... but inf - inf at one sample has no area (numpy also warns)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="area is NaN"):
+            area_between(b, b)
+    c = a.copy()
+    c[3], b[3] = np.inf, -np.inf
+    assert area_between(c, b) == math.inf
 
 
 def test_resample_identity_copy():

@@ -173,6 +173,10 @@ def set_format_1(manifest):
     manifest["format_version"] = 1
 
 
+def set_format_2(manifest):
+    manifest["format_version"] = 2
+
+
 def drop_spans(manifest):
     del manifest["signals"][1]["spans"]
 
@@ -214,9 +218,16 @@ def equal_spans_of_two_kinds(manifest):
     manifest["signals"][1]["spans"] = [[0, 10, None], [0, 10, "x"]]
 
 
+def write_query(tmp_path):
+    query = tmp_path / "query.csv"
+    query.write_text("".join(f"{v!r}\n" for v in np.arange(1.0, 257.0)))
+    return query
+
+
 @pytest.mark.parametrize("edit, message", [
     (set_span, r"span \(2400, 2600\) outside signal of length 2500"),
     (set_format_1, "store format 1 is not supported"),
+    (set_format_2, "store format 2 is not supported .* rebuild the store"),
     (drop_spans, r"manifest signal #1 \(id 1\) has no array 'spans'"),
     (drop_length, r"manifest signal #1 \(id 1\) has no integer 'length'"),
     (length_as_text, r"manifest signal #1 \(id 1\) has no integer 'length'"),
@@ -229,8 +240,9 @@ def equal_spans_of_two_kinds(manifest):
     (drop_slice_len, "manifest 'slice_len' is None"),
     (kind_as_list, r"signal #1 \(id 1\): 'spans' entry \[100, 200, \['a'\]\] "
      "has a kind that is neither a string nor null"),
-], ids=["span-outside-signal", "format-1", "no-spans", "no-length",
-        "length-as-text", "signals-not-a-list", "manifest-not-an-object",
+], ids=["span-outside-signal", "format-1", "format-2", "no-spans",
+        "no-length", "length-as-text", "signals-not-a-list",
+        "manifest-not-an-object",
         "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
         "rate-512", "no-slice-len", "kind-as-list"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
@@ -243,10 +255,8 @@ def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     with pytest.raises(ValueError, match=message):
         MdbStore.load(root)
     # the CLI reports it as a data error, not a traceback
-    query = tmp_path / "query.csv"
-    query.write_text("".join(f"{v!r}\n" for v in np.arange(1.0, 257.0)))
     rc = emap_cli.main(["search", "--store", str(root),
-                        "--input", str(query)])
+                        "--input", str(write_query(tmp_path))])
     assert rc == 3
     assert re.search(message, capsys.readouterr().err)
 
@@ -264,9 +274,74 @@ def test_load_rejects_a_signal_listed_twice(tmp_path):
 def test_load_rejects_a_truncated_payload(tmp_path):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000)], root)
-    payload = root / "signal_00000.f32"
+    payload = root / "samples.f32"
     payload.write_bytes(payload.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="1999 samples"):
+    with pytest.raises(ValueError, match="samples.f32 has 7996 bytes; the "
+                       "manifest's lengths sum to 2000 samples, 8000 bytes"):
+        MdbStore.load(root)
+
+
+@pytest.mark.parametrize("tail, size", [(b"\0\0", 8002), (b"\0" * 4, 8004)],
+                         ids=["partial-sample", "extra-sample"])
+def test_load_rejects_bytes_past_the_last_signal(tmp_path, tail, size):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=1000), make_signal(1, n=1000)], root)
+    payload = root / "samples.f32"
+    payload.write_bytes(payload.read_bytes() + tail)
+    with pytest.raises(ValueError, match=f"samples.f32 has {size} bytes; the "
+                       "manifest's lengths sum to 2000 samples, 8000 bytes"):
+        MdbStore.load(root)
+
+
+def test_payload_is_every_signal_in_manifest_order(tmp_path):
+    signals = [make_signal(i, n=1000 + 300 * i) for i in (2, 0, 1)]
+    store = build_store(signals, tmp_path / "store")
+    payload = (tmp_path / "store" / "samples.f32").read_bytes()
+    assert payload == b"".join(s.samples.astype("<f4").tobytes()
+                               for s in signals)
+    assert payload == store.flat.tobytes()
+
+
+def test_a_missing_payload_is_a_data_error(tmp_path, capsys):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000)], root)
+    (root / "samples.f32").unlink()
+    with pytest.raises(OSError):
+        MdbStore.load(root)
+    rc = emap_cli.main(["search", "--store", str(root),
+                        "--input", str(write_query(tmp_path))])
+    assert rc == 3
+    assert "samples.f32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_payload_samples(tmp_path, capsys, bad):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000), make_signal(1, n=2500),
+                 make_signal(2, n=2000)], root)
+    flat = np.fromfile(root / "samples.f32", dtype="<f4")
+    flat[2000 + 1234] = bad
+    flat[4500 + 5] = np.nan        # only the first bad sample is named
+    flat.tofile(root / "samples.f32")
+    message = ("signal 1 has a NaN or infinite sample at 1234 in "
+               "samples.f32")
+    with pytest.raises(ValueError, match=message):
+        MdbStore.load(root)
+    rc = emap_cli.main(["search", "--store", str(root),
+                        "--input", str(write_query(tmp_path))])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_check_crosses_chunk_boundaries(tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000), make_signal(1, n=2000)], root)
+    flat = np.fromfile(root / "samples.f32", dtype="<f4")
+    flat[2999] = np.inf
+    flat.tofile(root / "samples.f32")
+    monkeypatch.setattr(mdb, "_CHECK_CHUNK", 1000)
+    with pytest.raises(ValueError, match="signal 1 has a NaN or infinite "
+                       "sample at 999"):
         MdbStore.load(root)
 
 
@@ -292,11 +367,12 @@ def test_manifest_is_readable_json(tmp_path):
     assert entry["id"] == 0
     assert entry["spans"] == [[100, 300, "seizure"]]
     assert entry["onset_sample"] == 100
-    assert manifest["format_version"] == 2
+    assert "file" not in entry
+    assert manifest["format_version"] == 3
     assert "num_slices" not in manifest
-    # the store is its manifest plus payloads; the slice table is derived
+    # the store is its manifest plus one payload; the slice table is derived
     assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
-        "manifest.json", "signal_00000.f32"]
+        "manifest.json", "samples.f32"]
 
 
 def test_get_parent_segment_contract(tmp_path):
