@@ -8,10 +8,15 @@ every offset, is the oracle the fast path is tested against.
 
 The sliding scan is a kernel that moves a chunk of slices through their
 offsets in lockstep: each round gathers every active slice's current
-window from the store's flat float32 buffer, correlates them all with
-the query at once and advances each slice by its own step. Chunks of
-slices are scanned serially or on `workers` threads and folded in slice
-order, so the result does not depend on the worker count.
+window from the store's flat float32 buffer, a tile of rows at a time,
+correlates them all with the query at once and advances each slice by
+its own step. The correlation is screened in float32, with a derived
+error bound (see _screen); only the rows whose step or hit the screen
+cannot settle, a few percent of them, are rescored in the kernel's
+float64 arithmetic, so candidates, omegas, counters and the trace are
+that arithmetic's bit for bit. Chunks of slices are scanned serially or
+on `workers` threads and folded in slice order, so the result does not
+depend on the worker count.
 
 The exhaustive scan correlates the query with every slice in the
 frequency domain instead (one float32 FFT product per slice, from a
@@ -48,6 +53,7 @@ LAST_OFFSET = SLICE_LEN - dsp.WINDOW_LEN  # 744, scanned inclusively
 _OFFSETS = LAST_OFFSET + 1
 
 _CHUNK = 1024  # slices moved in lockstep by one kernel call
+_TILE = 256    # rows gathered at once, so they stay in cache
 
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
 _FFT_ROWS = 16      # slices correlated per block of an FFT scan
@@ -69,8 +75,9 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        # the largest step, 1/alpha, must fit int64 beside an offset
+        if not (2.0 ** -62 <= self.alpha < 1.0):
+            raise ValueError("alpha must lie in [2**-62, 1)")
         if not (-1.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (-1, 1)")
         if self.top_k < 1:
@@ -104,19 +111,83 @@ def _steps(alpha: float, clamped: np.ndarray) -> np.ndarray:
     return np.maximum(steps, 1.0).astype(np.int64)
 
 
-@np.errstate(invalid="ignore")  # flat segments score 0/0
-def _omegas(segs, q, q_energy):
-    """(energy, omega) of each float64 row of `segs` against the query.
+@np.errstate(invalid="ignore")  # flat windows score 0/0
+def _omegas(windows, at, q, q_energy):
+    """(energy, omega) of the windows starting at `at` against the query,
+    in float64, widened _TILE rows at a time.
 
     vecdot takes each row's dot with the same kernel as np.dot, so an
-    identical segment scores exactly 1.0; sqrt of the product keeps it
+    identical window scores exactly 1.0; sqrt of the product keeps it
     there."""
-    energy = np.vecdot(segs, segs)
-    return energy, np.vecdot(segs, q) / np.sqrt(q_energy * energy)
+    energy = np.empty(at.size)
+    dot = np.empty(at.size)
+    for lo in range(0, at.size, _TILE):
+        segs = windows[at[lo:lo + _TILE]].astype(np.float64)
+        np.vecdot(segs, segs, out=energy[lo:lo + _TILE])
+        np.vecdot(segs, q, out=dot[lo:lo + _TILE])
+    return energy, dot / np.sqrt(q_energy * energy)
+
+
+# The screen: float32 dots, within _SCREEN_ERR of the kernel's omega
+# wherever the float32 energy lies in (_SCREEN_LO, _SCREEN_HI)
+_SCREEN_ERR = 2.0 ** -15
+_SCREEN_LO = 2.0 ** -100
+_SCREEN_HI = 2.0 ** 100
+# relative slack on the screen's step bracket: exp, np.power and pow
+# each land within a few ulp of alpha**(omega - 1), far inside it
+_STEP_SLACK = 1e-9
+
+
+@np.errstate(over="ignore", invalid="ignore")  # float32 sums may overflow
+def _screen(windows, at, q32, q_energy):
+    """Screen omegas of the windows starting at `at`: float32 dots with
+    the query rounded to float32, `q32`, over float32 rows gathered
+    _TILE at a time. A window whose float32 energy lies outside
+    (_SCREEN_LO, _SCREEN_HI) scores +inf: it may be flat, or its float32
+    sums may have underflowed or overflowed.
+
+    Every finite screen omega is within _SCREEN_ERR of _omegas'. With
+    u = 2^-24 and γ = 256u/(1 - 256u), about 1.526e-5:
+      the float32 dot is within γ·Σ|s_i·q32_i| of the exact one in any
+      summation order, and q32 is within u of q elementwise, so it is
+      within (γ + u + γu)·‖s‖‖q‖ of s·q;
+      the float32 energy is within γ of ‖s‖² relative, so its square
+      root is within γ/2 + O(γ²) relative, and |omega| ≤ 1;
+      float32 underflow, in q32, a product or a square, adds at most
+      2^-145·‖s‖ + 2^-142 to either sum. Above _SCREEN_LO, ‖s‖² >
+      2^-101, and the query's largest |sample| is in [0.5, 1), so
+      ‖q‖ ≥ 0.5: that moves omega by under 2^-40. Below _SCREEN_HI, no
+      float32 product or sum overflows;
+      the float64 product, root and quotient here, and the kernel's own
+      float64 rounding (three 256-term dots, a product, a root and a
+      quotient), add under 600·2^-53.
+    In all, 1.5γ + u and second-order terms, about 2.30e-5. _SCREEN_ERR
+    rounds it up to 2^-15, about 3.05e-5; the margin covers the float64
+    sums and comparisons the scan makes with the bound.
+    """
+    energy = np.empty(at.size, dtype=np.float32)
+    dot = np.empty(at.size, dtype=np.float32)
+    for lo in range(0, at.size, _TILE):
+        s = windows[at[lo:lo + _TILE]]
+        np.vecdot(s, s, out=energy[lo:lo + _TILE])
+        np.matmul(s, q32, out=dot[lo:lo + _TILE])
+    sure = (energy > _SCREEN_LO) & (energy < _SCREEN_HI)
+    return np.divide(dot, np.sqrt(np.multiply(energy, q_energy,
+                                              dtype=np.float64)),
+                     out=np.full(at.size, np.inf), where=sure)
 
 
 def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
     """Scan the slices starting at `starts` in lockstep.
+
+    Each round screens every comparison in float32 (_screen) and
+    rescores with the kernel's float64 arithmetic (_omegas, then
+    _steps) only the rows the screen cannot settle: a row whose step
+    differs somewhere in its screen omega ± _SCREEN_ERR, and one that
+    could exceed delta, so every candidate keeps the kernel's omega.
+    The latter include every window the screen cannot bound, flat ones
+    among them: only the exact energy counts a window as degenerate.
+    With record_trace every row is rescored and nothing is screened.
 
     Returns per-slice comparisons, degenerate skips, best omega above
     delta (-inf if none) and its beta (ties keep the lower beta), plus
@@ -130,31 +201,59 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
     best_beta = np.full(n, -1, dtype=np.int64)
     rows = np.arange(n)
     beta = np.zeros(n, dtype=np.int64)
-    buf = np.empty((n, dsp.WINDOW_LEN))  # one float64 copy per round, reused
+    q32 = q.astype(np.float32)
+    # the steps at max(omega ∓ _SCREEN_ERR, 0) round alpha**(w - 1)
+    # times these factors, where clamping w at 0 caps it at alpha**-1;
+    # each end is widened by the slack
+    log_alpha = math.log(alpha)
+    down = math.exp(_SCREEN_ERR * log_alpha) * (1 - _STEP_SLACK)
+    up = math.exp(-_SCREEN_ERR * log_alpha) * (1 + _STEP_SLACK)
+    top = alpha ** -1.0
     trace = [] if record_trace else None
+    rounds = 0
     while rows.size:
-        segs = buf[:rows.size]
-        segs[...] = windows[starts[rows] + beta]
-        energy, omega = _omegas(segs, q, q_energy)
-        visits[rows] += 1
-        # a flat segment carries no information: it is skipped, and its
-        # omega of NaN clamps to 0, the maximum step
-        flat = energy == 0.0
-        if np.count_nonzero(flat):
-            degenerate[rows[flat]] += 1
-        hit = (omega > delta) & (omega > best[rows])
-        if np.count_nonzero(hit):
-            best[rows[hit]] = omega[hit]
-            best_beta[rows[hit]] = beta[hit]
-        # omega is clamped only after the threshold test, so a negative
-        # correlation still produces the maximum step
-        clamped = np.where(omega > 0.0, omega, 0.0)
-        step = _steps(alpha, clamped)
-        if trace is not None:
-            trace.append([c[~flat] for c in (rows, beta, omega, clamped, step)])
+        rounds += 1
+        at = starts[rows] + beta
+        if record_trace:
+            exact = np.arange(rows.size)
+            step = np.empty(rows.size, dtype=np.int64)
+        else:
+            omega = _screen(windows, at, q32, q_energy)
+            raw = np.exp((omega - 1.0) * log_alpha)
+            low = np.rint(np.minimum(raw * down, top * (1 - _STEP_SLACK)))
+            high = np.rint(np.minimum(raw * up, top * (1 + _STEP_SLACK)))
+            exact = np.flatnonzero((low != high)
+                                   | (omega > delta - _SCREEN_ERR))
+            # a row left to the screen has omega + _SCREEN_ERR <= delta
+            # < 1, so its raw step is above 1 - _STEP_SLACK: low >= 1
+            step = low.astype(np.int64)
+        if exact.size:
+            r, b = rows[exact], beta[exact]
+            energy, omega = _omegas(windows, at[exact], q, q_energy)
+            # a flat segment carries no information: it is skipped, and
+            # its omega of NaN clamps to 0, the maximum step
+            flat = energy == 0.0
+            if np.count_nonzero(flat):
+                degenerate[r[flat]] += 1
+            over = omega > delta
+            if np.count_nonzero(over):
+                hit = over & (omega > best[r])
+                best[r[hit]] = omega[hit]
+                best_beta[r[hit]] = b[hit]
+            # omega is clamped only after the threshold test, so a
+            # negative correlation still produces the maximum step
+            clamped = np.where(omega > 0.0, omega, 0.0)
+            step[exact] = _steps(alpha, clamped)
+            if trace is not None:
+                trace.append([c[~flat] for c in (r, b, omega, clamped,
+                                                 step[exact])])
         beta += step
         live = beta <= LAST_OFFSET
-        rows, beta = rows[live], beta[live]
+        if not live.all():
+            # every row starts in round 1, so one that leaves now made
+            # `rounds` visits
+            visits[rows[~live]] = rounds
+            rows, beta = rows[live], beta[live]
     if trace is not None:
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
@@ -359,11 +458,8 @@ def _best_per_slice(q, q_energy, store, rows, betas, delta):
     if not rows.size:
         return []
     windows = sliding_window_view(store.flat, dsp.WINDOW_LEN)
-    at = store.slice_starts[rows] + betas
-    # in chunks: a hostile store can have most of its windows picked
-    omega = np.concatenate([
-        _omegas(windows[at[i:i + _CHUNK]].astype(np.float64), q, q_energy)[1]
-        for i in range(0, at.size, _CHUNK)])
+    _energy, omega = _omegas(windows, store.slice_starts[rows] + betas, q,
+                             q_energy)
     hit = omega > delta
     rows, betas, omega = rows[hit], betas[hit], omega[hit]
     order = np.lexsort((betas, -omega, rows))
@@ -404,8 +500,12 @@ def sliding_search(window, store: MdbStore, cfg: SearchConfig,
     """Exponential sliding-window correlation search for the top-K
     slices matching one second of live signal.
 
-    With record_trace=True the result carries every visited offset as
-    (set_id, beta, omega, omega_clamped, step) for scan audits.
+    Every comparison is screened in float32 and rescored in float64
+    where the screen's error bound leaves its step or its hit open, so
+    the result is the float64 scan's bit for bit. With
+    record_trace=True every comparison is rescored, and the result
+    carries every visited offset as (set_id, beta, omega,
+    omega_clamped, step) for scan audits.
     """
     return _run_search(window, store, cfg, False, record_trace)
 

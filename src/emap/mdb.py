@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,6 +384,7 @@ def build_store(signals, out_dir) -> MdbStore:
             raise ValueError(f"signal {sig.id} has NaN, infinite or "
                              "beyond-float32 samples")
     os.makedirs(out_dir, exist_ok=True)
+    stale = _format_2_payloads(out_dir)
 
     with open(os.path.join(out_dir, PAYLOAD_FILE), "wb") as fh:
         for sig in signals:
@@ -405,7 +407,27 @@ def build_store(signals, out_dir) -> MdbStore:
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for name in stale:
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):
+            os.remove(path)
     return MdbStore.load(out_dir)
+
+
+def _format_2_payloads(out_dir):
+    """The per-signal payload files that a format-2 manifest in `out_dir`
+    lists, which a rebuild in place leaves unread: only the entries'
+    `file` values that are plain `signal_NNNNN.f32` basenames."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            signals = json.load(fh)["signals"]
+        names = [sig["file"] for sig in signals
+                 if isinstance(sig, dict) and "file" in sig]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    return [name for name in names if isinstance(name, str)
+            and re.fullmatch(r"signal_[0-9]{5,}\.f32", name)]
 
 
 def get_parent_segment(store: MdbStore, set_id: int, offset: int,

@@ -137,6 +137,27 @@ def test_search_flags_override_the_config_even_when_falsy(tiny_store,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("alpha", ["1e-19", "1e-200", "1e-320"])
+def test_an_alpha_below_the_bound_is_a_usage_error(tiny_store, tmp_path,
+                                                   capsys, alpha):
+    # 1/alpha would not fit int64: the scan once died with an IndexError
+    store_dir, raw = tiny_store
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, raw[:256])
+    rc = emap_cli.main(["search", "--store", str(store_dir), "--input",
+                        str(q), "--alpha", alpha])
+    assert rc == 2
+    assert "[2**-62, 1)" in capsys.readouterr().err
+    rc = emap_cli.main(["sweep-alpha", "--store", str(store_dir),
+                        "--inputs", str(tmp_path), "--alphas",
+                        f"0.004,{alpha}", "--out",
+                        str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--alphas" in err and "[2**-62, 1)" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_bad_config_file_is_a_usage_error(tiny_store, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{ this is not json")

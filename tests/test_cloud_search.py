@@ -1,6 +1,7 @@
 """Correlation search against the exhaustive oracle and its own contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,11 @@ def test_search_config_validation():
         SearchConfig(alpha=0.0)
     with pytest.raises(ValueError):
         SearchConfig(alpha=1.0)
+    # below 2**-62 the largest step, 1/alpha, would not fit int64
+    SearchConfig(alpha=2.0 ** -62)
+    for alpha in (np.nextafter(2.0 ** -62, 0.0), 1e-19, 1e-200, 1e-320):
+        with pytest.raises(ValueError, match=re.escape("[2**-62, 1)")):
+            SearchConfig(alpha=alpha)
     with pytest.raises(ValueError):
         SearchConfig(delta=1.0)
     with pytest.raises(ValueError):

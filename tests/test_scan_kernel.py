@@ -6,8 +6,11 @@ offset at a time, with two np.dot calls per comparison. The kernel must
 reproduce everything observable about it: candidates, counters and
 the trace. Its np.vecdot runs the same dot kernel
 as np.dot on each row, so omegas must agree exactly, not just within
-rounding. The FFT exhaustive scan rescores its picks with that same
-arithmetic, so it too must agree exactly, on hostile stores as well.
+rounding. Without a trace the kernel screens in float32 and rescores
+with that arithmetic, and with a trace it rescores every comparison, so
+both must agree exactly, on stores at float32's edges as well. The FFT
+exhaustive scan rescores its picks with that same arithmetic, so it too
+must agree exactly, on hostile stores as well.
 `exact_search` is the exhaustive reference vectorised over slices, for
 stores where the per-offset loop would take seconds per query.
 """
@@ -24,17 +27,22 @@ from hypothesis import strategies as st
 
 from emap import cloud_search
 from emap.cloud_search import (
+    _SCREEN_ERR,
+    _SCREEN_HI,
+    _SCREEN_LO,
     LAST_OFFSET,
     SearchConfig,
     _error_bound,
+    _omegas,
     _scan_chunk,
+    _screen,
     _spectra,
     _step_for,
     _steps,
     exhaustive_search,
     sliding_search,
 )
-from emap.dsp import WINDOW_LEN, SignalWindow, window_samples
+from emap.dsp import WINDOW_LEN, SignalWindow, peak_scaled, window_samples
 from emap.mdb import SLICE_LEN, MdbStore, SourceSignal, build_store
 
 # -- the reference: one slice, one offset at a time --------------------------
@@ -128,19 +136,23 @@ def exact_search(window, store, cfg, exhaustive=True, record_trace=False):
 def assert_same_as_reference(q, store, cfg, exhaustive=False,
                              reference=reference_search):
     """The scan against `reference`: same candidates bit for bit, same
-    counters, and for the sliding scan the same trace."""
+    counters, and for the sliding scan the same trace, and the same
+    candidates and counters again without a trace (the screened path)."""
     if exhaustive:
-        got = exhaustive_search(q, store, cfg)
+        runs = [exhaustive_search(q, store, cfg)]
     else:
-        got = sliding_search(q, store, cfg, record_trace=True)
+        runs = [sliding_search(q, store, cfg, record_trace=True),
+                sliding_search(q, store, cfg)]
     cands, comps, scanned, degen, trace = reference(
         q, store, cfg, exhaustive, record_trace=not exhaustive)
-    assert [(c.set_id, c.omega, c.beta) for c in got.candidates] == cands
-    assert got.comparisons_made == comps
-    assert got.slices_scanned == scanned
-    assert got.degenerate_skipped == degen
-    assert got.trace == trace
-    return got
+    for got in runs:
+        assert [(c.set_id, c.omega, c.beta) for c in got.candidates] == cands
+        assert got.comparisons_made == comps
+        assert got.slices_scanned == scanned
+        assert got.degenerate_skipped == degen
+    assert runs[0].trace == trace
+    assert runs[-1].trace is None
+    return runs[0]
 
 
 def eval_windows(world, n=20, seed=5):
@@ -232,6 +244,13 @@ def test_row_omega_does_not_depend_on_its_batch(eval_world):
             assert batch_rows[(row, beta)] == omega
 
 
+def test_smallest_alpha_scans_like_the_reference(parity_world):
+    # the largest step, 2**62, still fits int64 beside any offset
+    corpus, store = parity_world
+    for q in corpus.queries[:3]:
+        assert_same_as_reference(q, store, SearchConfig(alpha=2.0 ** -62))
+
+
 @pytest.mark.parametrize("alpha", [0.001, 0.004, 0.02, 0.1, 0.5, 0.9])
 def test_vectorised_step_equals_step_for(alpha):
     dense = np.linspace(0.0, 1.0, 200_001)
@@ -257,6 +276,178 @@ def test_trace_is_slice_major_in_beta_order(eval_world):
     assert {t[0] for t in res.trace} == set(range(store.num_slices))
     assert all(type(v) is int for v in (keys[0][0], keys[0][1],
                                         res.trace[0][4]))
+
+
+# -- the float32 screen ---------------------------------------------------------
+
+def rescored_windows(q, store, cfg):
+    """Positions in store.flat of the windows an untraced sliding search
+    rescores in float64."""
+    seen = []
+    omegas = cloud_search._omegas
+
+    def spy(windows, at, q, q_energy):
+        seen.extend(at.tolist())
+        return omegas(windows, at, q, q_energy)
+
+    cloud_search._omegas = spy
+    try:
+        sliding_search(q, store, cfg)
+    finally:
+        cloud_search._omegas = omegas
+    return set(seen)
+
+
+@st.composite
+def screen_world(draw):
+    """Small signals with runs that take float32 to its edges: windows
+    scaled by 1e-20 (float32 energies below the screen's range, some
+    squares subnormal), by 1e19 (float32 energies that overflow) and by
+    1e-40 (float32 subnormal samples), zero runs and constant runs, some
+    at a slice start, where every scan looks; plus a query cut from the
+    signals or made of noise, with noise mixed in so omegas spread."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    signals = []
+    for sid in range(draw(st.integers(1, 3))):
+        n = SLICE_LEN * draw(st.integers(1, 3)) + draw(st.integers(0, 300))
+        x = rng.normal(0, 15, n)
+        for fill in draw(st.lists(st.sampled_from(
+                ["zero", "constant", 1e-20, 1e19, 1e-40]), max_size=4)):
+            run = draw(st.integers(1, 3 * WINDOW_LEN))
+            at = draw(st.one_of(
+                st.integers(0, n - 1),
+                st.integers(0, n // SLICE_LEN - 1).map(SLICE_LEN.__mul__)))
+            if fill == "zero":
+                x[at:at + run] = 0.0
+            elif fill == "constant":
+                x[at:at + run] = draw(st.sampled_from([-7.5, 1e-20, 1e19]))
+            else:
+                x[at:at + run] *= fill
+        # two loud runs may overlap; 1e38 is within float32's range
+        signals.append(SourceSignal(id=sid, samples=np.clip(x, -1e38, 1e38)))
+    if draw(st.booleans()):
+        sid = draw(st.integers(0, len(signals) - 1))
+        at = draw(st.integers(0, signals[sid].samples.size - WINDOW_LEN))
+        q = signals[sid].samples[at:at + WINDOW_LEN].astype(np.float32)
+        q = q.astype(np.float64)
+    else:
+        q = rng.normal(0, 15, WINDOW_LEN)
+    peak = np.max(np.abs(q))
+    q = q + draw(st.sampled_from([0.0, 0.05, 0.5])) * peak * rng.normal(
+        0, 1, WINDOW_LEN)
+    if not q.any():
+        q = rng.normal(0, 15, WINDOW_LEN)
+    return signals, q
+
+
+def offset_zero_omegas(q, store):
+    """The reference's (energy, omega) at offset 0 of every slice."""
+    q = window_samples(q)
+    q_energy = float(np.dot(q, q))
+    out = []
+    for set_id in range(store.num_slices):
+        seg = store.get_slice(set_id).samples[:WINDOW_LEN].astype(np.float64)
+        energy = float(np.dot(seg, seg))
+        omega = (float(np.dot(q, seg)) / math.sqrt(q_energy * energy)
+                 if energy else math.nan)
+        out.append((energy, omega))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=screen_world(), data=st.data())
+def test_screened_scan_matches_reference_at_float32_edges(world, data):
+    """Trace on and off against the reference, with delta or a step
+    boundary put within the screen's bound of an offset-0 omega, and the
+    windows that the screen cannot settle shown to be rescored."""
+    signals, q = world
+    q = SignalWindow(samples=q)
+    with tempfile.TemporaryDirectory() as root:
+        store = build_store(signals, root)
+        at_zero = offset_zero_omegas(q, store)
+        targets = [w for _e, w in at_zero if not math.isnan(w)]
+        alpha = data.draw(st.sampled_from([0.001, 0.004, 0.1]))
+        delta = data.draw(st.sampled_from([-0.5, 0.8, 0.99]))
+        near = None        # (what, omega) within the bound of a target
+        if targets:
+            target = data.draw(st.sampled_from(targets))
+            shift = data.draw(st.floats(-_SCREEN_ERR / 2, _SCREEN_ERR / 2))
+            if data.draw(st.booleans()):
+                delta = min(max(target + shift, -0.999999), 0.999999)
+                near = ("delta", delta)
+            elif 0.0 < target + shift < 1.0:
+                # alpha**(w - 1) is the half-integer k + 0.5 at w =
+                # target + shift: a step boundary
+                k = data.draw(st.integers(1, 300))
+                boundary = target + shift
+                a = (k + 0.5) ** (1.0 / (boundary - 1.0))
+                if 2.0 ** -62 <= a < 1.0:
+                    alpha = a
+                    near = ("step", boundary)
+        cfg = SearchConfig(alpha=alpha, delta=delta,
+                           top_k=data.draw(st.sampled_from([1, 100])))
+        assert_same_as_reference(q, store, cfg)
+        rescored = rescored_windows(q, store, cfg)
+        for set_id, (energy, omega) in enumerate(at_zero):
+            start = int(store.slice_starts[set_id])
+            # flat, or clearly outside the float32 screen's range
+            outside = not (4 * _SCREEN_LO < energy < _SCREEN_HI / 4)
+            settles_nothing = near is not None and \
+                abs(omega - near[1]) <= _SCREEN_ERR / 4
+            if outside or settles_nothing:
+                assert start in rescored, (set_id, energy, omega, near)
+
+
+def test_screen_sends_float32_edge_windows_to_rescoring(tmp_path):
+    """One slice per float32 edge, each scanned at offset 0: its window
+    is rescored, and the scan agrees with the reference."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(0, 15, 6 * SLICE_LEN)
+    x[:SLICE_LEN] *= 1e-20                         # energy below the range
+    x[SLICE_LEN:2 * SLICE_LEN] *= 1e19             # float32 energy overflows
+    x[2 * SLICE_LEN:3 * SLICE_LEN] *= 1e-40        # float32 subnormals
+    x[3 * SLICE_LEN:4 * SLICE_LEN] = 0.0           # flat
+    store = build_store([SourceSignal(id=0, samples=x)], tmp_path / "s")
+    q = SignalWindow(samples=store.get_slice(5).samples[:WINDOW_LEN])
+    got = assert_same_as_reference(q, store, SearchConfig())
+    assert got.degenerate_skipped > 0
+    rescored = rescored_windows(q, store, SearchConfig())
+    assert {0, 1000, 2000, 3000} <= rescored
+    # the self-match at slice 5 is above delta: rescored, and exactly 1.0
+    assert 5000 in rescored
+    assert got.candidates[0].omega == 1.0
+
+
+def test_screen_error_stays_inside_its_bound():
+    """|screen omega - kernel omega| <= _SCREEN_ERR on adversarial rows:
+    the query equal to the row, its negation, the row with half its
+    signs flipped (omega near 0 from large terms), and rows whose
+    samples span 2^-60 to 2^40."""
+    rng = np.random.default_rng(9)
+    rows = [rng.normal(0, 15, WINDOW_LEN) for _ in range(4)]
+    for lo, hi in ((-60, 40), (-30, 30), (-10, 35)):
+        mags = 2.0 ** rng.uniform(lo, hi, WINDOW_LEN)
+        rows.append(mags * rng.choice([-1.0, 1.0], WINDOW_LEN))
+    spike = np.full(WINDOW_LEN, 1e-6)
+    spike[17] = 1e6
+    rows += [spike, np.full(WINDOW_LEN, 3.0), np.tile([1e9, -1e9], 128),
+             rng.normal(0, 15, WINDOW_LEN) * 1e12]
+    flat = np.concatenate(rows).astype(np.float32)
+    windows = np.lib.stride_tricks.sliding_window_view(flat, WINDOW_LEN)
+    at = np.arange(len(rows)) * WINDOW_LEN
+    queries = []
+    for s in rows:
+        s = s.astype(np.float32).astype(np.float64)
+        flips = rng.permutation(np.repeat([-1.0, 1.0], WINDOW_LEN // 2))
+        queries += [s, -s, s * flips, s + rng.normal(0, 1, WINDOW_LEN)
+                    * np.abs(s)]
+    for q in queries:
+        q = peak_scaled(q)
+        q_energy = float(np.dot(q, q))
+        screen = _screen(windows, at, q.astype(np.float32), q_energy)
+        _energy, exact = _omegas(windows, at, q, q_energy)
+        assert np.isfinite(screen).all()
+        assert np.all(np.abs(screen - exact) <= _SCREEN_ERR)
 
 
 # -- the FFT exhaustive scan ----------------------------------------------------
