@@ -45,10 +45,6 @@ def _load_config(args) -> RunConfig:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         except ValueError as e:
             raise SystemExit(_usage_error(f"--seed: {e}"))
-    if args.threads is not None:
-        if args.threads < 1:
-            raise SystemExit(_usage_error("--threads must be >= 1"))
-        cfg.search.workers = args.threads
     return cfg
 
 
@@ -334,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cloud-edge EEG anomaly prediction experiments")
     p.add_argument("--config", help="JSON run-config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--threads", type=int,
-                   help="threads that scan chunks of the store in "
-                        "parallel in the sliding scan (results are "
-                        "identical for any value)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit code 4 on latency/real-time "
                         "budget violations")

@@ -6,17 +6,16 @@ are combed at single-sample resolution while dissimilar ones are crossed
 in jumps of up to 250 samples. The exhaustive scan, which correlates
 every offset, is the oracle the fast path is tested against.
 
-The sliding scan is a kernel that moves a chunk of slices through their
-offsets in lockstep: each round gathers every active slice's current
-window from the store's flat float32 buffer, a tile of rows at a time,
-correlates them all with the query at once and advances each slice by
-its own step. The correlation is screened in float32, with a derived
-error bound (see _screen); only the rows whose step or hit the screen
-cannot settle, a few percent of them, are rescored in the kernel's
-float64 arithmetic, so candidates, omegas, counters and the trace are
-that arithmetic's bit for bit. Chunks of slices are scanned serially or
-on `workers` threads and folded in slice order, so the result does not
-depend on the worker count.
+The sliding scan is a kernel that moves every slice of the store
+through its offsets in one lockstep: each round gathers every active
+slice's current window from the store's flat float32 buffer, a tile of
+rows at a time, correlates them all with the query at once and advances
+each slice by its own step. The correlation is screened in float32, with
+a derived error bound (see _screen); only the rows whose step or hit the
+screen cannot settle, a few percent of them, are rescored in the
+kernel's float64 arithmetic, so candidates, omegas, counters and the
+trace are that arithmetic's bit for bit. A round holds O(slices) index,
+step and omega vectors plus one tile of gathered rows.
 
 The exhaustive scan correlates the query with every slice in the
 frequency domain instead (one float32 FFT product per slice, from a
@@ -40,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +50,6 @@ from .mdb import SLICE_LEN, MdbStore
 LAST_OFFSET = SLICE_LEN - dsp.WINDOW_LEN  # 744, scanned inclusively
 _OFFSETS = LAST_OFFSET + 1
 
-_CHUNK = 1024  # slices moved in lockstep by one kernel call
 _TILE = 256    # rows gathered at once, so they stay in cache
 
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
@@ -72,7 +69,6 @@ class SearchConfig:
     alpha: float = 0.004
     delta: float = 0.8
     top_k: int = 100
-    workers: int = 1
 
     def __post_init__(self):
         # the largest step, 1/alpha, must fit int64 beside an offset
@@ -82,8 +78,6 @@ class SearchConfig:
             raise ValueError("delta must lie in (-1, 1)")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -177,8 +171,8 @@ def _screen(windows, at, q32, q_energy):
                      out=np.full(at.size, np.inf), where=sure)
 
 
-def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
-    """Scan the slices starting at `starts` in lockstep.
+def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
+    """Scan the slices starting at `starts` in one lockstep.
 
     Each round screens every comparison in float32 (_screen) and
     rescores with the kernel's float64 arithmetic (_omegas, then
@@ -189,14 +183,13 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
     among them: only the exact energy counts a window as degenerate.
     With record_trace every row is rescored and nothing is screened.
 
-    Returns per-slice comparisons, degenerate skips, best omega above
-    delta (-inf if none) and its beta (ties keep the lower beta), plus
-    the trace columns (row, beta, omega, clamped, step) in slice-major
-    order, or None without record_trace.
+    Returns (candidates, comparisons, degenerate skips, trace). A
+    slice's candidate is its best omega above delta (ties keep the
+    lower beta), with the slice's index in `starts` as its set_id. The
+    trace lists every comparison as (set_id, beta, omega, clamped,
+    step) in slice-major order, or is None without record_trace.
     """
     n = starts.size
-    visits = np.zeros(n, dtype=np.int64)
-    degenerate = np.zeros(n, dtype=np.int64)
     best = np.full(n, -np.inf)
     best_beta = np.full(n, -1, dtype=np.int64)
     rows = np.arange(n)
@@ -210,7 +203,7 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
     up = math.exp(-_SCREEN_ERR * log_alpha) * (1 + _STEP_SLACK)
     top = alpha ** -1.0
     trace = [] if record_trace else None
-    rounds = 0
+    visits = degenerate = rounds = 0
     while rows.size:
         rounds += 1
         at = starts[rows] + beta
@@ -233,8 +226,7 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
             # a flat segment carries no information: it is skipped, and
             # its omega of NaN clamps to 0, the maximum step
             flat = energy == 0.0
-            if np.count_nonzero(flat):
-                degenerate[r[flat]] += 1
+            degenerate += int(np.count_nonzero(flat))
             over = omega > delta
             if np.count_nonzero(over):
                 hit = over & (omega > best[r])
@@ -252,46 +244,17 @@ def _scan_chunk(q, q_energy, windows, starts, alpha, delta, record_trace):
         if not live.all():
             # every row starts in round 1, so one that leaves now made
             # `rounds` visits
-            visits[rows[~live]] = rounds
+            visits += rounds * (rows.size - int(np.count_nonzero(live)))
             rows, beta = rows[live], beta[live]
+    hits = np.flatnonzero(best_beta >= 0)
+    candidates = [Candidate(set_id=r, omega=w, beta=b) for r, w, b in
+                  zip(hits.tolist(), best[hits].tolist(),
+                      best_beta[hits].tolist())]
     if trace is not None:
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
-        trace = [c[order] for c in cols]
-    return visits - degenerate, degenerate, best, best_beta, trace
-
-
-def _lockstep_scan(q, q_energy, store, cfg, record_trace):
-    """(candidates, comparisons, degenerate skips, trace) from the
-    kernel, over chunks of slices folded in slice order."""
-    n = store.num_slices
-    windows = sliding_window_view(store.flat, dsp.WINDOW_LEN) if n else None
-
-    def scan(lo):
-        return _scan_chunk(q, q_energy, windows,
-                           store.slice_starts[lo:lo + _CHUNK], cfg.alpha,
-                           cfg.delta, record_trace)
-
-    chunks = range(0, n, _CHUNK)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = iter(list(pool.map(scan, chunks)))
-    else:
-        results = map(scan, chunks)
-    candidates = []
-    trace = [] if record_trace else None
-    used = degenerate = 0
-    for lo in chunks:
-        comps, degen, best, best_beta, part = next(results)
-        used += int(comps.sum())
-        degenerate += int(degen.sum())
-        candidates += [Candidate(set_id=lo + row, omega=float(best[row]),
-                                 beta=int(best_beta[row]))
-                       for row in np.flatnonzero(best_beta >= 0).tolist()]
-        if part is not None:
-            trace.extend(zip((part[0] + lo).tolist(),
-                             *(c.tolist() for c in part[1:])))
-    return candidates, used, degenerate, trace
+        trace = list(zip(*(c[order].tolist() for c in cols)))
+    return candidates, visits - degenerate, degenerate, trace
 
 
 # -- the exhaustive scan in the frequency domain ------------------------------
@@ -481,8 +444,11 @@ def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
         used = n * _OFFSETS - degenerate
         trace = None
     else:
+        windows = (sliding_window_view(store.flat, dsp.WINDOW_LEN) if n
+                   else None)
         candidates, used, degenerate, trace = _lockstep_scan(
-            q, q_energy, store, cfg, record_trace)
+            q, q_energy, windows, store.slice_starts, cfg.alpha, cfg.delta,
+            record_trace)
 
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
@@ -518,8 +484,8 @@ def exhaustive_search(window, store: MdbStore,
     This is one FFT correlation per slice, exactly rescored (see
     _fft_scan): candidates, omegas and counters are those of the
     sliding kernel's arithmetic at every offset, bit for bit.
-    cfg.workers is not used. The store's spectra table is built on the
-    first call and kept on the store. The result carries no trace."""
+    The store's spectra table is built on the first call and kept on
+    the store. The result carries no trace."""
     return _run_search(window, store, cfg, True)
 
 

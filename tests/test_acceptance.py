@@ -7,16 +7,18 @@ and reproducible.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
 from emap import cli as emap_cli
-from emap import cloud_search
 from emap.cloud_search import SearchConfig, exhaustive_search, sliding_search
 from emap.dsp import SignalWindow, WINDOW_LEN, apply_filter, area_between, design_bandpass, xcorr
 from emap.edge_tracker import init_tracker, tracker_step
-from emap.mdb import MdbStore, get_parent_segment
+from emap.mdb import get_parent_segment
 from emap.orchestrator import LinkModel, evaluate_batch, run_stream
 
 
@@ -330,29 +332,32 @@ def test_c10_synthetic_accuracy(capsys, eval_world):
 
 # -- 11: determinism ---------------------------------------------------------
 
-def test_c11_determinism(capsys, cli_world, tmp_path, monkeypatch):
-    # the CLI world has fewer slices than one default chunk; smaller
-    # chunks make `--threads 2` fold several, so fold order is tested
-    monkeypatch.setattr(cloud_search, "_CHUNK", 64)
-    n_chunks = -(-MdbStore.load(cli_world["store"]).num_slices // 64)
+def test_c11_determinism(capsys, cli_world, tmp_path):
+    # the float32 screen's np.matmul is where a search can use more
+    # than one BLAS thread, and OpenBLAS sizes its thread pool when
+    # numpy is imported, so each count runs `emap simulate` in its own
+    # process
     live = sorted(cli_world["eval"].glob("*.csv"))[0]
+    src = os.path.dirname(os.path.dirname(emap_cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
     blobs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+    for tag, blas_threads in (("a", "1"), ("b", "1"), ("c", "2")):
         out = tmp_path / tag
-        rc = emap_cli.main(["--config", str(cli_world["config"]),
-                            "--threads", threads, "simulate",
-                            "--store", str(cli_world["store"]),
-                            "--live", str(live), "--out", str(out)])
-        assert rc == 0
+        env = dict(os.environ, PYTHONPATH=path,
+                   OPENBLAS_NUM_THREADS=blas_threads)
+        subprocess.run([sys.executable, "-m", "emap.cli",
+                        "--config", str(cli_world["config"]), "simulate",
+                        "--store", str(cli_world["store"]),
+                        "--live", str(live), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
         blobs.append(((out / "timeline.jsonl").read_bytes(),
                       (out / "reports.jsonl").read_bytes()))
-    capsys.readouterr()
     same_seed = blobs[0] == blobs[1]
-    same_threads = blobs[0] == blobs[2]
-    ok = same_seed and same_threads and n_chunks > 1
+    same_blas = blobs[0] == blobs[2]
+    ok = same_seed and same_blas
     _line(capsys, 11, "determinism", ok,
-          f"repeat run byte-identical={same_seed}, 1 vs 2 workers "
-          f"byte-identical={same_threads} over {n_chunks} chunks")
+          f"repeat run byte-identical={same_seed}, OPENBLAS_NUM_THREADS "
+          f"1 vs 2 byte-identical={same_blas}")
     assert same_seed
-    assert same_threads
-    assert n_chunks > 1
+    assert same_blas

@@ -167,19 +167,6 @@ def test_raising_delta_never_adds_candidates(parity_world):
     assert len(tight.candidates) <= len(loose.candidates)
 
 
-def test_worker_count_does_not_change_results(parity_world):
-    corpus, store = parity_world
-    q = corpus.queries[2]
-    for search in (sliding_search, exhaustive_search):
-        ref = search(q, store, SearchConfig(workers=1))
-        for workers in (2, 4):
-            got = search(q, store, SearchConfig(workers=workers))
-            assert got.candidates == ref.candidates
-            assert got.comparisons_made == ref.comparisons_made
-            assert got.slices_scanned == ref.slices_scanned
-            assert got.degenerate_skipped == ref.degenerate_skipped
-
-
 def test_degenerate_slices_are_skipped_not_fatal(tmp_path):
     rng = np.random.default_rng(22)
     sig_ok = SourceSignal(id=0, samples=rng.normal(0, 15, SLICE_LEN),
@@ -214,8 +201,6 @@ def test_search_config_validation():
         SearchConfig(delta=1.0)
     with pytest.raises(ValueError):
         SearchConfig(top_k=0)
-    with pytest.raises(ValueError):
-        SearchConfig(workers=0)
 
 
 def test_alpha_sweep_report(parity_world):
@@ -235,7 +220,7 @@ def test_alpha_sweep_report(parity_world):
 def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world,
                                                        monkeypatch):
     corpus, store = parity_world
-    base = SearchConfig(delta=0.9, top_k=2, workers=2)
+    base = SearchConfig(delta=0.9, top_k=2)
     seen = []
 
     def recording(window, store, cfg, record_trace=False):
@@ -244,7 +229,7 @@ def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world,
 
     monkeypatch.setattr(cloud_search, "sliding_search", recording)
     row, = alpha_sweep(corpus.queries[:3], store, [0.02], base_cfg=base)
-    cfg = SearchConfig(alpha=0.02, delta=0.9, top_k=2, workers=2)
+    cfg = SearchConfig(alpha=0.02, delta=0.9, top_k=2)
     assert seen == [cfg] * 3
     runs = [sliding_search(q, store, cfg) for q in corpus.queries[:3]]
     assert row.mean_comparisons == np.mean([r.comparisons_made for r in runs])

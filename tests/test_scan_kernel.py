@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from emap.cloud_search import (
     SearchConfig,
     _error_bound,
     _omegas,
-    _scan_chunk,
+    _lockstep_scan,
     _screen,
     _spectra,
     _step_for,
@@ -181,7 +182,6 @@ def test_exhaustive_matches_reference(parity_world):
 
 def test_sliding_matches_reference_on_eval_world(eval_world):
     world, store = eval_world
-    assert store.num_slices > cloud_search._CHUNK, "needs several chunks"
     hits = 0
     for q in eval_windows(world):
         hits += bool(assert_same_as_reference(q, store,
@@ -213,17 +213,6 @@ def test_equal_omegas_in_a_slice_keep_the_lower_beta(tmp_path):
             [(0, 0, 1.0), (1, 0, 1.0)]
 
 
-def test_workers_scan_chunks_with_identical_results(eval_world):
-    world, store = eval_world
-    for q in eval_windows(world, n=3):
-        ref = sliding_search(q, store, SearchConfig(), record_trace=True)
-        got = sliding_search(q, store, SearchConfig(workers=2),
-                             record_trace=True)
-        for field in ("candidates", "comparisons_made", "slices_scanned",
-                      "degenerate_skipped", "trace"):
-            assert getattr(got, field) == getattr(ref, field)
-
-
 # -- kernel properties -----------------------------------------------------------
 
 def test_row_omega_does_not_depend_on_its_batch(eval_world):
@@ -232,16 +221,30 @@ def test_row_omega_does_not_depend_on_its_batch(eval_world):
     q_energy = float(np.dot(q, q))
     windows = np.lib.stride_tricks.sliding_window_view(store.flat, WINDOW_LEN)
     starts = store.slice_starts[:300]
-    _c, _d, _b, _bb, batch = _scan_chunk(q, q_energy, windows, starts,
-                                         0.004, 0.8, True)
-    batch_rows = {}
-    for row, beta, omega in zip(*(c.tolist() for c in batch[:3])):
-        batch_rows[(row, beta)] = omega
+    *_, batch = _lockstep_scan(q, q_energy, windows, starts, 0.004, 0.8,
+                               True)
+    batch_rows = {(row, beta): omega for row, beta, omega, *_ in batch}
     for row in (0, 1, 17, 150, 299):
-        _c, _d, _b, _bb, alone = _scan_chunk(
-            q, q_energy, windows, starts[row:row + 1], 0.004, 0.8, True)
-        for beta, omega in zip(alone[1].tolist(), alone[2].tolist()):
+        *_, alone = _lockstep_scan(q, q_energy, windows,
+                                   starts[row:row + 1], 0.004, 0.8, True)
+        for _row, beta, omega, *_ in alone:
             assert batch_rows[(row, beta)] == omega
+
+
+def test_sliding_search_memory_is_linear_in_slices(eval_world):
+    # one round holds O(slices) index, step and omega vectors plus one
+    # _TILE-row tile widened to float64 (512 KiB); gathering every
+    # slice's window at once would take 1920 x 256 x 4 B, about 1.9 MB
+    world, store = eval_world
+    q = eval_windows(world, n=1)[0]
+    tracemalloc.start()
+    try:
+        sliding_search(q, store, SearchConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.num_slices == 1920
+    assert peak < 1 << 20
 
 
 def test_smallest_alpha_scans_like_the_reference(parity_world):
