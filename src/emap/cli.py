@@ -324,6 +324,15 @@ def cmd_sweep_alpha(args, cfg: RunConfig) -> int:
 
 # -- entry point -------------------------------------------------------------
 
+class _ThreadsRemoved(argparse.Action):
+    """--threads no longer exists: using it is a usage error that names
+    it, where argparse would take its value for the subcommand."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} was removed: every search scans "
+                     "the whole store in one lockstep on one thread")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="emap",
@@ -333,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="fail with exit code 4 on latency/real-time "
                         "budget violations")
+    p.add_argument("--threads", action=_ThreadsRemoved, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")

@@ -19,12 +19,13 @@ step and omega vectors plus one tile of gathered rows.
 
 The exhaustive scan correlates the query with every slice in the
 frequency domain instead (one float32 FFT product per slice, from a
-table of slice spectra built on the store's first exhaustive search),
-then recomputes with the kernel's float64 arithmetic every offset whose
-FFT correlation, within a derived error bound, could exceed delta and
-be its slice's best (see _error_bound). Its candidates, omegas and
-counters are those of the kernel's arithmetic at every offset, bit for
-bit.
+table of slice spectra built on the store's first exhaustive search).
+It screens each slice's correlations against one threshold floor per
+slice, tests the few that clear it against delta within a derived error
+bound (see _error_bound and _floors), and recomputes with the kernel's
+float64 arithmetic every offset that could exceed delta. Its
+candidates, omegas and counters are those of the kernel's arithmetic at
+every offset, bit for bit.
 
 Both scans first scale the query by the power of two that puts its
 largest |sample| in [0.5, 1) (dsp.peak_scaled). The scaling is exact,
@@ -291,7 +292,9 @@ _ENERGY_KEEP = 2.0 ** -30
 
 def _error_bound(t):
     """Bound on |FFT omega - kernel omega| at offsets whose table ratio
-    (slice norm over window norm) is t, in float32.
+    (slice norm over window norm) is t. The scan evaluates it in float32
+    at the offsets it tests, and in float64 at each slice's extreme
+    ratios for its floor (see _floors).
 
     The FFT omega is y·t, y the float32 correlation of the query and
     the slice, each scaled to unit norm and rounded to float32. Its
@@ -310,6 +313,9 @@ def _error_bound(t):
     float32 data after scaling adds under 2^-140·t, inside the rounding
     up of _FFT_ABS. The bound is raised by 1% and 4u32 to cover its own
     float32 evaluation and the float32 sums and comparisons made with it.
+
+    As a function of t it is a cubic with non-negative coefficients,
+    which _floors relies on.
     """
     psi = 2 * _U32 + (1.156 * (_FFT_ABS + _SPECTRUM_ABS)) * t
     rho = (1.01 * _ENERGY_ERR) * (t * t) + (_U16 + _U32 + 2 * _U64)
@@ -326,19 +332,22 @@ def _flat_windows(x):
 
 @dataclass(frozen=True)
 class _Spectra:
-    """The FFT scan's per-store table, about 3.5 KB per slice.
+    """The FFT scan's per-store table, about 3.55 KB per slice.
 
     Each slice is scaled to unit norm before its FFT: correlation does
     not see the scale, and float32 then neither overflows nor loses
-    quiet slices to underflow. Both arrays are kept in float16, whose
-    rounding the error bound covers, because the table stays in memory
-    as long as its store does.
+    quiet slices to underflow. The spectra and ratios are kept in
+    float16, whose rounding the error bound covers, because the table
+    stays in memory as long as its store does.
     """
     # (n, 1026) float16: rfft of each scaled slice, real and imaginary
     # parts interleaved
     spectra: np.ndarray
     # (n, 745) float16: ‖slice‖/‖window‖, NaN where the window is not kept
     ratio: np.ndarray
+    # (n, 2) float32: each slice's smallest and largest ratio, NaN where
+    # any of its windows is not kept
+    span: np.ndarray
     flat: np.ndarray       # (n,) int64: all-zero windows per slice
 
     @classmethod
@@ -347,6 +356,7 @@ class _Spectra:
         w = dsp.WINDOW_LEN
         table = cls(np.empty((n, _NFFT + 2), dtype=np.float16),
                     np.empty((n, _OFFSETS), dtype=np.float16),
+                    np.empty((n, 2), dtype=np.float32),
                     np.empty(n, dtype=np.int64))
         slices = sliding_window_view(store.flat, SLICE_LEN)
         for lo in range(0, n, _BUILD_ROWS):
@@ -361,6 +371,9 @@ class _Spectra:
             np.divide(norm, np.sqrt(energy), out=ratio,
                       where=energy > _ENERGY_KEEP * cum[:, -1:])
             table.ratio[lo:hi] = ratio
+            # min and max propagate NaN
+            table.span[lo:hi, 0] = table.ratio[lo:hi].min(axis=1)
+            table.span[lo:hi, 1] = table.ratio[lo:hi].max(axis=1)
             unit = np.divide(x, norm, out=np.zeros(x.shape), where=norm > 0)
             table.spectra[lo:hi] = np.fft.rfft(unit.astype(np.float32),
                                                _NFFT).view(np.float32)
@@ -374,43 +387,94 @@ def _spectra(store: MdbStore) -> _Spectra:
     return store.scan_table
 
 
-@np.errstate(invalid="ignore")  # windows not kept score NaN
+def _floors(table: _Spectra, delta):
+    """Per slice, a float32 floor below which no y passes the scan's
+    per-offset test at any of the slice's offsets; -inf for a slice
+    with a window that is not kept, whose offsets are all tested.
+
+    The test keeps an offset of ratio t unless, in float32,
+    y·t + err(t) <= delta, err being _error_bound. In real arithmetic
+    it drops every y <= f(t) = (delta - err(t))/t. The floor is
+    min(g(t_lo), g(t_hi)) over the slice's smallest and largest ratio,
+    where
+      g(t) = (delta - 4u32 - (1 + 32u32)·err(t))/t
+    is f less a margin for the test's float32 rounding, evaluated in
+    float64 and rounded down to float32. That is the least g takes on
+    [t_lo, t_hi]: with c(t) = 4u32 + (1 + 32u32)·err(t), a cubic with
+    non-negative coefficients, g(t) = (delta - c(0))/t - (c(t) - c(0))/t,
+    whose second term is a polynomial in t with non-negative
+    coefficients, so it is convex and increasing for t > 0. If delta >
+    c(0), the first term decreases, and so does g; otherwise it is
+    concave, and so is g. Either way the least value is at an end.
+
+    A y at or below the floor is at or below g(t) at each of the
+    slice's offsets, so the test drops it. The test's float32 result
+    is non-decreasing in y, so it suffices that it drops y = g(t).
+    There y·t + c(t) = delta and |y·t| <= 1 + 2·err(t). Rounding y·t
+    moves the sum by at most u32·(1 + 2·err), the float32 evaluation
+    of err (fifteen roundings of non-negative terms) by under
+    16u32·err, rounding the sum by about u32, and delta's own float32
+    rounding (NumPy compares a float32 array with delta in float32) by
+    at most u32: under 3u32 + 18u32·err(t) in all, with second-order
+    terms. The margin covers that, with room for the float64
+    evaluation of g.
+    """
+    t = table.span.astype(np.float64)
+    g = (delta - 4 * _U32 - (1 + 32 * _U32) * _error_bound(t)) / t
+    exact = g.min(axis=1)
+    floor = exact.astype(np.float32)
+    up = floor > exact
+    floor[up] = np.nextafter(floor[up], np.float32(-np.inf))
+    floor[np.isnan(exact)] = -np.inf
+    return floor
+
+
 def _fft_scan(q, q_energy, store, delta):
     """(candidates, degenerate skips) of the exhaustive scan: an FFT
     correlation per slice, then the kernel's arithmetic at every offset
-    that could beat delta and be its slice's best."""
+    that could beat delta.
+
+    Stage 1, per block of slices, keeps the offsets whose correlation y
+    is above their slice's floor (_floors): no other offset could pass
+    stage 2. Stage 2, once per search, tests each survivor as
+        y·t + err(t) > delta, or t is NaN (the window is not kept),
+    in float32, with t its table ratio and err _error_bound: an offset
+    that fails it cannot have a kernel omega above delta. Flat windows,
+    which the kernel skips, are dropped, and every other offset that
+    passes is rescored with the kernel's arithmetic (_best_per_slice).
+    """
     n = store.num_slices
     if not n:
         return [], 0
     table = _spectra(store)
-    slices = sliding_window_view(store.flat, SLICE_LEN)
+    floor = _floors(table, delta)[:, None]
     unit = (q / math.sqrt(q_energy)).astype(np.float32)
     query = np.conj(np.fft.rfft(unit, _NFFT))
     product = np.empty((_FFT_ROWS, _NFFT // 2 + 1), dtype=np.complex64)
     y = np.empty((_FFT_ROWS, _NFFT), dtype=np.float32)
-    rows, betas = [], []
+    rows, betas, ys = [], [], []
     for lo in range(0, n, _FFT_ROWS):
         m = min(_FFT_ROWS, n - lo)
         product[:m].view(np.float32)[...] = table.spectra[lo:lo + m]
         product[:m] *= query
         np.fft.irfft(product[:m], _NFFT, out=y[:m])
-        ratio = table.ratio[lo:lo + m].astype(np.float32)
-        omega = y[:m, :_OFFSETS]
-        omega *= ratio
-        err = _error_bound(ratio)
-        high = omega + err
-        # the slice's best is at least the largest lower bound. Windows
-        # not kept score NaN: they never raise it and are always
-        # rescored, except flat ones, which the kernel skips
-        floor = np.fmax.reduce(omega - err, axis=1, keepdims=True)
-        pick = ~(high < floor) & ~(high <= delta)
-        some = np.flatnonzero(table.flat[lo:lo + m])
-        if some.size:
-            pick[some] &= ~_flat_windows(slices[store.slice_starts[lo + some]])
-        r, b = np.nonzero(pick)
+        # faster than a 2-D np.nonzero at a few survivors per block
+        r, b = np.divmod(np.flatnonzero(y[:m, :_OFFSETS] > floor[lo:lo + m]),
+                         _OFFSETS)
         rows.append(lo + r)
         betas.append(b)
-    rows, betas = np.concatenate(rows), np.concatenate(betas)
+        ys.append(y[r, b])
+    rows, betas, ys = (np.concatenate(c) for c in (rows, betas, ys))
+    t = table.ratio[rows, betas].astype(np.float32)
+    keep = ~(ys * t + _error_bound(t) <= delta)
+    rows, betas = rows[keep], betas[keep]
+    some = np.flatnonzero(table.flat[rows])
+    if some.size:
+        ids, inv = np.unique(rows[some], return_inverse=True)
+        slices = sliding_window_view(store.flat, SLICE_LEN)
+        flat = _flat_windows(slices[store.slice_starts[ids]])
+        drop = some[flat[inv, betas[some]]]
+        rows, betas = np.delete(rows, drop), np.delete(betas, drop)
     return (_best_per_slice(q, q_energy, store, rows, betas, delta),
             int(table.flat.sum()))
 

@@ -260,7 +260,9 @@ def test_zero_threads_rejected(tiny_store, tmp_path, capsys):
         rc = emap_cli.main(["--threads", threads, "search",
                             "--store", str(tiny_store[0]), "--input", str(q)])
         assert rc == 2
-        assert "emap: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "emap: error:" in err
+        assert "--threads was removed" in err
 
 
 def test_strict_mode_flags_uplink_budget(cli_world, tmp_path, capsys):

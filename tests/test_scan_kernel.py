@@ -34,6 +34,7 @@ from emap.cloud_search import (
     LAST_OFFSET,
     SearchConfig,
     _error_bound,
+    _floors,
     _omegas,
     _lockstep_scan,
     _screen,
@@ -567,6 +568,16 @@ def test_spectra_are_built_on_the_first_exhaustive_search(tmp_path,
     assert size < 3600 * store.num_slices
 
 
+def fft_correlation(window, table):
+    """y at every offset: the query's and each slice's unit-norm float32
+    correlation from the table's spectra, as the FFT scan forms it."""
+    q = window_samples(window)
+    unit = (q / math.sqrt(np.dot(q, q))).astype(np.float32)
+    spectra = table.spectra.astype(np.float32).view(np.complex64)
+    return np.fft.irfft(spectra * np.conj(np.fft.rfft(unit, 1024)),
+                        1024)[:, :LAST_OFFSET + 1]
+
+
 def test_error_bound_holds_at_every_offset(parity_world):
     """The derived bound against the FFT omega's measured error, at every
     kept offset of the parity store."""
@@ -575,12 +586,27 @@ def test_error_bound_holds_at_every_offset(parity_world):
     bound = _error_bound(table.ratio.astype(np.float32))
     for q in corpus.queries[:3]:
         _energy, exact = exact_omegas(q, store)
-        q = window_samples(q)
-        unit = (q / math.sqrt(np.dot(q, q))).astype(np.float32)
-        spectra = table.spectra.astype(np.float32).view(np.complex64)
-        y = np.fft.irfft(spectra * np.conj(np.fft.rfft(unit, 1024)),
-                         1024)[:, :LAST_OFFSET + 1]
-        err = np.abs(y * table.ratio - exact)
+        err = np.abs(fft_correlation(q, table) * table.ratio - exact)
         kept = ~np.isnan(table.ratio)
         assert kept.all()
         assert np.all(err[kept] <= bound[kept])
+
+
+@pytest.mark.parametrize("delta", [-0.999999, -0.5, 0.0, 0.5, 0.8,
+                                   0.999999])
+def test_floor_is_sound_for_every_delta(parity_world, delta):
+    """Each slice's floor is at most f(t) = (delta - err(t))/t, taken in
+    float64, at every offset of the slice, and every offset that the
+    per-offset float32 test keeps is above its slice's floor, so the
+    scan's first stage drops nothing its second would keep."""
+    corpus, store = parity_world
+    table = _spectra(store)
+    floor = np.broadcast_to(_floors(table, delta)[:, None], table.ratio.shape)
+    t = table.ratio.astype(np.float64)
+    assert np.all(floor <= (delta - _error_bound(t)) / t)
+    t = table.ratio.astype(np.float32)
+    for q in corpus.queries[:3]:
+        y = fft_correlation(q, table)
+        kept = ~(y * t + _error_bound(t) <= delta)
+        assert kept.any()
+        assert np.all(y[kept] > floor[kept])
