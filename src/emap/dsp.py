@@ -184,7 +184,8 @@ def area_between(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"window shapes differ: {a.shape} vs {b.shape}")
-    area = math.fsum(np.abs(a - b))
+    # fsum reads a memoryview's floats about twice as fast as an array's
+    area = math.fsum(memoryview(np.abs(a - b)))
     if math.isnan(area):
         raise ValueError("area is NaN: a window holds a NaN sample, or "
                          "both hold the same infinity at one sample")

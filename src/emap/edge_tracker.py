@@ -5,12 +5,22 @@ live window against the next 256-sample stretch of every tracked
 candidate's parent recording using the cheap area metric, drops the ones
 that drifted away or ran out of recording, and re-estimates the anomaly
 probability from the labels of whatever is still standing.
+
+One step is batched: every candidate's stretch is gathered from the
+store's flat buffer with one index, and one row sum of |x - segment|
+keeps every candidate that is certainly under the area threshold. Only
+the rows near or over it are rescored exactly with dsp.area_between,
+so every decision and every removal's area are those of comparing the
+candidates one by one.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import dsp
 from .mdb import MdbStore, get_parent_segment
@@ -18,6 +28,8 @@ from .mdb import MdbStore, get_parent_segment
 ANOMALY_PREDICTED = "anomaly_predicted"
 NORMAL = "normal"
 UNDECIDED = "undecided"
+
+_SURE_KEEP = 1.0 - 2.0 ** -40
 
 
 @dataclass
@@ -29,8 +41,10 @@ class TrackerConfig:
     max_iterations_per_set: int = 5    # cloud cadence when tracking is healthy
 
     def __post_init__(self):
-        if self.area_threshold <= 0:
-            raise ValueError("area_threshold must be positive")
+        if not (math.isfinite(self.area_threshold) and self.area_threshold > 0):
+            raise ValueError("area_threshold must be positive and finite")
+        if not math.isfinite(self.pa_floor):
+            raise ValueError("pa_floor must be finite")
         if not (1 <= self.tracking_threshold < 100):
             raise ValueError("tracking_threshold must be in [1, 100)")
         if self.trend_window < 1:
@@ -46,6 +60,7 @@ class TrackedCandidate:
     anomaly_kind: str | None
     cursor: int              # absolute parent position of the next segment
     parent_offset: int
+    parent_len: int          # the parent's sample count
     omega_at_match: float
     alive: bool = True
     removal_reason: str | None = None
@@ -86,8 +101,11 @@ class TrackerState:
     def alive_candidates(self):
         return [c for c in self.tracked if c.alive]
 
-    def p_anomaly(self) -> float:
-        alive = self.alive_candidates()
+    def p_anomaly(self, alive=None) -> float:
+        """Share of anomalous labels among the alive candidates (pass
+        them when already listed), or the last estimate if none are."""
+        if alive is None:
+            alive = self.alive_candidates()
         if not alive:
             return self.pa_history[-1] if self.pa_history else 0.0
         return sum(1 for c in alive if c.label == 1) / len(alive)
@@ -111,6 +129,7 @@ def _seed_candidates(result, store: MdbStore, steps_ahead: int):
         tracked.append(TrackedCandidate(
             set_id=cand.set_id, label=label, anomaly_kind=kind,
             cursor=parent_offset + rel, parent_offset=parent_offset,
+            parent_len=store.parent_samples(parent_id).size,
             omega_at_match=cand.omega, alive=alive,
             removal_reason=None if alive else "exhausted"))
     return tracked
@@ -140,61 +159,81 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     t0 = time.perf_counter()
     x = dsp.window_samples(window)
     timestep = getattr(window, "timestep_index", None)
+    threshold = state.config.area_threshold
+
+    # apply decisions in set_id order for deterministic reports
+    cands = sorted(state.alive_candidates(), key=lambda c: c.set_id)
+    fits = [c.cursor + dsp.WINDOW_LEN <= c.parent_len for c in cands]
+    segs = _next_segments(store, [c for c, f in zip(cands, fits) if f])
+    # the terms are area_between's, and a float64 sum of 256
+    # non-negative terms, in any order, is within 255 * 2**-53 of the
+    # exact sum: a row below threshold * (1 - 2**-40) is certainly kept
+    sure_keep = np.abs(x - segs).sum(axis=1) < threshold * _SURE_KEEP
+    rows = iter(zip(segs, sure_keep.tolist()))
 
     removed_dissimilar = []
     removed_exhausted = []
-    areas = 0
-    # apply decisions in set_id order for deterministic reports
-    for cand in sorted(state.alive_candidates(), key=lambda c: c.set_id):
-        rel = cand.cursor - cand.parent_offset
-        seg = get_parent_segment(store, cand.set_id, rel, dsp.WINDOW_LEN)
-        if seg is None:
+    alive = []
+    for cand, fit in zip(cands, fits):
+        if not fit:
             cand.alive = False
             cand.removal_reason = "exhausted"
             removed_exhausted.append(Removal(
                 set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
             continue
-        area = dsp.area_between(x, seg)
-        areas += 1
-        if area > state.config.area_threshold:
-            cand.alive = False
-            cand.removal_reason = "dissimilar"
-            removed_dissimilar.append(Removal(
-                set_id=cand.set_id, reason="dissimilar", cursor=cand.cursor,
-                area=area))
-        else:
-            cand.cursor += dsp.WINDOW_LEN
+        seg, sure = next(rows)
+        if not sure:
+            area = dsp.area_between(x, seg)
+            if area > threshold:
+                cand.alive = False
+                cand.removal_reason = "dissimilar"
+                removed_dissimilar.append(Removal(
+                    set_id=cand.set_id, reason="dissimilar",
+                    cursor=cand.cursor, area=area))
+                continue
+        cand.cursor += dsp.WINDOW_LEN
+        alive.append(cand)
 
     state.iteration += 1
     state.iteration_in_set += 1
-    alive = len(state.alive_candidates())
-    if alive == 0:
+    if not alive:
         state.degraded = True
-    pa = state.p_anomaly()
+    pa = state.p_anomaly(alive)
     state.pa_history.append(pa)
 
-    wants, reason = needs_cloud_call(state)
+    wants, reason = needs_cloud_call(state, len(alive))
     report = IterationReport(
         iteration=state.iteration,
-        alive=alive,
+        alive=len(alive),
         removed_dissimilar=removed_dissimilar,
         removed_exhausted=removed_exhausted,
         p_anomaly=pa,
         classification=classify(state),
         cloud_call=reason if wants else None,
         step_micros=int(round((time.perf_counter() - t0) * 1e6)),
-        area_computations=areas,
+        area_computations=len(segs),
         timestep_index=timestep,
     )
     state.reports.append(report)
     return report
 
 
-def needs_cloud_call(state: TrackerState):
+def _next_segments(store: MdbStore, cands):
+    """(len(cands), 256) float32 rows: each candidate's next parent
+    segment, gathered from the store's flat buffer in one index."""
+    rows = np.array([(c.set_id, c.cursor - c.parent_offset) for c in cands],
+                    dtype=np.int64).reshape(-1, 2)
+    pos = store.slice_starts[rows[:, 0]] + rows[:, 1]
+    return store.flat[np.add.outer(pos, np.arange(dsp.WINDOW_LEN))]
+
+
+def needs_cloud_call(state: TrackerState, alive: int | None = None):
     """(wants, reason): "threshold" once too few candidates remain,
     else "cadence" once the set has been tracked for the configured
-    number of iterations. Threshold takes precedence."""
-    alive = len(state.alive_candidates())
+    number of iterations. Threshold takes precedence. Pass the alive
+    count when already known."""
+    if alive is None:
+        alive = len(state.alive_candidates())
     if alive <= state.config.tracking_threshold:
         return True, "threshold"
     if state.iteration_in_set >= state.config.max_iterations_per_set:

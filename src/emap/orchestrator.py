@@ -62,8 +62,9 @@ class SimConfig:
     report_step_micros: int = 0       # value serialized into report files
 
     def __post_init__(self):
-        if self.cloud_search_s < 0:
-            raise ValueError("cloud_search_s must be non-negative")
+        if not (math.isfinite(self.cloud_search_s)
+                and self.cloud_search_s >= 0):
+            raise ValueError("cloud_search_s must be non-negative and finite")
         if self.eval_after_cloud_calls < 1:
             raise ValueError("eval_after_cloud_calls must be >= 1")
         if self.batch_size < 1:
@@ -340,16 +341,28 @@ class EvaluationTable:
 
 
 def _assert_disjoint(corpus, store: MdbStore):
+    """ValueError naming the first store signal, in manifest order,
+    that equals a corpus stream in stored (float32) precision.
+
+    Parents are bucketed by length and a hash of their bytes, so only
+    a bucket hit is compared exactly. Adding +0.0 turns -0.0 into +0.0
+    before hashing, since the two compare equal.
+    """
+    def key(samples):
+        return samples.size, hash((samples + np.float32(0.0)).tobytes())
+
+    buckets = {}
+    for sig in store.manifest["signals"]:
+        parent = store.parent_samples(sig["id"])
+        buckets.setdefault(key(parent), []).append((sig["id"], parent))
     for live in corpus:
         # compare in stored precision, otherwise quantization masks a leak
         quantized = live.samples.astype("<f4")
-        for sig in store.manifest["signals"]:
-            parent = store.parent_samples(sig["id"])
-            if parent.size == quantized.size and np.array_equal(
-                    parent, quantized):
+        for sig_id, parent in buckets.get(key(quantized), ()):
+            if np.array_equal(parent, quantized):
                 raise ValueError(
                     f"evaluation stream {live.id} also exists in the store "
-                    f"(signal {sig['id']}); corpus and store must be disjoint")
+                    f"(signal {sig_id}); corpus and store must be disjoint")
 
 
 def evaluate_batch(corpus, store: MdbStore, search_cfg: SearchConfig,

@@ -1,7 +1,11 @@
 """Area-based candidate tracking, probability trend, and call triggers."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emap.edge_tracker as et
 from emap.cloud_search import (
@@ -10,7 +14,7 @@ from emap.cloud_search import (
     exhaustive_search,
     sliding_search,
 )
-from emap.dsp import SignalWindow, WINDOW_LEN, area_between
+from emap.dsp import SignalWindow, WINDOW_LEN, area_between, window_samples
 from emap.edge_tracker import (
     ANOMALY_PREDICTED,
     NORMAL,
@@ -326,3 +330,151 @@ def test_tracker_config_validation():
         TrackerConfig(tracking_threshold=100)
     with pytest.raises(ValueError):
         TrackerConfig(trend_window=0)
+    # NaN compares false with everything, so a NaN threshold would
+    # silently keep every candidate
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="area_threshold"):
+            TrackerConfig(area_threshold=bad)
+        with pytest.raises(ValueError, match="pa_floor"):
+            TrackerConfig(pa_floor=bad)
+
+
+def reference_step(state, window, store):
+    """The per-candidate loop that tracker_step batches: one segment
+    lookup and one exact area per alive candidate, in set_id order."""
+    x = window_samples(window)
+    removed_dissimilar = []
+    removed_exhausted = []
+    areas = 0
+    for cand in sorted(state.alive_candidates(), key=lambda c: c.set_id):
+        rel = cand.cursor - cand.parent_offset
+        seg = get_parent_segment(store, cand.set_id, rel, WINDOW_LEN)
+        if seg is None:
+            cand.alive = False
+            cand.removal_reason = "exhausted"
+            removed_exhausted.append(et.Removal(
+                set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
+            continue
+        area = area_between(x, seg)
+        areas += 1
+        if area > state.config.area_threshold:
+            cand.alive = False
+            cand.removal_reason = "dissimilar"
+            removed_dissimilar.append(et.Removal(
+                set_id=cand.set_id, reason="dissimilar", cursor=cand.cursor,
+                area=area))
+        else:
+            cand.cursor += WINDOW_LEN
+    state.iteration += 1
+    state.iteration_in_set += 1
+    alive = len(state.alive_candidates())
+    if alive == 0:
+        state.degraded = True
+    pa = state.p_anomaly()
+    state.pa_history.append(pa)
+    wants, reason = needs_cloud_call(state)
+    return et.IterationReport(
+        iteration=state.iteration, alive=alive,
+        removed_dissimilar=removed_dissimilar,
+        removed_exhausted=removed_exhausted, p_anomaly=pa,
+        classification=classify(state),
+        cloud_call=reason if wants else None, step_micros=0,
+        area_computations=areas, timestep_index=window.timestep_index)
+
+
+@pytest.fixture(scope="module")
+def diff_store(tmp_path_factory):
+    """Eight slices over parents whose lengths leave 0 to 1000 samples
+    past their last slice."""
+    rng = np.random.default_rng(70)
+    lengths = [1000, 1255, 1512, 2048, 3001]
+    signals = [SourceSignal(id=i, samples=rng.normal(0, 15, n),
+                            anomaly_spans=[(0, n, "seizure")] if i % 2 else [],
+                            dataset_tag="unit")
+               for i, n in enumerate(lengths)]
+    return build_store(signals, tmp_path_factory.mktemp("diff") / "store")
+
+
+def fingerprint(state, report):
+    """Everything a step decides; areas as hex, so equal means equal
+    bit for bit."""
+    def removals(rs):
+        return [(r.set_id, r.reason, r.cursor,
+                 None if r.area is None else r.area.hex()) for r in rs]
+    return (
+        [(c.set_id, c.cursor, c.alive, c.removal_reason)
+         for c in state.tracked],
+        [p.hex() for p in state.pa_history], state.degraded,
+        state.iteration, state.iteration_in_set,
+        report.iteration, report.alive,
+        removals(report.removed_dissimilar), removals(report.removed_exhausted),
+        report.p_anomaly.hex(), report.classification, report.cloud_call,
+        report.area_computations, report.timestep_index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_step_matches_the_per_candidate_loop(diff_store, data):
+    store = diff_store
+    set_ids = data.draw(st.lists(st.integers(0, store.num_slices - 1),
+                                 unique=True, max_size=8), label="set_ids")
+    tracked = []
+    for sid in set_ids:
+        _sid, pid, poff, label, kind = store.slice_meta(sid)
+        n = store.parent_samples(pid).size
+        # the last segment that fits, one sample past it, and beyond
+        cursor = data.draw(st.one_of(
+            st.sampled_from([n - WINDOW_LEN, n - WINDOW_LEN + 1,
+                             n - WINDOW_LEN - 1, n, n + 300]),
+            st.integers(poff, n - WINDOW_LEN)))
+        tracked.append(et.TrackedCandidate(
+            set_id=sid, label=label, anomaly_kind=kind, cursor=cursor,
+            parent_offset=poff, parent_len=n, omega_at_match=0.9,
+            alive=data.draw(st.sampled_from([True, True, True, False]))))
+    fitting = [c for c in tracked
+               if c.alive and c.cursor + WINDOW_LEN <= c.parent_len]
+
+    def segment(cand):
+        return get_parent_segment(store, cand.set_id,
+                                  cand.cursor - cand.parent_offset, WINDOW_LEN)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    anchoring = data.draw(st.sampled_from([None, "dyadic", "ties"]))
+    if fitting and anchoring == "dyadic":
+        # the segment plus dyadic steps: both sums of |x - seg| are exact
+        steps = rng.integers(-64, 65, WINDOW_LEN).astype(np.float64)
+        x = (segment(data.draw(st.sampled_from(fitting)))
+             + np.ldexp(steps, -data.draw(st.integers(0, 10))))
+    elif fitting and anchoring == "ties":
+        # 1024 where each of numpy's eight partial sums per 128-term
+        # block starts, 2**-43 (half an ulp of 1024) elsewhere: every
+        # small term ties and rounds away, so the row sum falls about
+        # 8 ulps short of the exact area
+        steps = np.full(WINDOW_LEN, 2.0 ** -43)
+        steps[np.arange(WINDOW_LEN) % 128 < 8] = 1024.0
+        x = (segment(data.draw(st.sampled_from(fitting)))
+             + steps * rng.choice([-1.0, 1.0], WINDOW_LEN))
+    else:
+        x = rng.normal(0, 15, WINDOW_LEN)
+    window = SignalWindow(samples=x, timestep_index=3)
+
+    threshold = float(rng.uniform(100.0, 6000.0))
+    if fitting:
+        seg = segment(data.draw(st.sampled_from(fitting)))
+        # that candidate's exact area, or its rounded float64 row sum,
+        # which a third of random rows miss by an ulp or more
+        area = data.draw(st.sampled_from([
+            area_between(x, seg), float(np.abs(x - seg).sum())]))
+        edge = data.draw(st.sampled_from([None, 0.0, -np.inf, np.inf]))
+        if edge is not None and area > 0:
+            # at, one ulp below or one ulp above it
+            threshold = area if edge == 0.0 else float(np.nextafter(area, edge))
+    state = et.TrackerState(
+        tracked=tracked, pa_history=[0.25, 0.5],
+        config=TrackerConfig(area_threshold=threshold, tracking_threshold=2,
+                             max_iterations_per_set=2),
+        iteration=7, iteration_in_set=1)
+    expected_state = copy.deepcopy(state)
+    expected = reference_step(expected_state, window, store)
+    got = tracker_step(state, window, store)
+    assert fingerprint(state, got) == fingerprint(expected_state, expected)

@@ -181,6 +181,68 @@ def test_evaluation_rejects_store_overlap(eval_world):
                        cfg.sim)
 
 
+def disjoint_store(tmp_path, parents, ids=None):
+    ids = ids or range(10, 10 + len(parents))
+    return build_store([SourceSignal(id=i, samples=p, anomaly_spans=[],
+                                     dataset_tag="unit")
+                        for i, p in zip(ids, parents)], tmp_path / "store")
+
+
+def evaluate_streams(store, *streams):
+    cfg = RunConfig()
+    corpus = [SourceSignal(id=900 + i, samples=s, anomaly_spans=[],
+                           dataset_tag="unit")
+              for i, s in enumerate(streams)]
+    return evaluate_batch(corpus, store, cfg.search, cfg.tracker, cfg.link,
+                          cfg.sim)
+
+
+def test_disjointness_compares_in_stored_precision(tmp_path):
+    rng = np.random.default_rng(60)
+    parents = [rng.normal(0, 15, 2048) for _ in range(3)]
+    store = disjoint_store(tmp_path, parents)
+    # the float64 original differs from every stored sample, yet it is
+    # the stored signal once quantized
+    fresh = rng.normal(0, 15, 2048)
+    with pytest.raises(ValueError, match=r"stream 901 .*\(signal 11\)"):
+        evaluate_streams(store, fresh, parents[1])
+    one_ulp = store.parent_samples(11).copy()
+    one_ulp[1500] = np.nextafter(one_ulp[1500], np.float32(np.inf))
+    assert len(evaluate_streams(store, one_ulp.astype(np.float64))
+               .outcomes) == 1
+
+
+def test_disjointness_names_the_first_equal_parent(tmp_path):
+    rng = np.random.default_rng(61)
+    twin = rng.normal(0, 15, 2048)
+    parents = [rng.normal(0, 15, 2048), twin, twin.copy()]
+    # manifest order, not id order, decides which one is named
+    store = disjoint_store(tmp_path, parents, ids=[5, 30, 20])
+    with pytest.raises(ValueError, match=r"\(signal 30\)"):
+        evaluate_streams(store, twin)
+
+
+def test_disjointness_needs_the_whole_parent(tmp_path):
+    rng = np.random.default_rng(62)
+    parent = rng.normal(0, 15, 2048)
+    store = disjoint_store(tmp_path, [parent])
+    tail_differs = parent.copy()
+    tail_differs[1000:] = rng.normal(0, 15, 1048)
+    prefix = parent[:1536]
+    assert len(evaluate_streams(store, tail_differs, prefix).outcomes) == 2
+
+
+def test_disjointness_treats_signed_zeros_as_equal(tmp_path):
+    rng = np.random.default_rng(63)
+    parent = rng.normal(0, 15, 2048)
+    parent[700] = 0.0
+    store = disjoint_store(tmp_path, [parent])
+    negative_zero = parent.copy()
+    negative_zero[700] = -0.0
+    with pytest.raises(ValueError, match=r"\(signal 10\)"):
+        evaluate_streams(store, negative_zero)
+
+
 def test_evaluate_batch_shape_and_gate(eval_world):
     world, store = eval_world
     cfg = world.run_config
@@ -280,6 +342,13 @@ def test_predict_at_offsets_equals_truncate_and_rerun(eval_world,
         predicted += sum(r["predicted"] for r in got)
     # both answers occur, so the comparison is not vacuous
     assert 0 < predicted < len(anomalous) * len(offsets)
+
+
+def test_sim_config_rejects_non_finite_latency():
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="cloud_search_s"):
+            SimConfig(cloud_search_s=bad)
+    assert SimConfig(cloud_search_s=0.0).cloud_search_s == 0.0
 
 
 def test_run_config_round_trips():
