@@ -31,7 +31,7 @@ class BudgetViolation(RuntimeError):
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = RunConfig.from_dict(json.load(fh))
@@ -206,7 +206,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
         describe("exhaustive" if args.exhaustive else "sliding", res)
         payload = _result_json(res)
 
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

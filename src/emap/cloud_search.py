@@ -185,16 +185,13 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
     With record_trace every row is rescored and nothing is screened.
 
     Returns (candidates, comparisons, degenerate skips, trace). A
-    slice's candidate is its best omega above delta (ties keep the
-    lower beta), with the slice's index in `starts` as its set_id. The
+    slice's candidate is its best omega above delta (_best_per_slice),
+    with the slice's index in `starts` as its set_id. The
     trace lists every comparison as (set_id, beta, omega, clamped,
     step) in slice-major order, or is None without record_trace.
     """
-    n = starts.size
-    best = np.full(n, -np.inf)
-    best_beta = np.full(n, -1, dtype=np.int64)
-    rows = np.arange(n)
-    beta = np.zeros(n, dtype=np.int64)
+    rows = np.arange(starts.size)
+    beta = np.zeros(starts.size, dtype=np.int64)
     q32 = q.astype(np.float32)
     # the steps at max(omega ∓ _SCREEN_ERR, 0) round alpha**(w - 1)
     # times these factors, where clamping w at 0 caps it at alpha**-1;
@@ -204,6 +201,7 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
     up = math.exp(-_SCREEN_ERR * log_alpha) * (1 + _STEP_SLACK)
     top = alpha ** -1.0
     trace = [] if record_trace else None
+    hits = []   # per round, the (row, beta, omega) columns above delta
     visits = degenerate = rounds = 0
     while rows.size:
         rounds += 1
@@ -230,9 +228,7 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
             degenerate += int(np.count_nonzero(flat))
             over = omega > delta
             if np.count_nonzero(over):
-                hit = over & (omega > best[r])
-                best[r[hit]] = omega[hit]
-                best_beta[r[hit]] = b[hit]
+                hits.append((r[over], b[over], omega[over]))
             # omega is clamped only after the threshold test, so a
             # negative correlation still produces the maximum step
             clamped = np.where(omega > 0.0, omega, 0.0)
@@ -247,10 +243,8 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
             # `rounds` visits
             visits += rounds * (rows.size - int(np.count_nonzero(live)))
             rows, beta = rows[live], beta[live]
-    hits = np.flatnonzero(best_beta >= 0)
-    candidates = [Candidate(set_id=r, omega=w, beta=b) for r, w, b in
-                  zip(hits.tolist(), best[hits].tolist(),
-                      best_beta[hits].tolist())]
+    candidates = (_best_per_slice(*map(np.concatenate, zip(*hits)))
+                  if hits else [])
     if trace is not None:
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
@@ -343,10 +337,11 @@ class _Spectra:
     # (n, 1026) float16: rfft of each scaled slice, real and imaginary
     # parts interleaved
     spectra: np.ndarray
-    # (n, 745) float16: ‖slice‖/‖window‖, NaN where the window is not kept
+    # (n, 745) float16: ‖slice‖/‖window‖; 0 for a flat (all-zero)
+    # window, NaN for any other window that is not kept
     ratio: np.ndarray
     # (n, 2) float32: each slice's smallest and largest ratio, NaN where
-    # any of its windows is not kept
+    # any of its windows has ratio NaN
     span: np.ndarray
     flat: np.ndarray       # (n,) int64: all-zero windows per slice
 
@@ -362,7 +357,8 @@ class _Spectra:
         for lo in range(0, n, _BUILD_ROWS):
             hi = min(lo + _BUILD_ROWS, n)
             x = slices[store.slice_starts[lo:hi]]
-            table.flat[lo:hi] = np.count_nonzero(_flat_windows(x), axis=1)
+            flat = _flat_windows(x)
+            table.flat[lo:hi] = np.count_nonzero(flat, axis=1)
             cum = np.zeros((hi - lo, SLICE_LEN + 1))
             np.cumsum(np.square(x, dtype=np.float64), axis=1, out=cum[:, 1:])
             energy = cum[:, w:] - cum[:, :-w]
@@ -370,6 +366,7 @@ class _Spectra:
             ratio = np.full(energy.shape, np.nan)
             np.divide(norm, np.sqrt(energy), out=ratio,
                       where=energy > _ENERGY_KEEP * cum[:, -1:])
+            ratio[flat] = 0.0
             table.ratio[lo:hi] = ratio
             # min and max propagate NaN
             table.span[lo:hi, 0] = table.ratio[lo:hi].min(axis=1)
@@ -389,8 +386,8 @@ def _spectra(store: MdbStore) -> _Spectra:
 
 def _floors(table: _Spectra, delta):
     """Per slice, a float32 floor below which no y passes the scan's
-    per-offset test at any of the slice's offsets; -inf for a slice
-    with a window that is not kept, whose offsets are all tested.
+    per-offset test at any of the slice's offsets but flat ones; -inf
+    for a slice with an unkept window that is not flat.
 
     The test keeps an offset of ratio t unless, in float32,
     y·t + err(t) <= delta, err being _error_bound. In real arithmetic
@@ -407,6 +404,10 @@ def _floors(table: _Spectra, delta):
     c(0), the first term decreases, and so does g; otherwise it is
     concave, and so is g. Either way the least value is at an end.
 
+    A flat window, which the kernel skips, has ratio 0. If delta >
+    c(0), g(0) = +inf, and g(t_hi) is still the least g over the other
+    windows, as g decreases; otherwise g(0) is -inf or NaN: floor -inf.
+
     A y at or below the floor is at or below g(t) at each of the
     slice's offsets, so the test drops it. The test's float32 result
     is non-decreasing in y, so it suffices that it drops y = g(t).
@@ -420,7 +421,8 @@ def _floors(table: _Spectra, delta):
     evaluation of g.
     """
     t = table.span.astype(np.float64)
-    g = (delta - 4 * _U32 - (1 + 32 * _U32) * _error_bound(t)) / t
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
+        g = (delta - 4 * _U32 - (1 + 32 * _U32) * _error_bound(t)) / t
     exact = g.min(axis=1)
     floor = exact.astype(np.float32)
     up = floor > exact
@@ -439,9 +441,10 @@ def _fft_scan(q, q_energy, store, delta):
     stage 2. Stage 2, once per search, tests each survivor as
         y·t + err(t) > delta, or t is NaN (the window is not kept),
     in float32, with t its table ratio and err _error_bound: an offset
-    that fails it cannot have a kernel omega above delta. Flat windows,
-    which the kernel skips, are dropped, and every other offset that
-    passes is rescored with the kernel's arithmetic (_best_per_slice).
+    that fails it cannot have a kernel omega above delta. A flat window
+    (t = 0) fails it for any delta above err(0), about 5e-4, and is
+    otherwise rescored to a NaN omega, which is not above delta. Every
+    survivor is rescored with the kernel's arithmetic (_omegas).
     """
     n = store.num_slices
     if not n:
@@ -468,27 +471,18 @@ def _fft_scan(q, q_energy, store, delta):
     t = table.ratio[rows, betas].astype(np.float32)
     keep = ~(ys * t + _error_bound(t) <= delta)
     rows, betas = rows[keep], betas[keep]
-    some = np.flatnonzero(table.flat[rows])
-    if some.size:
-        ids, inv = np.unique(rows[some], return_inverse=True)
-        slices = sliding_window_view(store.flat, SLICE_LEN)
-        flat = _flat_windows(slices[store.slice_starts[ids]])
-        drop = some[flat[inv, betas[some]]]
-        rows, betas = np.delete(rows, drop), np.delete(betas, drop)
-    return (_best_per_slice(q, q_energy, store, rows, betas, delta),
-            int(table.flat.sum()))
-
-
-def _best_per_slice(q, q_energy, store, rows, betas, delta):
-    """Candidates from the kernel's omegas at offsets `betas` of slices
-    `rows`: per slice, the best omega above delta at its lowest beta."""
-    if not rows.size:
-        return []
     windows = sliding_window_view(store.flat, dsp.WINDOW_LEN)
     _energy, omega = _omegas(windows, store.slice_starts[rows] + betas, q,
                              q_energy)
     hit = omega > delta
-    rows, betas, omega = rows[hit], betas[hit], omega[hit]
+    return (_best_per_slice(rows[hit], betas[hit], omega[hit]),
+            int(table.flat.sum()))
+
+
+def _best_per_slice(rows, betas, omega):
+    """Candidates from omegas at offsets `betas` of slices `rows`: per
+    slice, the best omega at its lowest beta, the first best one the
+    sliding scan visits."""
     order = np.lexsort((betas, -omega, rows))
     first = order[np.unique(rows[order], return_index=True)[1]]
     return [Candidate(set_id=r, omega=w, beta=b) for r, w, b in

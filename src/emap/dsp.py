@@ -178,14 +178,21 @@ def area_between(a, b) -> float:
     gap that motivates it. fsum keeps the result exactly the correctly
     rounded value of the true sum, independent of summation order.
     A NaN sample, or the same infinity in both windows at one sample,
-    is a ValueError; an infinite sample against a finite one gives inf.
+    is a ValueError; an infinite sample against a finite one, or finite
+    differences whose sum overflows, gives inf.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"window shapes differ: {a.shape} vs {b.shape}")
-    # fsum reads a memoryview's floats about twice as fast as an array's
-    area = math.fsum(memoryview(np.abs(a - b)))
+    with np.errstate(over="ignore"):
+        terms = np.abs(a - b)
+    try:
+        # fsum reads a memoryview's floats about twice as fast as an array's
+        area = math.fsum(memoryview(terms))
+    except OverflowError:
+        # the terms are non-negative: the exact sum rounds to inf
+        area = math.nan if np.isnan(terms).any() else math.inf
     if math.isnan(area):
         raise ValueError("area is NaN: a window holds a NaN sample, or "
                          "both hold the same infinity at one sample")

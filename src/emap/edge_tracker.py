@@ -167,8 +167,10 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     segs = _next_segments(store, [c for c, f in zip(cands, fits) if f])
     # the terms are area_between's, and a float64 sum of 256
     # non-negative terms, in any order, is within 255 * 2**-53 of the
-    # exact sum: a row below threshold * (1 - 2**-40) is certainly kept
-    sure_keep = np.abs(x - segs).sum(axis=1) < threshold * _SURE_KEEP
+    # exact sum: a row below threshold * (1 - 2**-40) is certainly kept;
+    # an overflowed (inf) row is not, so area_between settles it
+    with np.errstate(over="ignore"):
+        sure_keep = np.abs(x - segs).sum(axis=1) < threshold * _SURE_KEEP
     rows = iter(zip(segs, sure_keep.tolist()))
 
     removed_dissimilar = []

@@ -6,7 +6,9 @@ around one mechanism: store signals share the live stream's opening
 content (so the first search finds them at a known offset), then either
 keep following it (twins) or diverge into independent noise at a chosen
 window (decoys). Staggering the divergence windows scripts the anomaly
-probability trajectory exactly.
+probability trajectory exactly. `_followers` builds every scenario's
+twins, decoys and unannotated lookalikes (followers that are never
+removed) in that one way.
 
 Every synthetic sample comes from the two generators at the top: in-band
 colored noise and a growing rhythmic signature. `synth_corpus`, the
@@ -71,15 +73,30 @@ def _jittered_copy(rng, samples, sigma):
     return samples + rng.normal(0.0, sigma, samples.size)
 
 
-def _decoy(rng, live_samples, death_window, sigma):
-    """Follows the live timeline (with jitter) up to death_window, then
-    becomes independent noise, so the area test removes it exactly at
-    the iteration that consumes that window."""
+def _followers(rng, live_samples, first_id, tag, twin_spans, n_twins,
+               twin_sigma, death_windows, sigma, n_lookalikes=0):
+    """Store signals that follow the live stream with jitter, with ids
+    from first_id and tags f"{tag}-{kind}": n_twins twins annotated with
+    twin_spans, a decoy per death window, then n_lookalikes unannotated
+    followers. Each draws its jitter sigma, from the (low, high) range
+    twin_sigma for twins and sigma for the rest, before its jitter.
+
+    A decoy becomes independent noise at its death window, so the area
+    test removes it exactly at the iteration that consumes that window.
+    """
     n = live_samples.size
-    cut = death_window * dsp.WINDOW_LEN
-    out = np.empty(n, dtype=np.float64)
-    out[:cut] = _jittered_copy(rng, live_samples[:cut], sigma)
-    out[cut:] = _colored_noise(rng, n - cut, rms=RMS)
+    plan = ([("twin", twin_spans, twin_sigma, n)] * n_twins
+            + [("decoy", [], sigma, dw * dsp.WINDOW_LEN)
+               for dw in death_windows]
+            + [("lookalike", [], sigma, n)] * n_lookalikes)
+    out = []
+    for kind, spans, bounds, cut in plan:
+        samples = _jittered_copy(rng, live_samples[:cut], rng.uniform(*bounds))
+        if kind == "decoy":
+            samples = np.concatenate([samples, _colored_noise(rng, n - cut)])
+        out.append(SourceSignal(id=first_id + len(out), samples=samples,
+                                anomaly_spans=spans,
+                                dataset_tag=f"{tag}-{kind}"))
     return out
 
 
@@ -164,32 +181,11 @@ def probability_growth_scenario(seed: int = 401) -> ProbabilityScenario:
                         dataset_tag="scenario-live",
                         onset_sample=sig_start)
 
-    deaths_per_iteration = {1: 23, 2: 15, 3: 12, 4: 10, 5: 8}
-    store = []
-    next_id = 0
-    for _ in range(22):
-        store.append(SourceSignal(
-            id=next_id,
-            samples=_jittered_copy(rng, live_samples, rng.uniform(0.3, 1.0)),
-            anomaly_spans=[(0, n, kind)],
-            dataset_tag="scenario-twin"))
-        next_id += 1
-    death_windows = []
-    for iteration, count in sorted(deaths_per_iteration.items()):
-        death_windows.extend([iteration] * count)
-    # 68 diverge on schedule; 10 keep following without an annotation
-    for dw in death_windows:
-        store.append(SourceSignal(
-            id=next_id,
-            samples=_decoy(rng, live_samples, dw, rng.uniform(0.4, 1.2)),
-            anomaly_spans=[], dataset_tag="scenario-decoy"))
-        next_id += 1
-    for _ in range(10):
-        store.append(SourceSignal(
-            id=next_id,
-            samples=_jittered_copy(rng, live_samples, rng.uniform(0.4, 1.2)),
-            anomaly_spans=[], dataset_tag="scenario-lookalike"))
-        next_id += 1
+    # 68 diverge on schedule, at iterations 1-5; 10 keep following
+    # without an annotation
+    death_windows = [1] * 23 + [2] * 15 + [3] * 12 + [4] * 10 + [5] * 8
+    store = _followers(rng, live_samples, 0, "scenario", [(0, n, kind)], 22,
+                       (0.3, 1.0), death_windows, (0.4, 1.2), 10)
 
     alive = [100, 77, 62, 50, 40, 32]
     expected = [22 / a for a in alive]
@@ -225,26 +221,9 @@ def overlap_scenario(seed: int = 77) -> OverlapScenario:
     # first tracked window is 3 under the default ~3.87 s initial
     # latency, so deaths at windows 3, 4, 4, 5 map to iterations 1..3
     death_windows = [3, 4, 4, 5]
-    store = []
-    next_id = 0
-    for _ in range(2):
-        store.append(SourceSignal(
-            id=next_id,
-            samples=_jittered_copy(rng, live_samples, rng.uniform(0.3, 0.8)),
-            anomaly_spans=[(0, n, "seizure")], dataset_tag="scenario-twin"))
-        next_id += 1
-    for dw in death_windows:
-        store.append(SourceSignal(
-            id=next_id,
-            samples=_decoy(rng, live_samples, dw, rng.uniform(0.4, 1.0)),
-            anomaly_spans=[], dataset_tag="scenario-decoy"))
-        next_id += 1
-    for _ in range(14 - 2 - len(death_windows)):
-        store.append(SourceSignal(
-            id=next_id,
-            samples=_jittered_copy(rng, live_samples, rng.uniform(0.4, 1.0)),
-            anomaly_spans=[], dataset_tag="scenario-lookalike"))
-        next_id += 1
+    store = _followers(rng, live_samples, 0, "scenario", [(0, n, "seizure")],
+                       2, (0.3, 0.8), death_windows, (0.4, 1.0),
+                       14 - 2 - len(death_windows))
 
     return OverlapScenario(
         live=live, store_signals=store,
@@ -331,7 +310,6 @@ def evaluation_world(seed: int = 2026, n_anomalous: int = 20,
 
     store = []
     streams = []
-    next_store_id = 0
     next_live_id = 5000
     labels = [1] * n_anomalous + [0] * n_normal
     for label in labels:
@@ -353,21 +331,9 @@ def evaluation_world(seed: int = 2026, n_anomalous: int = 20,
         streams.append(live)
 
         twin_spans = [(0, n, kind)] if label == 1 else []
-        for _ in range(2):
-            store.append(SourceSignal(
-                id=next_store_id,
-                samples=_jittered_copy(rng, live_samples,
-                                       rng.uniform(0.25, 0.6)),
-                anomaly_spans=twin_spans,
-                dataset_tag="eval-twin"))
-            next_store_id += 1
-        for dw in death_windows:
-            store.append(SourceSignal(
-                id=next_store_id,
-                samples=_decoy(rng, live_samples, dw,
-                               rng.uniform(0.5, 1.5)),
-                anomaly_spans=[], dataset_tag="eval-decoy"))
-            next_store_id += 1
+        store.extend(_followers(rng, live_samples, len(store), "eval",
+                                twin_spans, 2, (0.25, 0.6), death_windows,
+                                (0.5, 1.5)))
 
     cfg = RunConfig(
         seed=seed,

@@ -169,6 +169,28 @@ def test_bad_config_file_is_a_usage_error(tiny_store, tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_an_empty_config_path_is_a_usage_error(tiny_store, tmp_path,
+                                               capsys):
+    # an empty path once ran silently with the default config
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, tiny_store[1][:256])
+    rc = emap_cli.main(["--config", "", "search",
+                        "--store", str(tiny_store[0]), "--input", str(q)])
+    assert rc == 2
+    assert "bad config file" in capsys.readouterr().err
+
+
+def test_an_empty_search_out_path_is_a_data_error(tiny_store, tmp_path,
+                                                  capsys):
+    # as for simulate; an empty path once wrote nothing and exited 0
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, tiny_store[1][:256])
+    rc = emap_cli.main(["search", "--store", str(tiny_store[0]),
+                        "--input", str(q), "--out", ""])
+    assert rc == 3
+    assert "data error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("search", "max_comparisons", None),
     ("search", "workers", 1),

@@ -206,6 +206,16 @@ def test_area_basic_properties():
     assert area_between(a, a + 10.0) == pytest.approx(2560.0)
 
 
+def test_an_area_that_overflows_is_inf():
+    # each term is finite, but their sum is not
+    assert area_between(np.full(256, 1e307), np.zeros(256)) == math.inf
+    # a NaN sample is still a ValueError when the other terms overflow
+    a = np.full(256, 1e307)
+    a[200] = np.nan
+    with pytest.raises(ValueError, match="area is NaN"):
+        area_between(a, np.zeros(256))
+
+
 def test_area_is_never_nan():
     a = np.random.default_rng(20).normal(0, 15, WINDOW_LEN)
     b = a + 1.0

@@ -492,6 +492,19 @@ def test_a_retried_initial_call_starts_tracking(small_eval):
     assert out.reports[0].alive == base.reports[0].alive
 
 
+def test_a_stream_of_large_scale_removes_its_candidates_as_dissimilar(
+        small_eval):
+    """The search does not see scale, so a stream 1e306 times its
+    world's finds its twins; 256 differences near 1e307 then overflow
+    the area sum, which is inf, and every candidate is removed with
+    that area."""
+    cfg, store, live = small_eval
+    out = run_with(cfg, store, live, live.samples * 1e306)
+    removed = [r for rep in out.reports for r in rep.removed_dissimilar]
+    assert removed and out.reports[0].alive == 0
+    assert all(r.area == math.inf for r in removed)
+
+
 @pytest.fixture(scope="module")
 def small_eval_streams():
     return evaluation_world(2026, n_anomalous=2, n_normal=2).streams

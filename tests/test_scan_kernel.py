@@ -592,13 +592,35 @@ def test_error_bound_holds_at_every_offset(parity_world):
         assert np.all(err[kept] <= bound[kept])
 
 
+@pytest.fixture(scope="module")
+def flat_run_store(tmp_path_factory):
+    """(store, queries): twelve noise slices. Slices 0, 1, 2 and 4 hold
+    zero runs of at least one window, slice 6 is all zero, and slice 8's
+    zero run holds a 1e-30 sample, so its windows there are unkept but
+    not flat. The queries are windows of the store, some partly zero."""
+    x = np.random.default_rng(5).normal(0, 15, 12 * SLICE_LEN)
+    for at, run in ((300, 300), (1000, 256), (2744, 256), (4100, 600),
+                    (6000, 1000), (8200, 300)):
+        x[at:at + run] = 0.0
+    x[8350] = 1e-30
+    store = build_store([SourceSignal(id=0, samples=x)],
+                        tmp_path_factory.mktemp("flat") / "store")
+    queries = [SignalWindow(samples=x[at:at + WINDOW_LEN])
+               for at in (0, 250, 1100, 4050, 8100)]
+    return store, queries
+
+
 @pytest.mark.parametrize("delta", [-0.999999, -0.5, 0.0, 0.5, 0.8,
                                    0.999999])
-def test_floor_is_sound_for_every_delta(parity_world, delta):
+def test_floor_is_sound_for_every_delta(parity_world, flat_run_store, delta):
     """Each slice's floor is at most f(t) = (delta - err(t))/t, taken in
     float64, at every offset of the slice, and every offset that the
     per-offset float32 test keeps is above its slice's floor, so the
-    scan's first stage drops nothing its second would keep."""
+    scan's first stage drops nothing its second would keep.
+
+    On a store with flat windows (ratio 0) and unkept ones (NaN), the
+    bound holds at every offset with a positive ratio, and every offset
+    whose kernel omega exceeds delta is above its slice's floor."""
     corpus, store = parity_world
     table = _spectra(store)
     floor = np.broadcast_to(_floors(table, delta)[:, None], table.ratio.shape)
@@ -610,3 +632,37 @@ def test_floor_is_sound_for_every_delta(parity_world, delta):
         kept = ~(y * t + _error_bound(t) <= delta)
         assert kept.any()
         assert np.all(y[kept] > floor[kept])
+
+    store, queries = flat_run_store
+    table = _spectra(store)
+    floor = np.broadcast_to(_floors(table, delta)[:, None], table.ratio.shape)
+    t = table.ratio.astype(np.float64)
+    positive = t > 0
+    with np.errstate(divide="ignore", invalid="ignore"):   # t = 0
+        f = (delta - _error_bound(t)) / t
+    assert np.all(floor[positive] <= f[positive])
+    for q in queries:
+        _energy, exact = exact_omegas(q, store)
+        over = exact > delta
+        assert over.any()
+        assert np.all(fft_correlation(q, table)[over] > floor[over])
+
+
+def test_a_slice_whose_only_unkept_windows_are_flat_has_a_finite_floor(
+        flat_run_store):
+    """Flat windows have ratio 0 in the table, so they leave their
+    slice's floor finite above err(0); a window that is unkept but not
+    flat still leaves it at -inf. Both scans match the reference there,
+    with delta above and below err(0), where flat windows are rescored
+    to a NaN omega."""
+    store, queries = flat_run_store
+    table = _spectra(store)
+    assert np.flatnonzero(table.flat).tolist() == [0, 1, 2, 4, 6]
+    floor = _floors(table, 0.8)
+    assert np.isfinite(floor[[0, 1, 2, 4]]).all()
+    assert np.isneginf(floor[8])
+    for delta in (1e-4, 0.8):
+        for q in queries:
+            cfg = SearchConfig(delta=delta)
+            assert_same_as_reference(q, store, cfg, exhaustive=True)
+            assert_same_as_reference(q, store, cfg)
