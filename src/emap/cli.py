@@ -65,8 +65,11 @@ def _read_sidecar(csv_path):
     side = os.path.splitext(csv_path)[0] + ".json"
     if not os.path.exists(side):
         return {}
-    with open(side, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    try:
+        with open(side, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as e:     # not UTF-8, or not JSON
+        raise ValueError(f"{side}: {e}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{side}: not a JSON object")
     rate = meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ)

@@ -245,7 +245,7 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
             rows, beta = rows[live], beta[live]
     candidates = (_best_per_slice(*map(np.concatenate, zip(*hits)))
                   if hits else [])
-    if trace is not None:
+    if trace:       # an empty store runs no round and keeps trace == []
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
         trace = list(zip(*(c[order].tolist() for c in cols)))

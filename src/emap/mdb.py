@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +113,11 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise CsvFormatError(f"{path}: {e}") from None
     x = _parse_bulk(path, text)
     if x is None:
         x = np.array([v for _n, v in _rows(path, text) if v is not None],
@@ -294,8 +296,12 @@ class MdbStore:
     @classmethod
     def load(cls, root) -> "MdbStore":
         """Read the payload and derive the slice table from the manifest."""
-        with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        path = os.path.join(root, "manifest.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as e:     # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {e}") from None
         if not isinstance(manifest, dict):
             raise ValueError("manifest is not a JSON object")
         version = manifest.get("format_version")
@@ -384,8 +390,6 @@ def build_store(signals, out_dir) -> MdbStore:
             raise ValueError(f"signal {sig.id} has NaN, infinite or "
                              "beyond-float32 samples")
     os.makedirs(out_dir, exist_ok=True)
-    stale = _format_2_payloads(out_dir)
-
     with open(os.path.join(out_dir, PAYLOAD_FILE), "wb") as fh:
         for sig in signals:
             sig.samples.astype("<f4").tofile(fh)
@@ -407,27 +411,7 @@ def build_store(signals, out_dir) -> MdbStore:
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name in stale:
-        path = os.path.join(out_dir, name)
-        if os.path.isfile(path):
-            os.remove(path)
     return MdbStore.load(out_dir)
-
-
-def _format_2_payloads(out_dir):
-    """The per-signal payload files that a format-2 manifest in `out_dir`
-    lists, which a rebuild in place leaves unread: only the entries'
-    `file` values that are plain `signal_NNNNN.f32` basenames."""
-    try:
-        with open(os.path.join(out_dir, "manifest.json"),
-                  encoding="utf-8") as fh:
-            signals = json.load(fh)["signals"]
-        names = [sig["file"] for sig in signals
-                 if isinstance(sig, dict) and "file" in sig]
-    except (OSError, ValueError, KeyError, TypeError):
-        return []
-    return [name for name in names if isinstance(name, str)
-            and re.fullmatch(r"signal_[0-9]{5,}\.f32", name)]
 
 
 def get_parent_segment(store: MdbStore, set_id: int, offset: int,

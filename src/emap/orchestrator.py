@@ -138,12 +138,10 @@ class TimingReport:
     delta_ec_us: int
     delta_cs_us: int
     delta_ce_us: int
-    delta_initial_us: int
 
-    def __post_init__(self):
-        expected = self.delta_ec_us + self.delta_cs_us + self.delta_ce_us
-        if self.delta_initial_us != expected:
-            raise ValueError("delta_initial must equal the sum of its parts")
+    @property
+    def delta_initial_us(self) -> int:
+        return self.delta_ec_us + self.delta_cs_us + self.delta_ce_us
 
 
 @dataclass
@@ -245,11 +243,9 @@ def run_stream(live: SourceSignal, store: MdbStore,
         return _PendingCall(
             delivery_us=t_done + down, result=result, matched_timestep=w,
             timing=TimingReport(delta_ec_us=up, delta_cs_us=cs,
-                                delta_ce_us=down,
-                                delta_initial_us=up + cs + down))
+                                delta_ce_us=down))
 
     tracker = None
-    first_tracked = None
     pending: _PendingCall | None = None
     timing: TimingReport | None = None
     transmissions_applied = 0
@@ -264,32 +260,30 @@ def run_stream(live: SourceSignal, store: MdbStore,
             continue
 
         if pending is not None and pending.delivery_us <= t_b:
-            if tracker is None:
-                if not pending.result.candidates:
-                    # nothing to track yet: the next boundary sends a
-                    # fresh initial call with its own window
-                    emit(t_b, "initial_call_empty",
-                         window=pending.matched_timestep)
-                    pending = None
-                    continue
+            initial = tracker is None
+            if initial and not pending.result.candidates:
+                # nothing to track yet: the next boundary sends a fresh
+                # initial call with its own window
+                emit(t_b, "initial_call_empty",
+                     window=pending.matched_timestep)
+                pending = None
+                continue
+            # applied at a later boundary than the one that sent it: >= 1
+            steps_ahead = w_b - pending.matched_timestep
+            if initial:
                 timing = pending.timing
-                first_tracked = max(pending.matched_timestep + 1, w_b)
-                tracker = init_tracker(
-                    pending.result, store, tracker_cfg,
-                    steps_ahead=first_tracked - pending.matched_timestep)
-                emit(t_b, "swap_in", initial=True,
-                     fresh_candidates=len(pending.result.candidates),
-                     degraded=tracker.degraded)
+                tracker = init_tracker(pending.result, store, tracker_cfg,
+                                       steps_ahead=steps_ahead)
             else:
                 swap_in(tracker, pending.result, store,
-                        steps_ahead=w_b - pending.matched_timestep)
-                emit(t_b, "swap_in", initial=False,
-                     fresh_candidates=len(pending.result.candidates),
-                     degraded=tracker.degraded)
+                        steps_ahead=steps_ahead)
+            emit(t_b, "swap_in", initial=initial,
+                 fresh_candidates=len(pending.result.candidates),
+                 degraded=tracker.degraded)
             transmissions_applied += 1
             pending = None
 
-        if tracker is not None and w_b >= first_tracked:
+        if tracker is not None:
             report = tracker_step(tracker, window(w_b), store)
             emit(t_b, "track_step", iteration=report.iteration,
                  alive=report.alive, p_anomaly=report.p_anomaly,
@@ -381,32 +375,27 @@ def evaluate_batch(corpus, store: MdbStore, search_cfg: SearchConfig,
 
     def score(outs, batch_name):
         n = len(outs)
-        tp = fp = tn = fn = 0
+        correct = fp = n_normal = 0
         leads = []
         kinds = set()
         for live, out in outs:
             predicted = out.first_prediction(sim.eval_after_cloud_calls) is not None
-            if live.anomaly_spans:
+            anomalous = bool(live.anomaly_spans)
+            correct += predicted == anomalous
+            if anomalous:
                 kinds.update(k for _s, _e, k in live.anomaly_spans if k)
-                if predicted:
-                    tp += 1
-                    lead = out.lead_time_s(sim.eval_after_cloud_calls)
-                    if lead is not None:
-                        leads.append(lead)
-                else:
-                    fn += 1
+                lead = out.lead_time_s(sim.eval_after_cloud_calls)
+                if lead is not None:
+                    leads.append(lead)
             else:
-                if predicted:
-                    fp += 1
-                else:
-                    tn += 1
-        n_normal = fp + tn
+                fp += predicted
+                n_normal += 1
         kind = kinds.pop() if len(kinds) == 1 else ("mixed" if kinds else "none")
         return BatchRow(
             batch=batch_name,
             anomaly_kind=kind,
             n=n,
-            accuracy=(tp + tn) / n,
+            accuracy=correct / n,
             false_positive_rate=(fp / n_normal) if n_normal else 0.0,
             mean_lead_time_s=float(np.mean(leads)) if leads else None,
         )

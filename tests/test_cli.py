@@ -6,13 +6,16 @@ subprocess overhead.
 """
 
 import csv
+import itertools
 import json
 import shutil
+import types
 
 import numpy as np
 import pytest
 
 from emap import cli as emap_cli
+from emap import edge_tracker
 from emap.mdb import MdbStore
 from emap.orchestrator import RunConfig, evaluate_batch
 
@@ -301,6 +304,46 @@ def test_strict_mode_flags_uplink_budget(cli_world, tmp_path, capsys):
     assert "exceeds the 1 ms budget" in capsys.readouterr().err
 
 
+def test_strict_evaluate_within_budgets_exits_0(cli_world, tmp_path, capsys):
+    rc = emap_cli.main(["--config", str(cli_world["config"]), "--strict",
+                        "evaluate", "--store", str(cli_world["store"]),
+                        "--corpus", str(cli_world["eval"]),
+                        "--out", str(tmp_path / "accuracy.csv")])
+    assert rc == 0
+    assert "budget violation" not in capsys.readouterr().err
+
+
+def test_strict_mode_flags_downlink_budget(cli_world, tmp_path, capsys):
+    cfg = RunConfig()
+    cfg.link.downlink_per_signal_us = 1600  # 100 signals -> 210 ms
+    cfg_path = tmp_path / "slow.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    live = sorted((cli_world["eval"]).glob("*.csv"))[0]
+    rc = emap_cli.main(["--config", str(cfg_path), "--strict", "simulate",
+                        "--store", str(cli_world["store"]),
+                        "--live", str(live),
+                        "--out", str(tmp_path / "simout")])
+    assert rc == 4
+    assert ("downlink(100) = 210000 us exceeds the 200 ms budget"
+            in capsys.readouterr().err)
+
+
+def test_strict_mode_flags_a_slow_tracker_step(cli_world, tmp_path, capsys,
+                                               monkeypatch):
+    # each clock read is one second later, so every step measures 1 s
+    clock = itertools.count(0.0, 1.0)
+    monkeypatch.setattr(edge_tracker, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    live = sorted((cli_world["eval"]).glob("*.csv"))[0]
+    rc = emap_cli.main(["--config", str(cli_world["config"]), "--strict",
+                        "simulate", "--store", str(cli_world["store"]),
+                        "--live", str(live),
+                        "--out", str(tmp_path / "simout")])
+    assert rc == 4
+    assert ("tracker step took 1000000 us, breaking the 1 s real-time bound"
+            in capsys.readouterr().err)
+
+
 def test_simulate_writes_jsonl_records(cli_world, tmp_path, capsys):
     live = sorted((cli_world["eval"]).glob("*.csv"))[0]
     out = tmp_path / "run"
@@ -418,6 +461,7 @@ def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
     ('{"sample_rate_hz": "256"}', "sample_rate_hz '256' is not a positive"),
     ('{"sample_rate_hz": null}', "sample_rate_hz None is not a positive"),
     ("[256]", "not a JSON object"),
+    ("{not json", "Expecting property name enclosed in double quotes"),
     ('{"id": 1.5}', "id 1.5 is not an integer"),
     ('{"id": "7"}', "id '7' is not an integer"),
     ('{"id": true}', "id True is not an integer"),
@@ -450,6 +494,31 @@ def test_bad_sidecar_is_a_data_error(tmp_path, capsys, sidecar, message):
     assert rc == 3
     assert f"{raw / 'sig0.json'}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
+
+
+def test_csv_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "sig0.csv").write_bytes(b"# rate=256\n1.0\n\xff\n")
+    rc = emap_cli.main(["build-mdb", "--in", str(raw),
+                        "--out", str(tmp_path / "store")])
+    assert rc == 3
+    assert (f"data error: {raw / 'sig0.csv'}: 'utf-8' codec can't decode "
+            "byte 0xff") in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_manifest_that_is_not_json_names_the_file(tiny_store, tmp_path,
+                                                   capsys):
+    store_dir, raw = tiny_store
+    (store_dir / "manifest.json").write_text("{")
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, raw[:256])
+    rc = emap_cli.main(["search", "--store", str(store_dir),
+                        "--input", str(q)])
+    assert rc == 3
+    assert (f"data error: {store_dir / 'manifest.json'}: Expecting property "
+            "name") in capsys.readouterr().err
 
 
 def test_sidecar_span_outside_its_signal_names_the_file(tmp_path, capsys):

@@ -48,6 +48,9 @@ def test_empty_store_gives_empty_result(tmp_path):
         assert res.candidates == []
         assert res.comparisons_made == 0
         assert res.slices_scanned == 0
+    # no round runs, so the trace is empty
+    assert sliding_search(q, store, SearchConfig(),
+                          record_trace=True).trace == []
 
 
 def test_planted_window_scores_exactly_one(parity_world):

@@ -375,35 +375,6 @@ def test_manifest_is_readable_json(tmp_path):
         "manifest.json", "samples.f32"]
 
 
-def test_rebuild_over_a_format_2_store_deletes_its_payloads(tmp_path):
-    # a format-2 store: one payload file per signal, named by its entry
-    out = tmp_path / "store"
-    out.mkdir()
-    entries = []
-    for sid in (0, 1):
-        make_signal(sid).samples.astype("<f4").tofile(
-            out / f"signal_{sid:05d}.f32")
-        entries.append({"id": sid, "file": f"signal_{sid:05d}.f32",
-                        "length": 2500, "spans": []})
-    # listed, but not a payload name: kept
-    entries.append({"id": 2, "file": "notes.txt", "length": 2500,
-                    "spans": []})
-    (out / "notes.txt").write_text("kept\n")
-    (out / "manifest.json").write_text(json.dumps(
-        {"format_version": 2, "sample_rate_hz": 256, "slice_len": 1000,
-         "signals": entries}))
-    signals = [make_signal(0), make_signal(1)]
-    store = build_store(signals, out)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.json", "notes.txt", "samples.f32"]
-    assert (out / "notes.txt").read_text() == "kept\n"
-    assert_matches_reference(store, signals)
-    # a rebuild over a format-3 store deletes nothing
-    build_store(signals, out)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.json", "notes.txt", "samples.f32"]
-
-
 def test_get_parent_segment_contract(tmp_path):
     sig = make_signal(0, n=2200)
     store = build_store([sig], tmp_path / "store")

@@ -18,7 +18,6 @@ from emap.orchestrator import (
     LinkModel,
     RunConfig,
     SimConfig,
-    TimingReport,
     evaluate_batch,
     predict_at_offsets,
     run_stream,
@@ -52,12 +51,6 @@ def test_initial_overhead_is_the_exact_sum(prob_world):
     assert t.delta_ce_us == 199_000
     assert t.delta_initial_us == 3_000_000
     assert t.delta_initial_us == t.delta_ec_us + t.delta_cs_us + t.delta_ce_us
-
-
-def test_timing_report_rejects_broken_sum():
-    with pytest.raises(ValueError):
-        TimingReport(delta_ec_us=1, delta_cs_us=2, delta_ce_us=3,
-                     delta_initial_us=7)
 
 
 def test_zero_latency_run_equals_direct_tracking(prob_world):
@@ -277,6 +270,35 @@ def test_lead_time_measures_onset_gap(eval_world):
     lead = out.lead_time_s(cfg.sim.eval_after_cloud_calls)
     assert lead == pytest.approx(onset_s - hit[1])
     assert lead > 0
+
+
+@pytest.mark.parametrize("swapped, accuracy, fpr, lead", [
+    (False, 1.0, 0.0, 3.0),
+    (True, 0.0, 1.0, None),
+], ids=["labels-as-built", "labels-swapped"])
+def test_scoring_counts_misses_and_false_alarms(tmp_path, swapped, accuracy,
+                                                fpr, lead):
+    # one anomalous and one normal stream; swapping the twins' labels
+    # turns the hit into a miss and the correct rejection into a false
+    # alarm, so the anomalous stream yields no lead time
+    world = evaluation_world(2026, n_anomalous=1, n_normal=1)
+
+    def swap(s):
+        spans = [] if s.anomaly_spans else [(0, s.samples.size, "seizure")]
+        return dataclasses.replace(s, anomaly_spans=spans)
+
+    signals = [swap(s) if swapped and s.dataset_tag == "eval-twin" else s
+               for s in world.store_signals]
+    store = build_store(signals, tmp_path / "store")
+    cfg = world.run_config
+    table = evaluate_batch(world.streams, store, cfg.search, cfg.tracker,
+                           cfg.link, cfg.sim)
+    assert [r.batch for r in table.rows] == ["0", "mean"]
+    for row in table.rows:
+        assert (row.n, row.anomaly_kind) == (2, "seizure")
+        assert row.accuracy == accuracy
+        assert row.false_positive_rate == fpr
+        assert row.mean_lead_time_s == lead
 
 
 def test_predict_at_offsets_truncation(eval_world):
