@@ -197,9 +197,11 @@ def cmd_search(args, cfg: RunConfig) -> int:
         oracle = exhaustive_search(window, store, scfg)
         describe("sliding", fast)
         describe("exhaustive", oracle)
+        # undefined when the sliding scan compares nothing (a flat store)
         ratio = (oracle.comparisons_made / fast.comparisons_made
-                 if fast.comparisons_made else float("inf"))
-        print(f"comparison reduction: {ratio:.2f}x")
+                 if fast.comparisons_made else None)
+        print("comparison reduction: "
+              + ("n/a" if ratio is None else f"{ratio:.2f}x"))
         payload = {"sliding": _result_json(fast),
                    "exhaustive": _result_json(oracle),
                    "comparison_reduction": ratio}
@@ -211,7 +213,7 @@ def cmd_search(args, cfg: RunConfig) -> int:
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return EXIT_OK
 
@@ -370,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--delta", type=float)
     qp.add_argument("--exhaustive", action="store_true")
     qp.add_argument("--compare", action="store_true",
-                    help="run both scans and print the reduction ratio")
+                    help="run both scans and print the reduction ratio "
+                    "(n/a when the sliding scan compares nothing)")
     qp.add_argument("--out", help="write the result as JSON")
     qp.set_defaults(fn=cmd_search)
 

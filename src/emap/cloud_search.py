@@ -18,14 +18,16 @@ trace are that arithmetic's bit for bit. A round holds O(slices) index,
 step and omega vectors plus one tile of gathered rows.
 
 The exhaustive scan correlates the query with every slice in the
-frequency domain instead (one float32 FFT product per slice, from a
-table of slice spectra built on the store's first exhaustive search).
-It screens each slice's correlations against one threshold floor per
-slice, tests the few that clear it against delta within a derived error
-bound (see _error_bound and _floors), and recomputes with the kernel's
-float64 arithmetic every offset that could exceed delta. Its
-candidates, omegas and counters are those of the kernel's arithmetic at
-every offset, bit for bit.
+frequency domain instead: one float32 FFT product per slice, 64 slices
+per batched transform, from a table of slice spectra built on the
+store's first exhaustive search. The table keeps the spectra as int16
+fixed point, which numpy widens to float32 about ten times as fast as
+float16. The scan screens each slice's correlations against one
+threshold floor per slice, tests the few that clear it against delta
+within a derived error bound (see _error_bound and _floors), and
+recomputes with the kernel's float64 arithmetic every offset that
+could exceed delta. Its candidates, omegas and counters are those of
+the kernel's arithmetic at every offset, bit for bit.
 
 Both scans first scale the query by the power of two that puts its
 largest |sample| in [0.5, 1) (dsp.peak_scaled). The scaling is exact,
@@ -54,7 +56,8 @@ _OFFSETS = LAST_OFFSET + 1
 _TILE = 256    # rows gathered at once, so they stay in cache
 
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
-_FFT_ROWS = 16      # slices correlated per block of an FFT scan
+_FFT_ROWS = 64      # slices correlated per block of an FFT scan
+_FIXED = 2 ** 10    # the spectra table's fixed-point scale (see _Spectra)
 _BUILD_ROWS = 8     # slices per block while building the spectra table
 
 
@@ -269,9 +272,15 @@ _FFT_REL = 2 * 10 * 8 * _U32
 # 16ε from Q times the error of X, 16ε from the inverse transform and
 # 16·√2γ2 < 46u from the complex products.
 _FFT_ABS = 64 * _FFT_REL + 46 * _U32
-# The same over the table's float16 copy of the spectra: at one offset
-# (1/N)·‖Q‖·‖ΔX‖ over the Hermitian spectrum is at most √2·u16‖q‖‖x‖,
-# and float16's subnormals add under u32
+# The same over the table's fixed-point copy of the spectra. Each part
+# is stored as round(X·2^10), so the copy is within 2^-11 = u16 of X
+# per part and |ΔX_k| ≤ √2·u16 at every bin of the Hermitian spectrum:
+# at one offset, (1/N)·‖Q‖·‖ΔX‖ ≤ (1/N)·√N‖q‖·√(2N)·u16 = √2·u16‖q‖‖x‖
+# for the unit-norm q and x. The scan folds the 2^-10 into the query's
+# spectrum, exactly but where a part falls below float32's normal
+# range: it then moves by at most 2^-150, and times a stored |S_k| <
+# 2^15.5 and through the inverse transform that adds under 2^-134.
+# 1.5·u16 covers both.
 _SPECTRUM_ABS = 1.5 * _U16
 # cumulative sums of 1000 exact squares are each within γ999 of the
 # slice energy, so a window's energy from two of them is within
@@ -296,8 +305,8 @@ def _error_bound(t):
     where
       ψ = 2u32 (the float32 rounding of the scaled query and slice)
           + 1.156·(_FFT_ABS + _SPECTRUM_ABS)·t (the FFT error and the
-          float16 spectra over the window norm: the true energy is at
-          least 3/4 of the table's, and t is rounded to float16);
+          fixed-point spectra over the window norm: the true energy is
+          at least 3/4 of the table's, and t is rounded to float16);
       ρ = 1.01·_ENERGY_ERR·t² (the energy table, through the square
           root of its relative error)
           + u16 + u32 + 2u64 (the ratio's float64 division and float16
@@ -330,12 +339,16 @@ class _Spectra:
 
     Each slice is scaled to unit norm before its FFT: correlation does
     not see the scale, and float32 then neither overflows nor loses
-    quiet slices to underflow. The spectra and ratios are kept in
-    float16, whose rounding the error bound covers, because the table
-    stays in memory as long as its store does.
+    quiet slices to underflow. The spectra are kept as int16 fixed
+    point, round(X·2^10): a unit slice has |X_k| ≤ ‖x‖₁ ≤ √1000 < 32, so
+    every part fits (a constant slice stores 32382 at bin 0), and numpy
+    widens int16 to float32 about ten times as fast as float16. The
+    ratios are kept in float16. The error bound covers both roundings;
+    the table is small because it stays in memory as long as its store
+    does.
     """
-    # (n, 1026) float16: rfft of each scaled slice, real and imaginary
-    # parts interleaved
+    # (n, 1026) int16: rfft of each scaled slice times _FIXED, rounded
+    # to integers, real and imaginary parts interleaved
     spectra: np.ndarray
     # (n, 745) float16: ‖slice‖/‖window‖; 0 for a flat (all-zero)
     # window, NaN for any other window that is not kept
@@ -349,7 +362,7 @@ class _Spectra:
     def build(cls, store: MdbStore) -> "_Spectra":
         n = store.num_slices
         w = dsp.WINDOW_LEN
-        table = cls(np.empty((n, _NFFT + 2), dtype=np.float16),
+        table = cls(np.empty((n, _NFFT + 2), dtype=np.int16),
                     np.empty((n, _OFFSETS), dtype=np.float16),
                     np.empty((n, 2), dtype=np.float32),
                     np.empty(n, dtype=np.int64))
@@ -372,8 +385,8 @@ class _Spectra:
             table.span[lo:hi, 0] = table.ratio[lo:hi].min(axis=1)
             table.span[lo:hi, 1] = table.ratio[lo:hi].max(axis=1)
             unit = np.divide(x, norm, out=np.zeros(x.shape), where=norm > 0)
-            table.spectra[lo:hi] = np.fft.rfft(unit.astype(np.float32),
-                                               _NFFT).view(np.float32)
+            spectrum = np.fft.rfft(unit.astype(np.float32), _NFFT)
+            table.spectra[lo:hi] = np.rint(spectrum.view(np.float32) * _FIXED)
         return table
 
 
@@ -452,7 +465,8 @@ def _fft_scan(q, q_energy, store, delta):
     table = _spectra(store)
     floor = _floors(table, delta)[:, None]
     unit = (q / math.sqrt(q_energy)).astype(np.float32)
-    query = np.conj(np.fft.rfft(unit, _NFFT))
+    # the table's 2^10 is taken out of the query: exact, bar underflow
+    query = np.conj(np.fft.rfft(unit, _NFFT)) / _FIXED
     product = np.empty((_FFT_ROWS, _NFFT // 2 + 1), dtype=np.complex64)
     y = np.empty((_FFT_ROWS, _NFFT), dtype=np.float32)
     rows, betas, ys = [], [], []

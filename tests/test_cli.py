@@ -78,6 +78,31 @@ def test_search_compare_reports_reduction(tiny_store, tmp_path, capsys):
     assert "comparison reduction:" in out
 
 
+def test_search_compare_on_a_flat_store_writes_strict_json(tmp_path, capsys):
+    """The sliding scan makes no comparison on an all-zero store, so the
+    reduction is undefined: null in the file, n/a on screen."""
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_signal_csv(raw / "zero.csv", np.zeros(2000))
+    store_dir = tmp_path / "store"
+    assert emap_cli.main(["build-mdb", "--in", str(raw),
+                          "--out", str(store_dir)]) == 0
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, np.random.default_rng(3).normal(0, 1, 256))
+    res_path = tmp_path / "res.json"
+    capsys.readouterr()
+    rc = emap_cli.main(["search", "--store", str(store_dir), "--input", str(q),
+                        "--compare", "--out", str(res_path)])
+    assert rc == 0
+    assert "comparison reduction: n/a" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    payload = json.loads(res_path.read_text(), parse_constant=reject)
+    assert payload["sliding"]["comparisons_made"] == 0
+    assert payload["comparison_reduction"] is None
+
+
 def test_missing_store_is_a_data_error(tmp_path, capsys):
     q = tmp_path / "query.csv"
     write_signal_csv(q, np.ones(256))

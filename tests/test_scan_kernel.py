@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from emap import cloud_search
 from emap.cloud_search import (
+    _FIXED,
     _SCREEN_ERR,
     _SCREEN_HI,
     _SCREEN_LO,
@@ -570,12 +571,37 @@ def test_spectra_are_built_on_the_first_exhaustive_search(tmp_path,
 
 def fft_correlation(window, table):
     """y at every offset: the query's and each slice's unit-norm float32
-    correlation from the table's spectra, as the FFT scan forms it."""
+    correlation from the table's spectra, as the FFT scan forms it: the
+    int16 spectra widened to float32, the table's scale taken out of
+    the query's spectrum."""
     q = window_samples(window)
     unit = (q / math.sqrt(np.dot(q, q))).astype(np.float32)
     spectra = table.spectra.astype(np.float32).view(np.complex64)
-    return np.fft.irfft(spectra * np.conj(np.fft.rfft(unit, 1024)),
-                        1024)[:, :LAST_OFFSET + 1]
+    query = np.conj(np.fft.rfft(unit, 1024)) / _FIXED
+    return np.fft.irfft(spectra * query, 1024)[:, :LAST_OFFSET + 1]
+
+
+def test_fixed_point_spectra_fit_int16_at_their_extremes(tmp_path):
+    """A unit slice has |X_k| <= sqrt(1000), so its spectrum times 2^10
+    fits int16; a constant slice (bin 0) and an alternating one (bin
+    512) reach that bound. The scan matches the reference on them, on a
+    noise slice and on a zero slice that holds one spike."""
+    noise = np.random.default_rng(8).normal(0, 15, SLICE_LEN)
+    spike = np.zeros(SLICE_LEN)
+    spike[400] = 3.0
+    x = np.concatenate([np.full(SLICE_LEN, 2.0),
+                        np.resize([1.0, -1.0], SLICE_LEN), noise, spike])
+    store = build_store([SourceSignal(id=0, samples=x)], tmp_path / "s")
+    table = _spectra(store)
+    assert table.spectra.dtype == np.int16
+    peak = np.abs(table.spectra.astype(np.int32)).max(axis=1)
+    assert peak.max() <= 32767
+    assert peak[0] == peak[1] == round(math.sqrt(SLICE_LEN) * _FIXED)
+    for at in (0, 1000, 2100, 3300):
+        q = SignalWindow(samples=x[at:at + WINDOW_LEN])
+        for delta in (0.8, 0.0, -0.5):
+            assert_same_as_reference(q, store, SearchConfig(delta=delta),
+                                     exhaustive=True)
 
 
 def test_error_bound_holds_at_every_offset(parity_world):
