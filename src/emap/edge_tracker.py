@@ -62,8 +62,6 @@ class TrackedCandidate:
     parent_offset: int
     parent_len: int          # the parent's sample count
     omega_at_match: float
-    alive: bool = True
-    removal_reason: str | None = None
 
 
 @dataclass
@@ -90,6 +88,9 @@ class IterationReport:
 
 @dataclass
 class TrackerState:
+    """The edge's tracking state. tracked holds exactly the live
+    candidates, in set_id order: a removed candidate leaves the list
+    and is recorded only in that step's IterationReport."""
     tracked: list
     pa_history: list
     config: TrackerConfig
@@ -98,40 +99,36 @@ class TrackerState:
     degraded: bool = False
     reports: list = field(default_factory=list)
 
-    def alive_candidates(self):
-        return [c for c in self.tracked if c.alive]
-
-    def p_anomaly(self, alive=None) -> float:
-        """Share of anomalous labels among the alive candidates (pass
-        them when already listed), or the last estimate if none are."""
-        if alive is None:
-            alive = self.alive_candidates()
-        if not alive:
+    def p_anomaly(self) -> float:
+        """Share of anomalous labels among the tracked candidates, or
+        the last estimate if none are left."""
+        if not self.tracked:
             return self.pa_history[-1] if self.pa_history else 0.0
-        return sum(1 for c in alive if c.label == 1) / len(alive)
+        return sum(1 for c in self.tracked if c.label == 1) / len(self.tracked)
 
 
 def _seed_candidates(result, store: MdbStore, steps_ahead: int):
-    """Turn search candidates into tracked ones.
+    """Turn search candidates into the tracked set, in set_id order.
 
     The cursor points at the parent segment the *next* live window will
-    be compared against: steps_ahead windows past the matched one.
-    Candidates whose parent cannot supply that segment are dead on
-    arrival (reason "exhausted").
+    be compared against: steps_ahead (>= 1) windows past the matched
+    one. A candidate whose parent cannot supply that segment is left
+    out.
     """
+    if steps_ahead < 1:
+        raise ValueError("steps_ahead must be >= 1")
     tracked = []
-    for cand in result.candidates:
+    for cand in sorted(result.candidates, key=lambda c: c.set_id):
         _sid, parent_id, parent_offset, label, kind = store.slice_meta(
             cand.set_id)
         rel = cand.beta + dsp.WINDOW_LEN * steps_ahead
-        seg = get_parent_segment(store, cand.set_id, rel, dsp.WINDOW_LEN)
-        alive = seg is not None
+        if get_parent_segment(store, cand.set_id, rel, dsp.WINDOW_LEN) is None:
+            continue
         tracked.append(TrackedCandidate(
             set_id=cand.set_id, label=label, anomaly_kind=kind,
             cursor=parent_offset + rel, parent_offset=parent_offset,
             parent_len=store.parent_samples(parent_id).size,
-            omega_at_match=cand.omega, alive=alive,
-            removal_reason=None if alive else "exhausted"))
+            omega_at_match=cand.omega))
     return tracked
 
 
@@ -145,11 +142,9 @@ def init_tracker(result, store: MdbStore, cfg: TrackerConfig,
     """
     if not result.candidates:
         raise ValueError("cannot start tracking from an empty search result")
-    if steps_ahead < 1:
-        raise ValueError("steps_ahead must be >= 1")
     state = TrackerState(tracked=_seed_candidates(result, store, steps_ahead),
                          pa_history=[], config=cfg)
-    state.degraded = not state.alive_candidates()
+    state.degraded = not state.tracked
     state.pa_history.append(state.p_anomaly())
     return state
 
@@ -161,8 +156,7 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     timestep = getattr(window, "timestep_index", None)
     threshold = state.config.area_threshold
 
-    # apply decisions in set_id order for deterministic reports
-    cands = sorted(state.alive_candidates(), key=lambda c: c.set_id)
+    cands = state.tracked
     fits = [c.cursor + dsp.WINDOW_LEN <= c.parent_len for c in cands]
     segs = _next_segments(store, [c for c, f in zip(cands, fits) if f])
     # the terms are area_between's, and a float64 sum of 256
@@ -178,8 +172,6 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     alive = []
     for cand, fit in zip(cands, fits):
         if not fit:
-            cand.alive = False
-            cand.removal_reason = "exhausted"
             removed_exhausted.append(Removal(
                 set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
             continue
@@ -187,8 +179,6 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
         if not sure:
             area = dsp.area_between(x, seg)
             if area > threshold:
-                cand.alive = False
-                cand.removal_reason = "dissimilar"
                 removed_dissimilar.append(Removal(
                     set_id=cand.set_id, reason="dissimilar",
                     cursor=cand.cursor, area=area))
@@ -196,14 +186,15 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
         cand.cursor += dsp.WINDOW_LEN
         alive.append(cand)
 
+    state.tracked = alive
     state.iteration += 1
     state.iteration_in_set += 1
     if not alive:
         state.degraded = True
-    pa = state.p_anomaly(alive)
+    pa = state.p_anomaly()
     state.pa_history.append(pa)
 
-    wants, reason = needs_cloud_call(state, len(alive))
+    wants, reason = needs_cloud_call(state)
     report = IterationReport(
         iteration=state.iteration,
         alive=len(alive),
@@ -229,14 +220,11 @@ def _next_segments(store: MdbStore, cands):
     return store.flat[np.add.outer(pos, np.arange(dsp.WINDOW_LEN))]
 
 
-def needs_cloud_call(state: TrackerState, alive: int | None = None):
+def needs_cloud_call(state: TrackerState):
     """(wants, reason): "threshold" once too few candidates remain,
     else "cadence" once the set has been tracked for the configured
-    number of iterations. Threshold takes precedence. Pass the alive
-    count when already known."""
-    if alive is None:
-        alive = len(state.alive_candidates())
-    if alive <= state.config.tracking_threshold:
+    number of iterations. Threshold takes precedence."""
+    if len(state.tracked) <= state.config.tracking_threshold:
         return True, "threshold"
     if state.iteration_in_set >= state.config.max_iterations_per_set:
         return True, "cadence"
@@ -276,7 +264,7 @@ def swap_in(state: TrackerState, fresh, store: MdbStore,
     """
     if fresh is not None and fresh.candidates:
         state.tracked = _seed_candidates(fresh, store, steps_ahead)
-        state.degraded = not state.alive_candidates()
+        state.degraded = not state.tracked
     else:
         state.degraded = True
     state.iteration_in_set = 0

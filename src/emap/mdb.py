@@ -52,8 +52,9 @@ class SourceSignal:
     """A filtered 256 Hz recording with its anomaly annotations.
 
     onset_sample is optional ground-truth metadata (the clinically
-    confirmed event time) used only for lead-time scoring; matching and
-    labeling use anomaly_spans alone.
+    confirmed event time, a position in [0, len(samples)]) used only
+    for lead-time scoring; matching and labeling use anomaly_spans
+    alone.
     """
     id: int
     samples: np.ndarray
@@ -65,6 +66,11 @@ class SourceSignal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.anomaly_spans = [_norm_span(s) for s in self.anomaly_spans]
         _check_spans(self.anomaly_spans, self.samples.size)
+        if self.onset_sample is not None and not (
+                0 <= self.onset_sample <= self.samples.size):
+            raise ValueError(
+                f"onset_sample {self.onset_sample} outside signal of "
+                f"length {self.samples.size}")
 
 
 @dataclass
@@ -108,8 +114,8 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     Most files are parsed by one np.loadtxt call (_parse_bulk); the
     line scanner _rows parses the others, with the same result. The
     signal is resampled to 256 Hz, bandpass filtered, and its anomaly
-    spans and onset are rescaled by the resampling ratio. A span that
-    does not fit the signal is a ValueError naming the file.
+    spans and onset are rescaled by the resampling ratio. A span or
+    onset that does not fit the signal is a ValueError naming the file.
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")

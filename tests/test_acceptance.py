@@ -188,18 +188,19 @@ def test_c06_probability_growth(capsys, prob_world):
     t0 = time.perf_counter()
     res = sliding_search(_window_at(sc.live.samples, 0), store, sc.search_cfg)
     state = init_tracker(res, store, sc.tracker_cfg)
+    n_tracked = len(state.tracked)
     n_anom = sum(c.label for c in state.tracked)
     for it in range(1, 6):
         tracker_step(state, _window_at(sc.live.samples, it), store)
     elapsed = time.perf_counter() - t0
     hist = state.pa_history
     increasing = all(b > a for a, b in zip(hist, hist[1:]))
-    ok = (len(state.tracked) == 100 and abs(n_anom - 22) <= 3
+    ok = (n_tracked == 100 and abs(n_anom - 22) <= 3
           and hist[-1] >= 0.60 and increasing and elapsed < 30.0)
     _line(capsys, 6, "probability growth", ok,
           f"initial {n_anom}/100 anomalous, P_A "
           f"{' -> '.join(f'{p:.2f}' for p in hist)}, {elapsed:.1f}s")
-    assert len(state.tracked) == 100
+    assert n_tracked == 100
     assert abs(n_anom - 22) <= 3
     assert hist[-1] >= 0.60
     assert increasing
@@ -216,7 +217,7 @@ def test_c07_removal_soundness(capsys, prob_world):
     removals = survivors = 0
     sound = True
     for it in range(1, 6):
-        snapshot = {c.set_id: c.cursor for c in state.alive_candidates()}
+        snapshot = {c.set_id: c.cursor for c in state.tracked}
         win = _window_at(sc.live.samples, it)
         rep = tracker_step(state, win, store)
         for rem in rep.removed_dissimilar:
@@ -226,7 +227,7 @@ def test_c07_removal_soundness(capsys, prob_world):
             a = area_between(win.samples, seg)
             sound &= (a == rem.area) and (a > thresh)
             removals += 1
-        for cand in state.alive_candidates():
+        for cand in state.tracked:
             seg = get_parent_segment(store, cand.set_id,
                                      snapshot[cand.set_id] - cand.parent_offset,
                                      WINDOW_LEN)
@@ -290,7 +291,7 @@ def test_c09_edge_step_wall_time(capsys, prob_world):
     sc, store = prob_world
     res = sliding_search(_window_at(sc.live.samples, 0), store, sc.search_cfg)
     state = init_tracker(res, store, sc.tracker_cfg)
-    alive = len(list(state.alive_candidates()))
+    alive = len(state.tracked)
     win = _window_at(sc.live.samples, 1)
     t0 = time.perf_counter()
     rep = tracker_step(state, win, store)

@@ -579,6 +579,26 @@ def test_sidecar_onset_is_rescaled_with_the_spans(tmp_path, capsys):
     assert entry["onset_sample"] == 1500
 
 
+@pytest.mark.parametrize("onset", [1_000_000, -256])
+def test_evaluate_with_an_onset_outside_its_stream_is_a_data_error(
+        cli_world, tmp_path, capsys, onset):
+    corpus = tmp_path / "eval"
+    shutil.copytree(cli_world["eval"], corpus)
+    side = next(p for p in sorted(corpus.glob("*.json"))
+                if json.loads(p.read_text())["onset_sample"] is not None)
+    meta = json.loads(side.read_text())
+    meta["onset_sample"] = onset
+    side.write_text(json.dumps(meta))
+    rc = emap_cli.main(["--config", str(cli_world["config"]), "evaluate",
+                        "--store", str(cli_world["store"]),
+                        "--corpus", str(corpus),
+                        "--out", str(tmp_path / "acc.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{side.with_suffix('.csv')}: onset_sample {onset} outside " in err
+    assert not (tmp_path / "acc.csv").exists()
+
+
 def test_evaluate_with_a_span_kind_that_is_a_list_is_a_data_error(
         cli_world, tmp_path, capsys):
     corpus = tmp_path / "eval"

@@ -108,8 +108,8 @@ def test_constant_offset_candidate_is_removed(tmp_path):
     # removals are permanent
     rep2 = tracker_step(state, window_at(live_q, 2), store)
     assert rep2.alive == 1
-    assert state.tracked[1].alive is False
-    assert state.tracked[1].removal_reason == "dissimilar"
+    assert rep2.removed_dissimilar == []
+    assert [c.set_id for c in state.tracked] == [0]
 
 
 def test_parent_exhaustion_is_its_own_reason(tmp_path):
@@ -130,8 +130,7 @@ def test_parent_exhaustion_is_its_own_reason(tmp_path):
             exhausted = rep.removed_exhausted
             break
     assert [r.set_id for r in exhausted] == [2]
-    assert state.tracked[1].removal_reason == "exhausted"
-    assert state.tracked[0].alive is True
+    assert [c.set_id for c in state.tracked] == [0]
 
 
 def test_candidate_dead_on_arrival_when_parent_cannot_continue(tmp_path):
@@ -147,9 +146,33 @@ def test_candidate_dead_on_arrival_when_parent_cannot_continue(tmp_path):
     # the second candidate would need samples [956:1212) of its
     # 1000-sample parent
     state = init_tracker(res, store, TrackerConfig())
-    assert state.tracked[1].alive is False
-    assert state.tracked[1].removal_reason == "exhausted"
-    assert len(state.alive_candidates()) == 1
+    assert [c.set_id for c in state.tracked] == [0]
+
+
+def test_tracked_set_is_in_set_id_order(tmp_path):
+    rng = np.random.default_rng(43)
+    parents = [rng.normal(0, 15, 2048) for _ in range(6)]
+    store = make_store(tmp_path, parents)
+    state = init_tracker(result_for(store, [7, 2, 11, 0]), store,
+                         TrackerConfig())
+    assert [c.set_id for c in state.tracked] == [0, 2, 7, 11]
+    swap_in(state, result_for(store, [9, 4, 5]), store)
+    assert [c.set_id for c in state.tracked] == [4, 5, 9]
+
+
+def test_swap_in_rejects_a_cursor_that_is_not_ahead(tmp_path):
+    # steps_ahead 0 would seed every cursor on the matched window itself
+    rng = np.random.default_rng(44)
+    store = make_store(tmp_path, [rng.normal(0, 15, 2048) for _ in range(2)])
+    state = init_tracker(result_for(store, [0]), store, TrackerConfig())
+    for steps_ahead in (0, -1):
+        with pytest.raises(ValueError, match="steps_ahead must be >= 1"):
+            swap_in(state, result_for(store, [2]), store,
+                    steps_ahead=steps_ahead)
+        with pytest.raises(ValueError, match="steps_ahead must be >= 1"):
+            init_tracker(result_for(store, [2]), store, TrackerConfig(),
+                         steps_ahead=steps_ahead)
+    assert [c.set_id for c in state.tracked] == [0]
 
 
 def test_cursor_advances_by_window_each_survival(tmp_path):
@@ -208,7 +231,7 @@ def test_swap_in_replaces_set_and_keeps_history(tmp_path):
     history_before = list(state.pa_history)
 
     swap_in(state, result_for(store, [3, 4, 5]), store)
-    assert sorted(c.set_id for c in state.alive_candidates()) == [3, 4, 5]
+    assert [c.set_id for c in state.tracked] == [3, 4, 5]
     assert state.pa_history[:len(history_before)] == history_before
     assert state.iteration_in_set == 0
     assert state.degraded is False
@@ -218,7 +241,7 @@ def test_swap_in_replaces_set_and_keeps_history(tmp_path):
     state.iteration_in_set = 3
     swap_in(state, empty, store)
     # nothing fresh: the old set keeps tracking in degraded mode
-    assert sorted(c.set_id for c in state.alive_candidates()) == [3, 4, 5]
+    assert [c.set_id for c in state.tracked] == [3, 4, 5]
     assert state.degraded is True
     assert state.iteration_in_set == 0
 
@@ -258,7 +281,7 @@ def test_removal_decisions_replay_exactly(prob_world):
     state = init_tracker(res, store, sc.tracker_cfg)
     thresh = sc.tracker_cfg.area_threshold
     for it in range(1, 6):
-        snapshot = {c.set_id: c.cursor for c in state.alive_candidates()}
+        snapshot = {c.set_id: c.cursor for c in state.tracked}
         win = window_at(sc.live.samples, it)
         rep = tracker_step(state, win, store)
         for rem in rep.removed_dissimilar:
@@ -268,7 +291,7 @@ def test_removal_decisions_replay_exactly(prob_world):
             a = area_between(win.samples, seg)
             assert a == rem.area
             assert a > thresh
-        for cand in state.alive_candidates():
+        for cand in state.tracked:
             seg = get_parent_segment(store, cand.set_id,
                                      snapshot[cand.set_id] - cand.parent_offset,
                                      WINDOW_LEN)
@@ -282,7 +305,7 @@ def test_non_finite_live_windows_are_rejected(prob_world):
     state = init_tracker(sliding_search(window_at(sc.live.samples, 0), store,
                                         sc.search_cfg),
                          store, sc.tracker_cfg)
-    alive = len(state.alive_candidates())
+    alive = len(state.tracked)
     for bad in (np.nan, np.inf, -np.inf):
         x = sc.live.samples[WINDOW_LEN:2 * WINDOW_LEN].copy()
         x[100] = bad
@@ -292,7 +315,7 @@ def test_non_finite_live_windows_are_rejected(prob_world):
         with pytest.raises(ValueError, match="non-finite"):
             tracker_step(state, x, store)
     assert state.iteration == 0
-    assert len(state.alive_candidates()) == alive
+    assert len(state.tracked) == alive
 
 
 def test_probability_follows_the_scripted_trajectory(prob_world):
@@ -341,33 +364,32 @@ def test_tracker_config_validation():
 
 def reference_step(state, window, store):
     """The per-candidate loop that tracker_step batches: one segment
-    lookup and one exact area per alive candidate, in set_id order."""
+    lookup and one exact area per tracked candidate, in set_id order."""
     x = window_samples(window)
     removed_dissimilar = []
     removed_exhausted = []
+    kept = []
     areas = 0
-    for cand in sorted(state.alive_candidates(), key=lambda c: c.set_id):
+    for cand in state.tracked:
         rel = cand.cursor - cand.parent_offset
         seg = get_parent_segment(store, cand.set_id, rel, WINDOW_LEN)
         if seg is None:
-            cand.alive = False
-            cand.removal_reason = "exhausted"
             removed_exhausted.append(et.Removal(
                 set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
             continue
         area = area_between(x, seg)
         areas += 1
         if area > state.config.area_threshold:
-            cand.alive = False
-            cand.removal_reason = "dissimilar"
             removed_dissimilar.append(et.Removal(
                 set_id=cand.set_id, reason="dissimilar", cursor=cand.cursor,
                 area=area))
         else:
             cand.cursor += WINDOW_LEN
+            kept.append(cand)
+    state.tracked = kept
     state.iteration += 1
     state.iteration_in_set += 1
-    alive = len(state.alive_candidates())
+    alive = len(kept)
     if alive == 0:
         state.degraded = True
     pa = state.p_anomaly()
@@ -402,8 +424,7 @@ def fingerprint(state, report):
         return [(r.set_id, r.reason, r.cursor,
                  None if r.area is None else r.area.hex()) for r in rs]
     return (
-        [(c.set_id, c.cursor, c.alive, c.removal_reason)
-         for c in state.tracked],
+        [(c.set_id, c.cursor) for c in state.tracked],
         [p.hex() for p in state.pa_history], state.degraded,
         state.iteration, state.iteration_in_set,
         report.iteration, report.alive,
@@ -419,7 +440,10 @@ def test_batched_step_matches_the_per_candidate_loop(diff_store, data):
     set_ids = data.draw(st.lists(st.integers(0, store.num_slices - 1),
                                  unique=True, max_size=8), label="set_ids")
     tracked = []
-    for sid in set_ids:
+    for sid in sorted(set_ids):
+        # a removed candidate is no longer in the tracked set
+        if not data.draw(st.sampled_from([True, True, True, False])):
+            continue
         _sid, pid, poff, label, kind = store.slice_meta(sid)
         n = store.parent_samples(pid).size
         # the last segment that fits, one sample past it, and beyond
@@ -429,10 +453,8 @@ def test_batched_step_matches_the_per_candidate_loop(diff_store, data):
             st.integers(poff, n - WINDOW_LEN)))
         tracked.append(et.TrackedCandidate(
             set_id=sid, label=label, anomaly_kind=kind, cursor=cursor,
-            parent_offset=poff, parent_len=n, omega_at_match=0.9,
-            alive=data.draw(st.sampled_from([True, True, True, False]))))
-    fitting = [c for c in tracked
-               if c.alive and c.cursor + WINDOW_LEN <= c.parent_len]
+            parent_offset=poff, parent_len=n, omega_at_match=0.9))
+    fitting = [c for c in tracked if c.cursor + WINDOW_LEN <= c.parent_len]
 
     def segment(cand):
         return get_parent_segment(store, cand.set_id,

@@ -627,6 +627,27 @@ def test_source_signal_validates_spans():
         make_signal(0, n=2000, spans=[(0, 10, None), (0, 10, "x")])
 
 
+def test_onset_must_lie_in_its_stream(tmp_path):
+    # an onset past the end inflated the lead time; a negative one
+    # silently made it unscorable
+    for onset in (-1, 1001, 1_000_000):
+        with pytest.raises(ValueError, match=f"onset_sample {onset} outside "
+                           "signal of length 1000"):
+            SourceSignal(id=0, samples=np.zeros(1000), onset_sample=onset)
+    for onset in (0, 999, 1000):
+        assert SourceSignal(id=0, samples=np.zeros(1000),
+                            onset_sample=onset).onset_sample == onset
+    p = tmp_path / "fast.csv"
+    write_csv(p, np.random.default_rng(5).normal(0, 15, 2400))
+    # 2400 samples at 512 Hz are 1200 at 256 Hz: onset 2400 maps to the
+    # end, 2402 one past it
+    assert ingest_csv(p, sample_rate_hz=512,
+                      onset_sample=2400).onset_sample == 1200
+    with pytest.raises(ValueError, match=f"{re.escape(str(p))}: onset_sample "
+                       "1201 outside signal of length 1200"):
+        ingest_csv(p, sample_rate_hz=512, onset_sample=2402)
+
+
 def test_synth_corpus_contract():
     signals = scenarios.synth_corpus(123, n_normal=4, n_anomalous=4,
                                      length_s=12.0)

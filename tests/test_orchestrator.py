@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from emap import orchestrator
 from emap.cloud_search import sliding_search
 from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, WINDOW_LEN
-from emap.edge_tracker import init_tracker, tracker_step
+from emap.edge_tracker import init_tracker, swap_in, tracker_step
 from emap.mdb import SourceSignal, build_store
 from emap.scenarios import evaluation_world
 from emap.orchestrator import (
@@ -330,7 +330,10 @@ def truncate_and_rerun(live, offsets, store, cfg):
             id=live.id, samples=live.samples[:cut].copy(),
             anomaly_spans=[(s, min(e, cut), k)
                            for s, e, k in live.anomaly_spans if s < cut],
-            dataset_tag=live.dataset_tag, onset_sample=live.onset_sample)
+            dataset_tag=live.dataset_tag,
+            # a cut before the onset leaves the onset outside the stream
+            onset_sample=live.onset_sample if cut >= live.onset_sample
+            else None)
         out = run_stream(truncated, store, cfg.search, cfg.tracker,
                          cfg.link, cfg.sim)
         hit = out.first_prediction(cfg.sim.eval_after_cloud_calls)
@@ -532,11 +535,32 @@ def small_eval_streams():
     return evaluation_world(2026, n_anomalous=2, n_normal=2).streams
 
 
+def assert_tracked_in_set_id_order(state):
+    ids = [c.set_id for c in state.tracked]
+    assert ids == sorted(ids)
+
+
+def checked_init_tracker(*args, **kwargs):
+    state = init_tracker(*args, **kwargs)
+    assert_tracked_in_set_id_order(state)
+    return state
+
+
+def checked_swap_in(*args, **kwargs):
+    state = swap_in(*args, **kwargs)
+    assert_tracked_in_set_id_order(state)
+    return state
+
+
 def checked_tracker_step(state, window, store):
-    """tracker_step that checks the report's alive count against the
-    tracked set it leaves behind."""
+    """tracker_step that checks the tracked set it leaves behind: the
+    report's alive candidates, in set_id order, none of them removed."""
     report = tracker_step(state, window, store)
-    assert report.alive == len(state.alive_candidates())
+    assert report.alive == len(state.tracked)
+    assert_tracked_in_set_id_order(state)
+    removed = report.removed_dissimilar + report.removed_exhausted
+    assert {r.set_id for r in removed}.isdisjoint(
+        c.set_id for c in state.tracked)
     return report
 
 
@@ -563,6 +587,8 @@ def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
                           dataset_tag=live.dataset_tag)
     sim = dataclasses.replace(cfg.sim, cloud_search_s=cloud_search_s)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orchestrator, "init_tracker", checked_init_tracker)
+        mp.setattr(orchestrator, "swap_in", checked_swap_in)
         mp.setattr(orchestrator, "tracker_step", checked_tracker_step)
         out = run_stream(zeroed, store, cfg.search, cfg.tracker, link, sim)
 
