@@ -37,6 +37,7 @@ from .cloud_search import (
     alpha_sweep,
     exhaustive_search,
     sliding_search,
+    sliding_search_many,
 )
 from .edge_tracker import (
     IterationReport,
@@ -82,6 +83,7 @@ __all__ = [
     "SearchResult",
     "Candidate",
     "sliding_search",
+    "sliding_search_many",
     "exhaustive_search",
     "alpha_sweep",
     "TrackerConfig",

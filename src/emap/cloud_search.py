@@ -17,6 +17,12 @@ kernel's float64 arithmetic, so candidates, omegas, counters and the
 trace are that arithmetic's bit for bit. A round holds O(slices) index,
 step and omega vectors plus one tile of gathered rows.
 
+Several queries can run in one lockstep (sliding_search_many), as the
+concurrent calls of an evaluation do. Its rows are (query, slice)
+pairs; where the rows of several queries sit at the same window, it is
+gathered once and scored against all of them in one float32 product.
+Each query's result is its single search's, bit for bit.
+
 The exhaustive scan correlates the query with every slice in the
 frequency domain instead: one float32 FFT product per slice, 64 slices
 per batched transform, from a table of slice spectra built on the
@@ -54,6 +60,11 @@ LAST_OFFSET = SLICE_LEN - dsp.WINDOW_LEN  # 744, scanned inclusively
 _OFFSETS = LAST_OFFSET + 1
 
 _TILE = 256    # rows gathered at once, so they stay in cache
+# (query, slice) rows in one lockstep, 8 queries on a 1920-slice store;
+# a round holds about 100 B per row. On that store 10 queries per
+# lockstep raised the evaluation's peak RSS about 2 MB more than 8 did,
+# and were no faster within the host's noise
+_LOCKSTEP_ROWS = 16_000
 
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
 _FFT_ROWS = 64      # slices correlated per block of an FFT scan
@@ -169,33 +180,70 @@ def _screen(windows, at, q32, q_energy):
         s = windows[at[lo:lo + _TILE]]
         np.vecdot(s, s, out=energy[lo:lo + _TILE])
         np.matmul(s, q32, out=dot[lo:lo + _TILE])
+    return _screen_omegas(energy, dot, q_energy)
+
+
+def _screen_omegas(energy, dot, q_energy):
+    """Screen omegas from float32 energies and dots (see _screen),
+    broadcast against the queries' energies."""
     sure = (energy > _SCREEN_LO) & (energy < _SCREEN_HI)
-    return np.divide(dot, np.sqrt(np.multiply(energy, q_energy,
-                                              dtype=np.float64)),
-                     out=np.full(at.size, np.inf), where=sure)
+    root = np.multiply(energy, q_energy, dtype=np.float64)
+    return np.divide(dot, np.sqrt(root, out=root),
+                     out=np.full(dot.shape, np.inf), where=sure)
 
 
-def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
-    """Scan the slices starting at `starts` in one lockstep.
+@np.errstate(over="ignore", invalid="ignore")  # as in _screen
+def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
+                   lattice_at):
+    """_screen for the rows of several queries: row i is the window
+    starting at at[i], and query j, a row of q32, owns rows
+    bounds[j]:bounds[j + 1].
 
-    Each round screens every comparison in float32 (_screen) and
-    rescores with the kernel's float64 arithmetic (_omegas, then
-    _steps) only the rows the screen cannot settle: a row whose step
-    differs somewhere in its screen omega ± _SCREEN_ERR, and one that
-    could exceed delta, so every candidate keeps the kernel's omega.
-    The latter include every window the screen cannot bound, flat ones
-    among them: only the exact energy counts a window as degenerate.
-    With record_trace every row is rescored and nothing is screened.
+    A row where `lattice` is set is at lattice_at[slot[i]], the lattice
+    position of its slice: each such window is gathered once, its
+    float32 energy taken once, and it is scored against every query
+    with one float32 matmul. The bound of _screen holds in any
+    summation order, so it holds for that product too. The other rows
+    are screened per query."""
+    omega = np.empty(at.size)
+    if lattice.any():
+        shared = np.zeros(lattice_at.size, dtype=bool)
+        shared[slot[lattice]] = True
+        shared = np.flatnonzero(shared)
+        index = np.empty(lattice_at.size, dtype=np.int64)
+        index[shared] = np.arange(shared.size)
+        pos = lattice_at[shared]
+        energy = np.empty(pos.size, dtype=np.float32)
+        dot = np.empty((pos.size, len(q32)), dtype=np.float32)
+        for lo in range(0, pos.size, _TILE):
+            s = windows[pos[lo:lo + _TILE]]
+            np.vecdot(s, s, out=energy[lo:lo + _TILE])
+            np.matmul(s, q32.T, out=dot[lo:lo + _TILE])
+        query = np.repeat(np.arange(len(q32)), np.diff(bounds))
+        omega[lattice] = _screen_omegas(energy[:, None], dot, q_energy)[
+            index[slot[lattice]], query[lattice]]
+    off = np.flatnonzero(~lattice)
+    for j, lo, hi in _groups(off, bounds):
+        rows = off[lo:hi]
+        omega[rows] = _screen(windows, at[rows], q32[j], q_energy[j])
+    return omega
 
-    Returns (candidates, comparisons, degenerate skips, trace). A
-    slice's candidate is its best omega above delta (_best_per_slice),
-    with the slice's index in `starts` as its set_id. The
-    trace lists every comparison as (set_id, beta, omega, clamped,
-    step) in slice-major order, or is None without record_trace.
-    """
-    rows = np.arange(starts.size)
-    beta = np.zeros(starts.size, dtype=np.int64)
-    q32 = q.astype(np.float32)
+
+def _groups(index, bounds):
+    """(j, lo, hi) for each query j that owns some of the sorted row
+    positions `index`, index[lo:hi] (query j owns positions
+    bounds[j]:bounds[j + 1])."""
+    if len(bounds) == 2:        # one query owns every row
+        return [(0, 0, index.size)] if index.size else []
+    cut = np.searchsorted(index, bounds).tolist()
+    return [(j, lo, hi) for j, (lo, hi) in enumerate(zip(cut, cut[1:]))
+            if lo < hi]
+
+
+def _settle(omega, alpha, delta):
+    """(rows to rescore, steps) from screen omegas: a row is rescored if
+    its step differs somewhere in omega ± _SCREEN_ERR, or if it could
+    exceed delta; the other rows' steps are exact."""
     # the steps at max(omega ∓ _SCREEN_ERR, 0) round alpha**(w - 1)
     # times these factors, where clamping w at 0 caps it at alpha**-1;
     # each end is widened by the slack
@@ -203,32 +251,87 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
     down = math.exp(_SCREEN_ERR * log_alpha) * (1 - _STEP_SLACK)
     up = math.exp(-_SCREEN_ERR * log_alpha) * (1 + _STEP_SLACK)
     top = alpha ** -1.0
+    raw = np.exp((omega - 1.0) * log_alpha)
+    low = np.rint(np.minimum(raw * down, top * (1 - _STEP_SLACK)))
+    high = np.rint(np.minimum(raw * up, top * (1 + _STEP_SLACK)))
+    exact = np.flatnonzero((low != high) | (omega > delta - _SCREEN_ERR))
+    # a row left to the screen has omega + _SCREEN_ERR <= delta < 1, so
+    # its raw step is above 1 - _STEP_SLACK: low >= 1
+    return exact, low.astype(np.int64)
+
+
+def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
+    """Scan the slices starting at `starts` against the k rows of the
+    query matrix `qs` (with energies `q_energy`) in one lockstep.
+
+    Its rows are (query, slice) pairs in query-major order. Each round
+    screens every comparison in float32 (_screen) and rescores with
+    the kernel's float64 arithmetic (_omegas, then _steps) only the
+    rows the screen cannot settle: a row whose step differs somewhere
+    in its screen omega ± _SCREEN_ERR, and one that could exceed delta,
+    so every candidate keeps the kernel's omega. The latter include
+    every window the screen cannot bound, flat ones among them: only
+    the exact energy counts a window as degenerate. With record_trace
+    (one query only) every row is rescored and nothing is screened.
+
+    With more than one query, rows on the lattice share their gathers
+    (_screen_shared). No step exceeds the top step, max(1,
+    round(1/alpha)), which a row takes wherever its omega is at most 0.
+    So a row is at beta (r - 1) times the top step in round r exactly
+    when it took the top step at every visit: that beta is the round's
+    lattice, where rows of different queries meet at the same window
+    of a slice, in round 1 all of them. Every row's steps, hits and
+    counters are its single-query scan's, bit for bit, as the screen
+    only decides which rows are rescored.
+
+    Returns, per query, (candidates, comparisons, degenerate skips,
+    trace). A slice's candidate is its best omega above delta
+    (_best_per_slice), with the slice's index in `starts` as its
+    set_id. The trace lists every comparison as (set_id, beta, omega,
+    clamped, step) in slice-major order, or is None without
+    record_trace.
+    """
+    k, n = len(qs), starts.size
+    rows = np.arange(k * n)     # query j's row for slice s is j * n + s
+    edges = n * np.arange(k + 1)
+    beta = np.zeros(rows.size, dtype=np.int64)
+    q32 = qs.astype(np.float32)
+    top_step = _step_for(alpha, 0.0)
+    lattice = 0     # the beta of rows that took the top step every time
     trace = [] if record_trace else None
     hits = []   # per round, the (row, beta, omega) columns above delta
-    visits = degenerate = rounds = 0
+    visits = [0] * k
+    degenerate = [0] * k
     while rows.size:
-        rounds += 1
-        at = starts[rows] + beta
+        # query j owns rows[bounds[j]:bounds[j + 1]], each one a visit
+        if k == 1:      # one query's rows are its slots
+            bounds, slot = [0, rows.size], rows
+        else:
+            bounds, slot = np.searchsorted(rows, edges).tolist(), rows % n
+        for j in range(k):
+            visits[j] += bounds[j + 1] - bounds[j]
+        at = starts[slot] + beta
         if record_trace:
             exact = np.arange(rows.size)
             step = np.empty(rows.size, dtype=np.int64)
+        elif k == 1:        # nothing to share
+            exact, step = _settle(_screen(windows, at, q32[0], q_energy[0]),
+                                  alpha, delta)
         else:
-            omega = _screen(windows, at, q32, q_energy)
-            raw = np.exp((omega - 1.0) * log_alpha)
-            low = np.rint(np.minimum(raw * down, top * (1 - _STEP_SLACK)))
-            high = np.rint(np.minimum(raw * up, top * (1 + _STEP_SLACK)))
-            exact = np.flatnonzero((low != high)
-                                   | (omega > delta - _SCREEN_ERR))
-            # a row left to the screen has omega + _SCREEN_ERR <= delta
-            # < 1, so its raw step is above 1 - _STEP_SLACK: low >= 1
-            step = low.astype(np.int64)
+            exact, step = _settle(
+                _screen_shared(windows, at, bounds, q32, q_energy,
+                               beta == lattice, slot, starts + lattice),
+                alpha, delta)
         if exact.size:
             r, b = rows[exact], beta[exact]
-            energy, omega = _omegas(windows, at[exact], q, q_energy)
-            # a flat segment carries no information: it is skipped, and
-            # its omega of NaN clamps to 0, the maximum step
-            flat = energy == 0.0
-            degenerate += int(np.count_nonzero(flat))
+            energy = np.empty(exact.size)
+            omega = np.empty(exact.size)
+            for j, lo, hi in _groups(exact, bounds):
+                energy[lo:hi], omega[lo:hi] = _omegas(
+                    windows, at[exact[lo:hi]], qs[j], q_energy[j])
+                # a flat segment carries no information: it is skipped,
+                # and its omega of NaN clamps to 0, the maximum step
+                degenerate[j] += int(np.count_nonzero(energy[lo:hi] == 0.0))
             over = omega > delta
             if np.count_nonzero(over):
                 hits.append((r[over], b[over], omega[over]))
@@ -237,22 +340,24 @@ def _lockstep_scan(q, q_energy, windows, starts, alpha, delta, record_trace):
             clamped = np.where(omega > 0.0, omega, 0.0)
             step[exact] = _steps(alpha, clamped)
             if trace is not None:
-                trace.append([c[~flat] for c in (r, b, omega, clamped,
-                                                 step[exact])])
+                kept = energy != 0.0
+                trace.append([c[kept] for c in (r, b, omega, clamped,
+                                                step[exact])])
         beta += step
+        lattice = min(lattice + top_step, LAST_OFFSET + 1)
         live = beta <= LAST_OFFSET
         if not live.all():
-            # every row starts in round 1, so one that leaves now made
-            # `rounds` visits
-            visits += rounds * (rows.size - int(np.count_nonzero(live)))
             rows, beta = rows[live], beta[live]
-    candidates = (_best_per_slice(*map(np.concatenate, zip(*hits)))
-                  if hits else [])
     if trace:       # an empty store runs no round and keeps trace == []
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
         trace = list(zip(*(c[order].tolist() for c in cols)))
-    return candidates, visits - degenerate, degenerate, trace
+    r, b, omega = (map(np.concatenate, zip(*hits)) if hits else
+                   (np.empty(0, dtype=np.int64),) * 3)
+    j, r = np.divmod(r, max(n, 1))
+    return [(_best_per_slice(r[j == i], b[j == i], omega[j == i]),
+             visits[i] - degenerate[i], degenerate[i], trace)
+            for i in range(k)]
 
 
 # -- the exhaustive scan in the frequency domain ------------------------------
@@ -504,33 +609,53 @@ def _best_per_slice(rows, betas, omega):
                 betas[first].tolist())]
 
 
-def _run_search(window, store: MdbStore, cfg: SearchConfig, exhaustive: bool,
-                record_trace: bool = False):
+def _query(window):
+    """A window's samples, peak-scaled (see the module docstring), and
+    their energy."""
     q = dsp.peak_scaled(dsp.window_samples(window))
-    q_energy = float(np.dot(q, q))
+    return q, float(np.dot(q, q))
 
-    t0 = time.perf_counter()
-    n = store.num_slices
-    if exhaustive:
-        candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
-        used = n * _OFFSETS - degenerate
-        trace = None
-    else:
-        windows = (sliding_window_view(store.flat, dsp.WINDOW_LEN) if n
-                   else None)
-        candidates, used, degenerate, trace = _lockstep_scan(
-            q, q_energy, windows, store.slice_starts, cfg.alpha, cfg.delta,
-            record_trace)
 
+def _result(candidates, used, degenerate, store, cfg, t0, trace=None):
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
         candidates=candidates[:cfg.top_k],
         comparisons_made=used,
-        slices_scanned=n,
+        slices_scanned=store.num_slices,
         elapsed=time.perf_counter() - t0,
         degenerate_skipped=degenerate,
         trace=trace,
     )
+
+
+def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
+                        record_trace: bool = False) -> list[SearchResult]:
+    """sliding_search of each window, all in one lockstep.
+
+    The results are those of one sliding_search per window, field for
+    field, except `elapsed`, which is the wall time of the lockstep
+    that answered the window. Windows whose scans meet at the same
+    offset of a slice share its gather and one float32 product (see
+    _lockstep_scan). At most _LOCKSTEP_ROWS (window, slice) rows, and
+    at least one window, run in one lockstep; more windows run in
+    several. record_trace needs exactly one window.
+    """
+    queries = [_query(w) for w in windows]
+    if record_trace and len(queries) != 1:
+        raise ValueError("record_trace needs exactly one window")
+    n = store.num_slices
+    view = sliding_window_view(store.flat, dsp.WINDOW_LEN) if n else None
+    per = max(1, _LOCKSTEP_ROWS // max(n, 1))
+    results = []
+    for lo in range(0, len(queries), per):
+        t0 = time.perf_counter()
+        qs, energies = (np.array(c) for c in zip(*queries[lo:lo + per]))
+        scans = _lockstep_scan(qs, energies, view, store.slice_starts,
+                               cfg.alpha, cfg.delta, record_trace)
+        results += [_result(candidates, used, degenerate, store, cfg, t0,
+                            trace)
+                    for candidates, used, degenerate, trace in scans]
+    return results
 
 
 def sliding_search(window, store: MdbStore, cfg: SearchConfig,
@@ -545,7 +670,7 @@ def sliding_search(window, store: MdbStore, cfg: SearchConfig,
     carries every visited offset as (set_id, beta, omega,
     omega_clamped, step) for scan audits.
     """
-    return _run_search(window, store, cfg, False, record_trace)
+    return sliding_search_many([window], store, cfg, record_trace)[0]
 
 
 def exhaustive_search(window, store: MdbStore,
@@ -558,7 +683,11 @@ def exhaustive_search(window, store: MdbStore,
     sliding kernel's arithmetic at every offset, bit for bit.
     The store's spectra table is built on the first call and kept on
     the store. The result carries no trace."""
-    return _run_search(window, store, cfg, True)
+    q, q_energy = _query(window)
+    t0 = time.perf_counter()
+    candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
+    return _result(candidates, store.num_slices * _OFFSETS - degenerate,
+                   degenerate, store, cfg, t0)
 
 
 @dataclass

@@ -133,7 +133,8 @@ def resample(x, source_hz: float, target_hz: float):
     Output length is round(len(x) * target_hz / source_hz), so duration
     is preserved to within one sample period. Values beyond the last
     source sample clamp to it. A same-rate call returns the input
-    unchanged (copied) so identity ingestion stays bit-exact.
+    unchanged (copied) so identity ingestion stays bit-exact. An output
+    length that rounds to 0 is a ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -143,6 +144,9 @@ def resample(x, source_hz: float, target_hz: float):
     if source_hz == target_hz:
         return x.copy()
     n_out = int(round(x.size * float(target_hz) / float(source_hz)))
+    if n_out == 0:
+        raise ValueError(f"{x.size} samples at {source_hz} Hz resample to "
+                         f"none at {target_hz} Hz")
     t_out = np.arange(n_out, dtype=np.float64) / float(target_hz)
     t_in = np.arange(x.size, dtype=np.float64) / float(source_hz)
     return np.interp(t_out, t_in, x)

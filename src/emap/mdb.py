@@ -115,7 +115,8 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     line scanner _rows parses the others, with the same result. The
     signal is resampled to 256 Hz, bandpass filtered, and its anomaly
     spans and onset are rescaled by the resampling ratio. A span or
-    onset that does not fit the signal is a ValueError naming the file.
+    onset that does not fit the signal, or a signal that resamples to
+    no samples, is a ValueError naming the file.
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
@@ -141,7 +142,10 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     def rescale(pos):
         return int(round(pos * ratio))
 
-    x = dsp.resample(x, sample_rate_hz, dsp.SAMPLE_RATE_HZ)
+    try:
+        x = dsp.resample(x, sample_rate_hz, dsp.SAMPLE_RATE_HZ)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     spans = [(rescale(s), rescale(e), k)
              for s, e, k in (_norm_span(sp) for sp in anomaly_spans)]
     filtered = dsp.apply_filter(x, dsp.design_bandpass())

@@ -5,7 +5,9 @@ completes; cloud calls (uplink, search, downlink) are scheduled as
 future events while the edge keeps stepping the old candidate set, and a
 delivered correlation set is swapped in at the next whole-second
 boundary. Everything is deterministic for fixed configs: the background
-search is an event, not a thread.
+search is an event, not a thread. An evaluation runs all its streams
+together and sends the searches they request at once to one
+multi-query search; each stream's outcome is the same as alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import dsp
-from .cloud_search import SearchConfig, sliding_search
+from .cloud_search import SearchConfig, sliding_search, sliding_search_many
 from .edge_tracker import (
     ANOMALY_PREDICTED,
     TrackerConfig,
@@ -202,7 +204,34 @@ def run_stream(live: SourceSignal, store: MdbStore,
     no candidates is dropped, and the next boundary sends a fresh
     initial call; a stream that never gets candidates ends undecided.
     """
-    sim = sim or SimConfig()
+    loop = _stream_loop(live, store, tracker_cfg, link, sim or SimConfig())
+    return _drive([loop], lambda windows: [
+        sliding_search(w, store, search_cfg) for w in windows])[0]
+
+
+def _drive(loops, search):
+    """Run stream loops (_stream_loop) to their ends and return their
+    outcomes. Each pass sends every waiting loop its search result and
+    collects the windows the loops want searched next; one
+    search(windows) call answers them all."""
+    outcomes = [None] * len(loops)
+    replies = dict.fromkeys(range(len(loops)))
+    while replies:
+        requests = {}
+        for i, reply in replies.items():
+            try:
+                requests[i] = loops[i].send(reply)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        replies = dict(zip(requests, search(list(requests.values()))))
+    return outcomes
+
+
+def _stream_loop(live: SourceSignal, store: MdbStore,
+                 tracker_cfg: TrackerConfig, link: LinkModel, sim: SimConfig):
+    """run_stream's loop as a generator: it yields each window it sends
+    to the cloud, is sent that window's SearchResult, and returns the
+    RunOutcome."""
     n_windows = live.samples.size // dsp.WINDOW_LEN
     if n_windows < 2:
         raise ValueError("live signal must span at least 2 seconds")
@@ -220,14 +249,16 @@ def run_stream(live: SourceSignal, store: MdbStore,
         events.append(TimelineEvent(t_sim_us=t_us, kind=kind, detail=detail))
 
     def schedule_call(w: int, t_request_us: int):
-        """The pending call, or None when window w has zero energy: no
-        search can score it, so the call waits for the next window."""
-        try:
-            result = sliding_search(window(w), store, search_cfg)
-        except dsp.DegenerateSignalError:
+        """Yield window w for a search and return the pending call, or
+        None when the window is all zeros: it has no energy, so no
+        search can score it (dsp.peak_scaled), and the call waits for
+        the next window."""
+        request = window(w)
+        if not request.samples.any():
             emit(t_request_us, "cloud_call_deferred", window=w,
                  reason="zero_energy_window")
             return None
+        result = yield request
         up = link.uplink_latency(dsp.WINDOW_LEN)
         emit(t_request_us, "uplink", n_samples=dsp.WINDOW_LEN, duration_us=up)
         t_start = t_request_us + up
@@ -256,7 +287,7 @@ def run_stream(live: SourceSignal, store: MdbStore,
         emit(t_b, "sample", window=w_b)
 
         if tracker is None and pending is None:
-            pending = schedule_call(w_b, t_b)
+            pending = yield from schedule_call(w_b, t_b)
             continue
 
         if pending is not None and pending.delivery_us <= t_b:
@@ -292,7 +323,7 @@ def run_stream(live: SourceSignal, store: MdbStore,
             if report.cloud_call is not None and pending is None:
                 emit(t_b, "cloud_call_request", reason=report.cloud_call,
                      window=w_b)
-                pending = schedule_call(w_b, t_b)
+                pending = yield from schedule_call(w_b, t_b)
 
     reports = tracker.reports if tracker is not None else []
     final = reports[-1].classification if reports else "undecided"
@@ -364,14 +395,20 @@ def evaluate_batch(corpus, store: MdbStore, search_cfg: SearchConfig,
                    sim: SimConfig | None = None) -> EvaluationTable:
     """Run every stream, score predictions per batch, and append a mean
     row. A stream counts as predicted-anomalous only once the configured
-    number of cloud transmissions has been applied."""
+    number of cloud transmissions has been applied.
+
+    The streams run together: each pass sends the windows they want
+    searched to one sliding_search_many call. Every outcome is the one
+    run_stream gives for its stream, byte for byte."""
     sim = sim or SimConfig()
     if not corpus:
         raise ValueError("empty evaluation corpus")
     _assert_disjoint(corpus, store)
 
-    outcomes = [run_stream(live, store, search_cfg, tracker_cfg, link, sim)
-                for live in corpus]
+    loops = [_stream_loop(live, store, tracker_cfg, link, sim)
+             for live in corpus]
+    outcomes = _drive(loops, lambda windows: sliding_search_many(
+        windows, store, search_cfg))
 
     def score(outs, batch_name):
         n = len(outs)

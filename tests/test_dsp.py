@@ -255,6 +255,12 @@ def test_resample_preserves_duration_and_ramps():
     assert down.size == 250
 
 
+def test_resample_to_no_samples_is_an_error():
+    assert resample(np.ones(4), 1000, 256).size == 1
+    with pytest.raises(ValueError, match="resample to none"):
+        resample(np.ones(4), 10 ** 9, 256)
+
+
 def test_window_validation():
     good = SignalWindow(samples=np.zeros(WINDOW_LEN) + 1.0, timestep_index=0)
     assert good.samples.dtype == np.float64

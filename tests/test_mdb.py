@@ -430,6 +430,14 @@ def test_ingest_csv_resamples_and_rescales_spans(tmp_path):
     assert sig.anomaly_spans == [(500, 1001, "stroke")]
 
 
+def test_ingest_csv_rejects_a_rate_that_leaves_no_samples(tmp_path):
+    # 4 samples at 1 GHz last 4 ns: less than half a 256 Hz sample
+    p = tmp_path / "short.csv"
+    write_csv(p, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="short.csv: 4 samples"):
+        ingest_csv(p, sample_rate_hz=10 ** 9)
+
+
 def test_ingest_csv_reports_bad_line_number(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("# comment\n1.0\n2.0\nnot-a-number\n4.0\n")

@@ -1,7 +1,11 @@
 """Simulated cloud-edge loop: timing, overlap, determinism, evaluation."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +15,12 @@ from hypothesis import strategies as st
 from emap import orchestrator
 from emap.cloud_search import sliding_search
 from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, WINDOW_LEN
-from emap.edge_tracker import init_tracker, swap_in, tracker_step
+from emap.edge_tracker import (
+    init_tracker,
+    report_json_record,
+    swap_in,
+    tracker_step,
+)
 from emap.mdb import SourceSignal, build_store
 from emap.scenarios import evaluation_world
 from emap.orchestrator import (
@@ -611,3 +620,105 @@ def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
     if not out.reports:
         assert out.final_classification == "undecided"
         assert out.degraded is True
+
+
+def with_samples(live, samples):
+    return SourceSignal(id=live.id, samples=samples,
+                        anomaly_spans=live.anomaly_spans,
+                        dataset_tag=live.dataset_tag,
+                        onset_sample=live.onset_sample)
+
+
+def written_lines(out):
+    """An outcome as the lines `emap simulate` writes for it."""
+    return ([json.dumps(e.to_json_dict()) for e in out.timeline],
+            [json.dumps(report_json_record(r, step_micros=0))
+             for r in out.reports])
+
+
+def test_evaluate_batch_runs_each_stream_as_run_stream(small_eval,
+                                                       small_eval_streams):
+    """evaluate_batch searches the windows of all streams together; each
+    outcome is still run_stream's, byte for byte. Stream 0's first
+    window is all zeros, which defers its call alone; stream 2 is 15 s
+    of a 24 s world; stream 3 is noise that never gets candidates."""
+    cfg, store, _live = small_eval
+    s = small_eval_streams
+    flat_start = s[0].samples.copy()
+    flat_start[:WINDOW_LEN] = 0.0
+    noise = np.random.default_rng(8).normal(0.0, 15.0, s[3].samples.size)
+    corpus = [with_samples(s[0], flat_start), s[1],
+              with_samples(s[2], s[2].samples[:15 * WINDOW_LEN]),
+              with_samples(s[3], noise)]
+    table = evaluate_batch(corpus, store, cfg.search, cfg.tracker, cfg.link,
+                           cfg.sim)
+    alone = [run_stream(live, store, cfg.search, cfg.tracker, cfg.link,
+                        cfg.sim) for live in corpus]
+    assert ([written_lines(out) for out in table.outcomes]
+            == [written_lines(out) for out in alone])
+    assert [[e.detail["window"] for e in out.timeline
+             if e.kind == "cloud_call_deferred"]
+            for out in table.outcomes] == [[0], [], [], []]
+    assert [sum(e.kind == "sample" for e in out.timeline)
+            for out in table.outcomes] == [24, 24, 15, 24]
+    assert table.outcomes[1].reports and table.outcomes[2].reports
+    assert table.outcomes[3].reports == []
+    assert table.outcomes[3].final_classification == "undecided"
+
+
+def test_evaluate_batch_raises_run_stream_error_on_a_nan(small_eval,
+                                                         small_eval_streams):
+    cfg, store, _live = small_eval
+    s = small_eval_streams
+    samples = s[1].samples.copy()
+    samples[10 * WINDOW_LEN + 7] = np.nan
+    bad = with_samples(s[1], samples)
+    args = (store, cfg.search, cfg.tracker, cfg.link, cfg.sim)
+    with pytest.raises(ValueError) as alone:
+        run_stream(bad, *args)
+    with pytest.raises(ValueError) as batch:
+        evaluate_batch([s[0], bad, s[2]], *args)
+    assert str(batch.value) == str(alone.value)
+    assert "non-finite" in str(batch.value)
+
+
+BATCH_DIGEST = """
+import hashlib, json, sys
+from emap import MdbStore, evaluate_batch
+from emap.edge_tracker import report_json_record
+from emap.scenarios import evaluation_world
+
+world = evaluation_world(2026, n_anomalous=4, n_normal=4)
+cfg = world.run_config
+table = evaluate_batch(world.streams, MdbStore.load(sys.argv[1]), cfg.search,
+                       cfg.tracker, cfg.link, cfg.sim)
+digest = hashlib.sha256()
+for out in table.outcomes:
+    for record in ([e.to_json_dict() for e in out.timeline]
+                   + [report_json_record(r, step_micros=0)
+                      for r in out.reports]):
+        digest.update(json.dumps(record).encode() + b"\\n")
+print(len(table.outcomes), digest.hexdigest())
+"""
+
+
+def test_evaluate_batch_is_identical_under_one_and_two_blas_threads(
+        tmp_path):
+    """The batched search scores windows that several streams share with
+    a float32 matrix-matrix product, where one stream's search (`emap
+    simulate`, criterion 11) makes only matrix-vector products. OpenBLAS
+    sizes its thread pool when numpy is imported, so each count runs in
+    its own process."""
+    world = evaluation_world(2026, n_anomalous=4, n_normal=4)
+    build_store(world.store_signals, tmp_path / "store")
+    src = os.path.dirname(os.path.dirname(orchestrator.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        digests.append(subprocess.run(
+            [sys.executable, "-c", BATCH_DIGEST, str(tmp_path / "store")],
+            env=env, check=True, capture_output=True, text=True).stdout)
+    assert digests[0].startswith("8 ")
+    assert digests[0] == digests[1]

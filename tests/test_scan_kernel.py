@@ -44,6 +44,7 @@ from emap.cloud_search import (
     _steps,
     exhaustive_search,
     sliding_search,
+    sliding_search_many,
 )
 from emap.dsp import WINDOW_LEN, SignalWindow, peak_scaled, window_samples
 from emap.mdb import SLICE_LEN, MdbStore, SourceSignal, build_store
@@ -223,12 +224,13 @@ def test_row_omega_does_not_depend_on_its_batch(eval_world):
     q_energy = float(np.dot(q, q))
     windows = np.lib.stride_tricks.sliding_window_view(store.flat, WINDOW_LEN)
     starts = store.slice_starts[:300]
-    *_, batch = _lockstep_scan(q, q_energy, windows, starts, 0.004, 0.8,
-                               True)
+    [(*_, batch)] = _lockstep_scan(q[None], np.array([q_energy]), windows,
+                                   starts, 0.004, 0.8, True)
     batch_rows = {(row, beta): omega for row, beta, omega, *_ in batch}
     for row in (0, 1, 17, 150, 299):
-        *_, alone = _lockstep_scan(q, q_energy, windows,
-                                   starts[row:row + 1], 0.004, 0.8, True)
+        [(*_, alone)] = _lockstep_scan(q[None], np.array([q_energy]),
+                                       windows, starts[row:row + 1], 0.004,
+                                       0.8, True)
         for _row, beta, omega, *_ in alone:
             assert batch_rows[(row, beta)] == omega
 
@@ -692,3 +694,84 @@ def test_a_slice_whose_only_unkept_windows_are_flat_has_a_finite_floor(
             cfg = SearchConfig(delta=delta)
             assert_same_as_reference(q, store, cfg, exhaustive=True)
             assert_same_as_reference(q, store, cfg)
+
+
+# -- many queries in one lockstep -------------------------------------------------
+
+def assert_many_is_single(windows, store, cfg):
+    """sliding_search_many against one sliding_search per window: every
+    field but the wall time is equal."""
+    many = sliding_search_many(windows, store, cfg)
+    assert len(many) == len(windows)
+    for got, w in zip(many, windows):
+        want = sliding_search(w, store, cfg)
+        assert (dataclasses.replace(got, elapsed=0.0)
+                == dataclasses.replace(want, elapsed=0.0))
+    return many
+
+
+def nonzero_windows(store):
+    """(set_id, first window) of every slice whose first window is not
+    all zeros."""
+    return [(set_id, store.get_slice(set_id).samples[:WINDOW_LEN])
+            for set_id in range(store.num_slices)
+            if store.get_slice(set_id).samples[:WINDOW_LEN].any()]
+
+
+# alpha 0.9 has top step 1, where every row stays on the lattice;
+# alpha 0.001 has top step 1000, past the last offset, so the lattice
+# is beta 0 alone
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([0.9, 0.001, 0.004]),
+       delta=st.sampled_from([0.5, 0.8]))
+def test_many_queries_scan_as_one_query_each(flat_run_store, data, alpha,
+                                             delta):
+    """Batches of 1 to 6 windows, repeats among them, on a random noise
+    store or on one with zero runs: each window cut from a stored slice
+    finds that slice at beta 0 with omega exactly 1.0."""
+    with tempfile.TemporaryDirectory() as root:
+        if data.draw(st.booleans(), label="random store"):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            store = build_store(
+                [SourceSignal(id=sid, samples=rng.normal(
+                    0, 15, SLICE_LEN * int(rng.integers(1, 4))
+                    + int(rng.integers(0, 300))))
+                 for sid in range(int(rng.integers(1, 4)))], root)
+        else:
+            store = flat_run_store[0]
+            rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        own = nonzero_windows(store)
+        at = rng.integers(0, store.flat.size - WINDOW_LEN + 1, 2)
+        pool = ([("slice", set_id, x) for set_id, x in own[:3]]
+                + [("offset", None, store.flat[a:a + WINDOW_LEN])
+                   for a in at if store.flat[a:a + WINDOW_LEN].any()]
+                + [("noise", None, rng.normal(0, 15, WINDOW_LEN))])
+        batch = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=6))
+        cfg = SearchConfig(alpha=alpha, delta=delta)
+        many = assert_many_is_single(
+            [SignalWindow(samples=x) for _kind, _sid, x in batch], store, cfg)
+        for (kind, set_id, _x), res in zip(batch, many):
+            if kind == "slice":
+                assert (set_id, 1.0, 0) in [
+                    (c.set_id, c.omega, c.beta) for c in res.candidates]
+
+
+def test_many_queries_above_the_row_cap(eval_world):
+    """A batch larger than one lockstep holds, on the eval store: stream
+    openings (which every stream sends first and all share beta 0 of
+    every slice), random windows, repeats, and self-matches."""
+    world, store = eval_world
+    per_lockstep = cloud_search._LOCKSTEP_ROWS // store.num_slices
+    openings = [SignalWindow(samples=s.samples[:WINDOW_LEN])
+                for s in world.streams[:8]]
+    own = [SignalWindow(samples=x)
+           for _sid, x in nonzero_windows(store)[500:503]]
+    batch = openings + eval_windows(world, n=8) + own + openings[:3]
+    assert len(batch) > 2 * per_lockstep
+    many = assert_many_is_single(batch, store, SearchConfig())
+    assert [res.candidates[0].omega for res in many[16:19]] == [1.0] * 3
+    assert sliding_search_many([], store, SearchConfig()) == []
+    with pytest.raises(ValueError, match="exactly one window"):
+        sliding_search_many(openings[:2], store, SearchConfig(),
+                            record_trace=True)

@@ -1,4 +1,4 @@
-"""Every imported name in src/, tests/ and demos/ is used.
+"""Every imported name in src/, tests/, demos/ and perfbench/ is used.
 
 A small AST scan, so the check needs no linter: a name bound by an
 import counts as used if it is read anywhere in the module, or listed
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests", "demos")
+FILES = sorted(p for d in ("src", "tests", "demos", "perfbench")
                for p in (ROOT / d).rglob("*.py"))
 
 
