@@ -170,7 +170,6 @@ def _result_json(res) -> dict:
         "candidates": [{"set_id": c.set_id, "omega": c.omega, "beta": c.beta}
                        for c in res.candidates],
         "comparisons_made": res.comparisons_made,
-        "slices_scanned": res.slices_scanned,
         "degenerate_skipped": res.degenerate_skipped,
     }
 
@@ -329,15 +328,6 @@ def cmd_sweep_alpha(args, cfg: RunConfig) -> int:
 
 # -- entry point -------------------------------------------------------------
 
-class _ThreadsRemoved(argparse.Action):
-    """--threads no longer exists: using it is a usage error that names
-    it, where argparse would take its value for the subcommand."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"{option_string} was removed: every search scans "
-                     "the whole store in one lockstep on one thread")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="emap",
@@ -347,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="fail with exit code 4 on latency/real-time "
                         "budget violations")
-    p.add_argument("--threads", action=_ThreadsRemoved, help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")

@@ -99,7 +99,6 @@ class SearchConfig:
 class SearchResult:
     candidates: list
     comparisons_made: int = 0
-    slices_scanned: int = 0
     elapsed: float = 0.0
     degenerate_skipped: int = 0
     trace: list | None = None
@@ -616,12 +615,11 @@ def _query(window):
     return q, float(np.dot(q, q))
 
 
-def _result(candidates, used, degenerate, store, cfg, t0, trace=None):
+def _result(candidates, used, degenerate, cfg, t0, trace=None):
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
         candidates=candidates[:cfg.top_k],
         comparisons_made=used,
-        slices_scanned=store.num_slices,
         elapsed=time.perf_counter() - t0,
         degenerate_skipped=degenerate,
         trace=trace,
@@ -652,8 +650,7 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
         qs, energies = (np.array(c) for c in zip(*queries[lo:lo + per]))
         scans = _lockstep_scan(qs, energies, view, store.slice_starts,
                                cfg.alpha, cfg.delta, record_trace)
-        results += [_result(candidates, used, degenerate, store, cfg, t0,
-                            trace)
+        results += [_result(candidates, used, degenerate, cfg, t0, trace)
                     for candidates, used, degenerate, trace in scans]
     return results
 
@@ -687,7 +684,7 @@ def exhaustive_search(window, store: MdbStore,
     t0 = time.perf_counter()
     candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
     return _result(candidates, store.num_slices * _OFFSETS - degenerate,
-                   degenerate, store, cfg, t0)
+                   degenerate, cfg, t0)
 
 
 @dataclass
@@ -710,19 +707,15 @@ def alpha_sweep(windows, store: MdbStore, alphas,
     base = base_cfg or SearchConfig()
     rows = []
     for alpha in alphas:
-        cfg = dataclasses.replace(base, alpha=alpha)
-        comps = []
-        matches = []
-        omegas = []
-        for w in windows:
-            res = sliding_search(w, store, cfg)
-            comps.append(res.comparisons_made)
-            matches.append(len(res.candidates))
-            omegas.extend(c.omega for c in res.candidates)
+        results = sliding_search_many(
+            windows, store, dataclasses.replace(base, alpha=alpha))
+        omegas = [c.omega for res in results for c in res.candidates]
         rows.append(SweepRow(
             alpha=float(alpha),
-            mean_comparisons=float(np.mean(comps)),
-            mean_matches=float(np.mean(matches)),
+            mean_comparisons=float(np.mean(
+                [res.comparisons_made for res in results])),
+            mean_matches=float(np.mean(
+                [len(res.candidates) for res in results])),
             mean_top100_omega=float(np.mean(omegas)) if omegas else 0.0,
         ))
     return rows

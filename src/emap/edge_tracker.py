@@ -57,7 +57,6 @@ class TrackerConfig:
 class TrackedCandidate:
     set_id: int
     label: int
-    anomaly_kind: str | None
     cursor: int              # absolute parent position of the next segment
     parent_offset: int
     parent_len: int          # the parent's sample count
@@ -67,7 +66,6 @@ class TrackedCandidate:
 @dataclass
 class Removal:
     set_id: int
-    reason: str              # "dissimilar" or "exhausted"
     cursor: int              # where the failed comparison looked
     area: float | None = None
 
@@ -119,13 +117,13 @@ def _seed_candidates(result, store: MdbStore, steps_ahead: int):
         raise ValueError("steps_ahead must be >= 1")
     tracked = []
     for cand in sorted(result.candidates, key=lambda c: c.set_id):
-        _sid, parent_id, parent_offset, label, kind = store.slice_meta(
+        _sid, parent_id, parent_offset, label, _kind = store.slice_meta(
             cand.set_id)
         rel = cand.beta + dsp.WINDOW_LEN * steps_ahead
         if get_parent_segment(store, cand.set_id, rel, dsp.WINDOW_LEN) is None:
             continue
         tracked.append(TrackedCandidate(
-            set_id=cand.set_id, label=label, anomaly_kind=kind,
+            set_id=cand.set_id, label=label,
             cursor=parent_offset + rel, parent_offset=parent_offset,
             parent_len=store.parent_samples(parent_id).size,
             omega_at_match=cand.omega))
@@ -172,16 +170,15 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     alive = []
     for cand, fit in zip(cands, fits):
         if not fit:
-            removed_exhausted.append(Removal(
-                set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
+            removed_exhausted.append(Removal(set_id=cand.set_id,
+                                             cursor=cand.cursor))
             continue
         seg, sure = next(rows)
         if not sure:
             area = dsp.area_between(x, seg)
             if area > threshold:
                 removed_dissimilar.append(Removal(
-                    set_id=cand.set_id, reason="dissimilar",
-                    cursor=cand.cursor, area=area))
+                    set_id=cand.set_id, cursor=cand.cursor, area=area))
                 continue
         cand.cursor += dsp.WINDOW_LEN
         alive.append(cand)

@@ -326,13 +326,17 @@ class MdbStore:
                 raise ValueError(f"manifest {key!r} is {got!r}; stores "
                                  f"hold {want} here")
         signals = _signal_entries(manifest)
-        flat = np.empty(sum(sig["length"] for sig in signals), dtype="<f4")
+        total = sum(sig["length"] for sig in signals)
         with open(os.path.join(root, PAYLOAD_FILE), "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            if size != flat.nbytes or fh.readinto(flat) != size:
+            # sizes agree before anything is allocated, so a corrupt
+            # length cannot ask for more memory than the payload holds
+            flat = (np.empty(total, dtype="<f4")
+                    if 0 <= total and 4 * total == size else None)
+            if flat is None or fh.readinto(flat) != size:
                 raise ValueError(
                     f"payload {PAYLOAD_FILE} has {size} bytes; the manifest's "
-                    f"lengths sum to {flat.size} samples, {flat.nbytes} bytes")
+                    f"lengths sum to {total} samples, {4 * total} bytes")
         bad = _first_non_finite(flat)
         parents = {}
         index = []
@@ -408,7 +412,6 @@ def build_store(signals, out_dir) -> MdbStore:
         "length": int(sig.samples.size),
         "dataset_tag": sig.dataset_tag,
         "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
-        "onset_sample": sig.onset_sample,
     } for sig in signals]
 
     manifest = {

@@ -64,9 +64,11 @@ class SimConfig:
     report_step_micros: int = 0       # value serialized into report files
 
     def __post_init__(self):
-        if not (math.isfinite(self.cloud_search_s)
+        # finite in microseconds too, the unit the loop rounds it to
+        if not (math.isfinite(self.cloud_search_s * US_PER_S)
                 and self.cloud_search_s >= 0):
-            raise ValueError("cloud_search_s must be non-negative and finite")
+            raise ValueError("cloud_search_s must be non-negative and finite "
+                             "in microseconds")
         if self.eval_after_cloud_calls < 1:
             raise ValueError("eval_after_cloud_calls must be >= 1")
         if self.batch_size < 1:
@@ -149,15 +151,12 @@ class TimingReport:
 @dataclass
 class RunOutcome:
     signal_id: int
-    dataset_tag: str
-    truth_label: int
     onset_sample: int | None
     final_classification: str
     reports: list
     timeline: list
     timing: TimingReport | None
     transmissions_before_report: list
-    degraded: bool
 
     def first_prediction(self, min_transmissions: int = 1):
         """(iteration, sim seconds) of the first anomaly call made once
@@ -333,15 +332,12 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
     events.sort(key=lambda e: e.t_sim_us)
     return RunOutcome(
         signal_id=live.id,
-        dataset_tag=live.dataset_tag,
-        truth_label=1 if live.anomaly_spans else 0,
         onset_sample=live.onset_sample,
         final_classification=final,
         reports=reports,
         timeline=events,
         timing=timing,
         transmissions_before_report=transmissions_before,
-        degraded=tracker.degraded if tracker is not None else True,
     )
 
 

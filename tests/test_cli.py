@@ -312,7 +312,6 @@ def test_zero_threads_rejected(tiny_store, tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert "emap: error:" in err
-        assert "--threads was removed" in err
 
 
 def test_strict_mode_flags_uplink_budget(cli_world, tmp_path, capsys):
@@ -367,6 +366,28 @@ def test_strict_mode_flags_a_slow_tracker_step(cli_world, tmp_path, capsys,
     assert rc == 4
     assert ("tracker step took 1000000 us, breaking the 1 s real-time bound"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("cloud_search_s, rc_want", [(1e303, 2), (1e300, 0)])
+def test_simulate_with_a_huge_cloud_search_time(cli_world, tmp_path, capsys,
+                                                cloud_search_s, rc_want):
+    # 1e303 s is finite but not in microseconds; 1e300 s is both, and
+    # the stream simply ends before the first answer arrives
+    cfg = json.loads(cli_world["config"].read_text())
+    cfg["sim"]["cloud_search_s"] = cloud_search_s
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    live = sorted((cli_world["eval"]).glob("*.csv"))[0]
+    out = tmp_path / "run"
+    rc = emap_cli.main(["--config", str(cfg_path), "simulate",
+                        "--store", str(cli_world["store"]),
+                        "--live", str(live), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == rc_want
+    if rc_want:
+        assert "cloud_search_s must be non-negative and finite" in err
+    else:
+        assert (out / "reports.jsonl").read_text() == ""
 
 
 def test_simulate_writes_jsonl_records(cli_world, tmp_path, capsys):
@@ -461,6 +482,22 @@ def test_format_1_store_is_a_data_error(tiny_store, tmp_path, capsys):
                         "--input", str(q)])
     assert rc == 3
     assert "store format 1" in capsys.readouterr().err
+
+
+def test_store_with_a_huge_length_is_a_data_error(tiny_store, tmp_path,
+                                                  capsys):
+    # 10**15 float32 samples is more than numpy will try to reserve
+    store_dir, raw = tiny_store
+    manifest = json.loads((store_dir / "manifest.json").read_text())
+    manifest["signals"][0]["length"] = 10**15
+    (store_dir / "manifest.json").write_text(json.dumps(manifest))
+    q = tmp_path / "query.csv"
+    write_signal_csv(q, raw[:256])
+    rc = emap_cli.main(["search", "--store", str(store_dir),
+                        "--input", str(q)])
+    assert rc == 3
+    assert ("data error: payload samples.f32 has 4000 bytes; the manifest's "
+            f"lengths sum to {10**15} samples") in capsys.readouterr().err
 
 
 def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
@@ -576,7 +613,9 @@ def test_sidecar_onset_is_rescaled_with_the_spans(tmp_path, capsys):
     entry = manifest["signals"][0]
     assert entry["length"] == 2000
     assert entry["spans"] == [[1000, 1500, "seizure"]]
-    assert entry["onset_sample"] == 1500
+    # the onset is scored from the sidecar; the manifest does not hold it
+    sig, = emap_cli._corpus_from_dir(raw)
+    assert sig.onset_sample == 1500
 
 
 @pytest.mark.parametrize("onset", [1_000_000, -256])

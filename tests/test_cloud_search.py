@@ -14,6 +14,7 @@ from emap.cloud_search import (
     alpha_sweep,
     exhaustive_search,
     sliding_search,
+    sliding_search_many,
 )
 from emap.dsp import DegenerateSignalError, SignalWindow, WINDOW_LEN, xcorr
 from emap.mdb import SLICE_LEN, SourceSignal, build_store
@@ -36,7 +37,6 @@ def test_scan_covers_all_745_offsets(tmp_path):
     res = exhaustive_search(window_of(store, 0), store, SearchConfig())
     assert LAST_OFFSET == 744
     assert res.comparisons_made == 745
-    assert res.slices_scanned == 1
 
 
 def test_empty_store_gives_empty_result(tmp_path):
@@ -47,7 +47,6 @@ def test_empty_store_gives_empty_result(tmp_path):
         res = search(q, store, SearchConfig())
         assert res.candidates == []
         assert res.comparisons_made == 0
-        assert res.slices_scanned == 0
     # no round runs, so the trace is empty
     assert sliding_search(q, store, SearchConfig(),
                           record_trace=True).trace == []
@@ -226,14 +225,14 @@ def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world,
     base = SearchConfig(delta=0.9, top_k=2)
     seen = []
 
-    def recording(window, store, cfg, record_trace=False):
-        seen.append(cfg)
-        return sliding_search(window, store, cfg, record_trace)
+    def recording(windows, store, cfg, record_trace=False):
+        seen.append((len(windows), cfg))
+        return sliding_search_many(windows, store, cfg, record_trace)
 
-    monkeypatch.setattr(cloud_search, "sliding_search", recording)
+    monkeypatch.setattr(cloud_search, "sliding_search_many", recording)
     row, = alpha_sweep(corpus.queries[:3], store, [0.02], base_cfg=base)
     cfg = SearchConfig(alpha=0.02, delta=0.9, top_k=2)
-    assert seen == [cfg] * 3
+    assert seen == [(3, cfg)]
     runs = [sliding_search(q, store, cfg) for q in corpus.queries[:3]]
     assert row.mean_comparisons == np.mean([r.comparisons_made for r in runs])
     assert row.mean_matches == np.mean([len(r.candidates) for r in runs])

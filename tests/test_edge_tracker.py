@@ -43,8 +43,7 @@ def make_store(tmp_path, parents, labels=None, n=2048):
 
 def result_for(store, set_ids, beta=0):
     cands = [Candidate(set_id=s, omega=0.99, beta=beta) for s in set_ids]
-    return SearchResult(candidates=cands, comparisons_made=0,
-                        slices_scanned=store.num_slices, elapsed=0.0,
+    return SearchResult(candidates=cands, comparisons_made=0, elapsed=0.0,
                         degenerate_skipped=0)
 
 
@@ -70,8 +69,8 @@ def test_initial_probability_is_label_fraction(tmp_path):
 
 def test_init_rejects_empty_result(tmp_path):
     store = make_store(tmp_path, [np.random.default_rng(0).normal(0, 15, 2048)])
-    empty = SearchResult(candidates=[], comparisons_made=0, slices_scanned=1,
-                         elapsed=0.0, degenerate_skipped=0)
+    empty = SearchResult(candidates=[], comparisons_made=0, elapsed=0.0,
+                         degenerate_skipped=0)
     with pytest.raises(ValueError):
         init_tracker(empty, store, TrackerConfig())
 
@@ -141,8 +140,7 @@ def test_candidate_dead_on_arrival_when_parent_cannot_continue(tmp_path):
     res = SearchResult(
         candidates=[Candidate(set_id=0, omega=0.99, beta=0),
                     Candidate(set_id=2, omega=0.99, beta=700)],
-        comparisons_made=0, slices_scanned=2, elapsed=0.0,
-        degenerate_skipped=0)
+        comparisons_made=0, elapsed=0.0, degenerate_skipped=0)
     # the second candidate would need samples [956:1212) of its
     # 1000-sample parent
     state = init_tracker(res, store, TrackerConfig())
@@ -236,8 +234,8 @@ def test_swap_in_replaces_set_and_keeps_history(tmp_path):
     assert state.iteration_in_set == 0
     assert state.degraded is False
 
-    empty = SearchResult(candidates=[], comparisons_made=0, slices_scanned=6,
-                         elapsed=0.0, degenerate_skipped=0)
+    empty = SearchResult(candidates=[], comparisons_made=0, elapsed=0.0,
+                         degenerate_skipped=0)
     state.iteration_in_set = 3
     swap_in(state, empty, store)
     # nothing fresh: the old set keeps tracking in degraded mode
@@ -374,15 +372,14 @@ def reference_step(state, window, store):
         rel = cand.cursor - cand.parent_offset
         seg = get_parent_segment(store, cand.set_id, rel, WINDOW_LEN)
         if seg is None:
-            removed_exhausted.append(et.Removal(
-                set_id=cand.set_id, reason="exhausted", cursor=cand.cursor))
+            removed_exhausted.append(et.Removal(set_id=cand.set_id,
+                                                cursor=cand.cursor))
             continue
         area = area_between(x, seg)
         areas += 1
         if area > state.config.area_threshold:
             removed_dissimilar.append(et.Removal(
-                set_id=cand.set_id, reason="dissimilar", cursor=cand.cursor,
-                area=area))
+                set_id=cand.set_id, cursor=cand.cursor, area=area))
         else:
             cand.cursor += WINDOW_LEN
             kept.append(cand)
@@ -421,7 +418,7 @@ def fingerprint(state, report):
     """Everything a step decides; areas as hex, so equal means equal
     bit for bit."""
     def removals(rs):
-        return [(r.set_id, r.reason, r.cursor,
+        return [(r.set_id, r.cursor,
                  None if r.area is None else r.area.hex()) for r in rs]
     return (
         [(c.set_id, c.cursor) for c in state.tracked],
@@ -444,7 +441,7 @@ def test_batched_step_matches_the_per_candidate_loop(diff_store, data):
         # a removed candidate is no longer in the tracked set
         if not data.draw(st.sampled_from([True, True, True, False])):
             continue
-        _sid, pid, poff, label, kind = store.slice_meta(sid)
+        _sid, pid, poff, label, _kind = store.slice_meta(sid)
         n = store.parent_samples(pid).size
         # the last segment that fits, one sample past it, and beyond
         cursor = data.draw(st.one_of(
@@ -452,7 +449,7 @@ def test_batched_step_matches_the_per_candidate_loop(diff_store, data):
                              n - WINDOW_LEN - 1, n, n + 300]),
             st.integers(poff, n - WINDOW_LEN)))
         tracked.append(et.TrackedCandidate(
-            set_id=sid, label=label, anomaly_kind=kind, cursor=cursor,
+            set_id=sid, label=label, cursor=cursor,
             parent_offset=poff, parent_len=n, omega_at_match=0.9))
     fitting = [c for c in tracked if c.cursor + WINDOW_LEN <= c.parent_len]
 

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emap import mdb
-from emap.dsp import SAMPLE_RATE_HZ, apply_filter, design_bandpass
+from emap.cloud_search import SearchConfig, exhaustive_search, sliding_search
+from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, apply_filter, design_bandpass
 from emap.mdb import (
     SLICE_LEN,
     CsvFormatError,
@@ -213,6 +214,15 @@ def drop_slice_len(manifest):
     del manifest["slice_len"]
 
 
+def huge_length(manifest):
+    # more float32 samples than numpy will try to reserve
+    manifest["signals"][1]["length"] = 10**15
+
+
+def negative_length_sum(manifest):
+    manifest["signals"][1]["length"] = -3000
+
+
 def equal_spans_of_two_kinds(manifest):
     # None and "x" do not compare, so only a sort by position can order them
     manifest["signals"][1]["spans"] = [[0, 10, None], [0, 10, "x"]]
@@ -240,11 +250,16 @@ def write_query(tmp_path):
     (drop_slice_len, "manifest 'slice_len' is None"),
     (kind_as_list, r"signal #1 \(id 1\): 'spans' entry \[100, 200, \['a'\]\] "
      "has a kind that is neither a string nor null"),
+    (huge_length, "samples.f32 has 18000 bytes; the manifest's lengths sum "
+     f"to {2000 + 10**15} samples"),
+    (negative_length_sum, "samples.f32 has 18000 bytes; the manifest's "
+     "lengths sum to -1000 samples, -4000 bytes"),
 ], ids=["span-outside-signal", "format-1", "format-2", "no-spans",
         "no-length", "length-as-text", "signals-not-a-list",
         "manifest-not-an-object",
         "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
-        "rate-512", "no-slice-len", "kind-as-list"])
+        "rate-512", "no-slice-len", "kind-as-list", "huge-length",
+        "negative-length-sum"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
@@ -291,6 +306,28 @@ def test_load_rejects_bytes_past_the_last_signal(tmp_path, tail, size):
     with pytest.raises(ValueError, match=f"samples.f32 has {size} bytes; the "
                        "manifest's lengths sum to 2000 samples, 8000 bytes"):
         MdbStore.load(root)
+
+
+def test_a_store_whose_manifest_holds_onsets_still_loads(tmp_path):
+    # stores built before the manifest dropped onset_sample carry it
+    root = tmp_path / "store"
+    store = build_store([make_signal(0, n=2000, spans=[(500, 900, "seizure")]),
+                         make_signal(1, n=2500)], root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry, onset in zip(manifest["signals"], (500, None)):
+        entry["onset_sample"] = onset
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    older = MdbStore.load(root)
+
+    def searched(st):
+        window = SignalWindow(samples=st.get_slice(2).samples[:256],
+                              timestep_index=0)
+        return [(r.candidates, r.comparisons_made, r.degenerate_skipped)
+                for r in (sliding_search(window, st, SearchConfig()),
+                          exhaustive_search(window, st, SearchConfig()))]
+
+    assert searched(older) == searched(store)
+    assert searched(store)[0][0]
 
 
 def test_payload_is_every_signal_in_manifest_order(tmp_path):
@@ -366,7 +403,8 @@ def test_manifest_is_readable_json(tmp_path):
     entry = manifest["signals"][0]
     assert entry["id"] == 0
     assert entry["spans"] == [[100, 300, "seizure"]]
-    assert entry["onset_sample"] == 100
+    # lead times come from the corpus sidecars, not the store
+    assert "onset_sample" not in entry
     assert "file" not in entry
     assert manifest["format_version"] == 3
     assert "num_slices" not in manifest

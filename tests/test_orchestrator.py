@@ -261,8 +261,8 @@ def test_evaluate_batch_shape_and_gate(eval_world):
         assert 0.0 <= row.false_positive_rate <= 1.0
     # the prediction gate: an anomalous outcome needs two applied cloud
     # responses before its latched prediction counts
+    assert streams[0].anomaly_spans
     anomalous_out = table.outcomes[0]
-    assert anomalous_out.truth_label == 1
     assert anomalous_out.first_prediction(min_transmissions=2) is not None
     late = anomalous_out.first_prediction(min_transmissions=99)
     assert late is None
@@ -379,10 +379,15 @@ def test_predict_at_offsets_equals_truncate_and_rerun(eval_world,
 
 
 def test_sim_config_rejects_non_finite_latency():
-    for bad in (np.nan, np.inf, -np.inf, -1.0):
+    # 1e303 s overflows once the loop converts it to microseconds
+    for bad in (np.nan, np.inf, -np.inf, -1.0, 1e303):
         with pytest.raises(ValueError, match="cloud_search_s"):
             SimConfig(cloud_search_s=bad)
+        if np.isfinite(bad):
+            with pytest.raises(ValueError, match="cloud_search_s"):
+                RunConfig.from_dict({"sim": {"cloud_search_s": bad}})
     assert SimConfig(cloud_search_s=0.0).cloud_search_s == 0.0
+    assert SimConfig(cloud_search_s=1e300).cloud_search_s == 1e300
 
 
 def test_run_config_round_trips():
@@ -503,7 +508,6 @@ def test_an_empty_initial_call_is_retried(small_eval, flat):
     assert len(empties) > 1     # it keeps retrying
     assert out.reports == []
     assert out.final_classification == "undecided"
-    assert out.degraded is True
     assert out.timing is None
 
 
@@ -619,7 +623,6 @@ def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
         assert 0.0 <= r.p_anomaly <= 1.0
     if not out.reports:
         assert out.final_classification == "undecided"
-        assert out.degraded is True
 
 
 def with_samples(live, samples):

@@ -79,25 +79,24 @@ def _ref_scan_slice(q, q_energy, samples, set_id, alpha, delta, exhaustive,
 
 def reference_search(window, store, cfg, exhaustive=False,
                      record_trace=False):
-    """(candidates, comparisons, slices scanned, degenerate, trace)."""
+    """(candidates, comparisons, degenerate, trace)."""
     q = window_samples(window)
     q_energy = float(np.dot(q, q))
     trace = [] if record_trace else None
     cands = []
-    comparisons = degenerate = scanned = 0
+    comparisons = degenerate = 0
     for set_id in range(store.num_slices):
         samples = store.get_slice(set_id).samples.astype(np.float64)
         hits, comps, degen = _ref_scan_slice(
             q, q_energy, samples, set_id, cfg.alpha, cfg.delta, exhaustive,
             trace)
-        scanned += 1
         comparisons += comps
         degenerate += degen
         if hits:
             omega, beta = min(hits, key=lambda h: (-h[0], h[1]))
             cands.append((set_id, omega, beta))
     cands.sort(key=lambda c: (-c[1], c[0], c[2]))
-    return cands[:cfg.top_k], comparisons, scanned, degenerate, trace
+    return cands[:cfg.top_k], comparisons, degenerate, trace
 
 
 def exact_omegas(window, store, rows=16):
@@ -134,7 +133,7 @@ def exact_search(window, store, cfg, exhaustive=True, record_trace=False):
         cands.append((set_id, float(omega[set_id, beta]), beta))
     cands.sort(key=lambda c: (-c[1], c[0], c[2]))
     flat = int(np.count_nonzero(energy == 0.0))
-    return cands[:cfg.top_k], energy.size - flat, store.num_slices, flat, None
+    return cands[:cfg.top_k], energy.size - flat, flat, None
 
 
 def assert_same_as_reference(q, store, cfg, exhaustive=False,
@@ -147,12 +146,11 @@ def assert_same_as_reference(q, store, cfg, exhaustive=False,
     else:
         runs = [sliding_search(q, store, cfg, record_trace=True),
                 sliding_search(q, store, cfg)]
-    cands, comps, scanned, degen, trace = reference(
+    cands, comps, degen, trace = reference(
         q, store, cfg, exhaustive, record_trace=not exhaustive)
     for got in runs:
         assert [(c.set_id, c.omega, c.beta) for c in got.candidates] == cands
         assert got.comparisons_made == comps
-        assert got.slices_scanned == scanned
         assert got.degenerate_skipped == degen
     assert runs[0].trace == trace
     assert runs[-1].trace is None
