@@ -16,7 +16,7 @@ rng = np.random.default_rng(2026)
 # --- the 11-40 Hz bandpass -------------------------------------------------
 # A 100-tap windowed-sinc FIR. Tones inside the band pass through close
 # to unity; mains hum (60 Hz) and slow drift (5 Hz) are crushed.
-taps = dsp.design_bandpass(11.0, 40.0, 256.0, 100)
+taps = dsp.design_bandpass()
 t = np.arange(1024) / 256.0
 
 

@@ -33,13 +33,13 @@ print("\nfirst timeline events:")
 for ev in out.timeline[:8]:
     print(f"  t={ev.t_sim_us / 1e6:7.3f}s  {ev.kind}")
 
-hit = out.first_prediction(cfg.sim.eval_after_cloud_calls)
+hit = out.prediction
 onset_s = live.onset_sample / 256.0
 print(f"\nground-truth onset at t={onset_s:.0f}s")
 if hit:
     print(f"anomaly predicted at t={hit[1]:.0f}s "
           f"(iteration {hit[0]}), lead time "
-          f"{out.lead_time_s(cfg.sim.eval_after_cloud_calls):.1f}s")
+          f"{out.lead_time_s:.1f}s")
 else:
     print("no prediction before the stream ended")
 

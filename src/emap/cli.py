@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad arguments or config, 3 data errors,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import glob
 import json
@@ -16,9 +17,9 @@ import sys
 from . import dsp, scenarios
 from .cloud_search import SearchConfig, alpha_sweep, exhaustive_search, sliding_search
 from .edge_tracker import report_json_record
-from .mdb import (CsvFormatError, MdbStore, build_store, check_span_entries,
-                  ingest_csv)
-from .orchestrator import RunConfig, evaluate_batch, run_stream
+from .mdb import (INT64, CsvFormatError, MdbStore, build_store,
+                  check_span_entries, ingest_csv)
+from .orchestrator import BatchRow, RunConfig, evaluate_batch, run_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,13 +74,15 @@ def _read_sidecar(csv_path):
     if not isinstance(meta, dict):
         raise ValueError(f"{side}: not a JSON object")
     rate = meta.get("sample_rate_hz", dsp.SAMPLE_RATE_HZ)
-    if type(rate) is not int or rate <= 0:    # bool is not an int here
+    if type(rate) is not int or not 0 < rate < 2 ** 63:
         raise ValueError(f"{side}: sample_rate_hz {rate!r} is not a "
-                         "positive integer")
+                         "positive integer within int64")
     for key, types, json_type in _SIDECAR_TYPES:
-        if key in meta and type(meta[key]) not in types:
-            raise ValueError(f"{side}: {key} {meta[key]!r} is not "
-                             f"{json_type}")
+        value = meta.get(key)
+        if key in meta and type(value) not in types:
+            raise ValueError(f"{side}: {key} {value!r} is not {json_type}")
+        if type(value) is int and value not in INT64:
+            raise ValueError(f"{side}: {key} {value} is outside int64")
     check_span_entries(meta.get("spans", []), side)
     return meta
 
@@ -250,7 +253,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             fh.write(json.dumps(report_json_record(
                 rep, step_micros=cfg.sim.report_step_micros)))
             fh.write("\n")
-    hit = outcome.first_prediction(cfg.sim.eval_after_cloud_calls)
+    hit = outcome.prediction
     print(f"final classification: {outcome.final_classification}")
     print("anomaly predicted at "
           f"t={hit[1]:.0f}s (iteration {hit[0]})" if hit
@@ -267,13 +270,11 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _write_accuracy_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("batch,anomaly_kind,n,accuracy,false_positive_rate,"
-                 "mean_lead_time_s\n")
-        for r in rows:
-            lead = "" if r.mean_lead_time_s is None else repr(r.mean_lead_time_s)
-            fh.write(f"{r.batch},{r.anomaly_kind},{r.n},{r.accuracy!r},"
-                     f"{r.false_positive_rate!r},{lead}\n")
+    # a BatchRow's fields are the columns; None writes as an empty field
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow([f.name for f in dataclasses.fields(BatchRow)])
+        out.writerows(dataclasses.astuple(r) for r in rows)
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:

@@ -695,8 +695,7 @@ class SweepRow:
     mean_top100_omega: float
 
 
-def alpha_sweep(windows, store: MdbStore, alphas,
-                base_cfg: SearchConfig | None = None):
+def alpha_sweep(windows, store: MdbStore, alphas, base_cfg: SearchConfig):
     """Sliding-search statistics per alpha over a set of query windows.
 
     mean_top100_omega pools every returned candidate's omega across the
@@ -704,11 +703,10 @@ def alpha_sweep(windows, store: MdbStore, alphas,
     """
     if not windows or not alphas:
         raise ValueError("need at least one window and one alpha")
-    base = base_cfg or SearchConfig()
     rows = []
     for alpha in alphas:
         results = sliding_search_many(
-            windows, store, dataclasses.replace(base, alpha=alpha))
+            windows, store, dataclasses.replace(base_cfg, alpha=alpha))
         omegas = [c.omega for res in results for c in res.candidates]
         rows.append(SweepRow(
             alpha=float(alpha),

@@ -74,40 +74,17 @@ def peak_scaled(x) -> np.ndarray:
     return np.ldexp(x, -math.frexp(peak)[1])
 
 
-def design_bandpass(low_hz: float = 11.0, high_hz: float = 40.0,
-                    fs: float = float(SAMPLE_RATE_HZ), num_taps: int = 100):
-    """Design a Hamming-windowed sinc FIR bandpass.
-
-    Parameters
-    ----------
-    low_hz, high_hz : float
-        Band edges in Hz. Must satisfy 0 < low < high < fs / 2.
-    fs : float
-        Sampling rate in Hz.
-    num_taps : int
-        Filter length. 100 taps gives a transition narrow enough to hold
-        the passband within a few dB while attenuating 5 Hz and 60 Hz
-        tones by well over an order of magnitude.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``num_taps`` coefficients, symmetric (linear phase).
-    """
-    if not (0.0 < low_hz < high_hz < fs / 2.0):
-        raise ValueError(
-            f"band edges must satisfy 0 < low < high < fs/2, "
-            f"got ({low_hz}, {high_hz}) at fs={fs}")
-    if num_taps < 2:
-        raise ValueError("num_taps must be at least 2")
-    m = num_taps - 1
-    n = np.arange(num_taps, dtype=np.float64) - m / 2.0
+def design_bandpass():
+    """The preprocessing filter: 100 taps of an 11-40 Hz Hamming-windowed
+    sinc bandpass at 256 Hz, symmetric (linear phase). 100 taps hold the
+    passband within a few dB while attenuating 5 Hz and 60 Hz tones by
+    well over an order of magnitude."""
+    n = np.arange(100, dtype=np.float64) - 49.5
 
     def lowpass(fc):
-        return 2.0 * fc / fs * np.sinc(2.0 * fc * n / fs)
+        return 2.0 * fc / SAMPLE_RATE_HZ * np.sinc(2.0 * fc * n / SAMPLE_RATE_HZ)
 
-    taps = (lowpass(high_hz) - lowpass(low_hz)) * np.hamming(num_taps)
-    return taps
+    return (lowpass(40.0) - lowpass(11.0)) * np.hamming(100)
 
 
 def apply_filter(x, taps):
@@ -127,27 +104,27 @@ def apply_filter(x, taps):
     return np.convolve(x, taps)[: x.size]
 
 
-def resample(x, source_hz: float, target_hz: float):
-    """Linearly resample a signal onto a new uniform sample grid.
+def resample(x, source_hz: float):
+    """Linearly resample a signal from source_hz to SAMPLE_RATE_HZ.
 
-    Output length is round(len(x) * target_hz / source_hz), so duration
-    is preserved to within one sample period. Values beyond the last
-    source sample clamp to it. A same-rate call returns the input
-    unchanged (copied) so identity ingestion stays bit-exact. An output
-    length that rounds to 0 is a ValueError.
+    Output length is round(len(x) * 256 / source_hz), so duration is
+    preserved to within one sample period. Values beyond the last
+    source sample clamp to it. A 256 Hz signal is returned unchanged
+    (copied) so identity ingestion stays bit-exact. An output length
+    that rounds to 0 is a ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a non-empty 1-D signal")
-    if source_hz <= 0 or target_hz <= 0:
-        raise ValueError("sample rates must be positive")
-    if source_hz == target_hz:
+    if source_hz <= 0:
+        raise ValueError("source_hz must be positive")
+    if source_hz == SAMPLE_RATE_HZ:
         return x.copy()
-    n_out = int(round(x.size * float(target_hz) / float(source_hz)))
+    n_out = int(round(x.size * SAMPLE_RATE_HZ / source_hz))
     if n_out == 0:
         raise ValueError(f"{x.size} samples at {source_hz} Hz resample to "
-                         f"none at {target_hz} Hz")
-    t_out = np.arange(n_out, dtype=np.float64) / float(target_hz)
+                         f"none at {SAMPLE_RATE_HZ} Hz")
+    t_out = np.arange(n_out, dtype=np.float64) / SAMPLE_RATE_HZ
     t_in = np.arange(x.size, dtype=np.float64) / float(source_hz)
     return np.interp(t_out, t_in, x)
 

@@ -259,7 +259,7 @@ def swap_in(state: TrackerState, fresh, store: MdbStore,
     restarts, since the cadence clock measures time since the last
     applied cloud response.
     """
-    if fresh is not None and fresh.candidates:
+    if fresh.candidates:
         state.tracked = _seed_candidates(fresh, store, steps_ahead)
         state.degraded = not state.tracked
     else:

@@ -40,6 +40,9 @@ SLICE_LEN = 1000
 FORMAT_VERSION = 3
 PAYLOAD_FILE = "samples.f32"
 _CHECK_CHUNK = 1 << 20  # samples per non-finite check at load
+# the integers a JSON field may hold; test the type before membership,
+# which for a float or bool is not an integer test
+INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class CsvFormatError(ValueError):
@@ -143,7 +146,7 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
         return int(round(pos * ratio))
 
     try:
-        x = dsp.resample(x, sample_rate_hz, dsp.SAMPLE_RATE_HZ)
+        x = dsp.resample(x, sample_rate_hz)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     spans = [(rescale(s), rescale(e), k)
@@ -268,11 +271,11 @@ def _first_non_finite(flat):
 def check_span_entries(spans, name):
     """ValueError naming `name` unless every entry of the JSON array
     `spans` is [start, end] or [start, end, kind] with integer positions
-    and a string or null kind (manifest entries and sample-file sidecars
-    share this rule)."""
+    within int64 and a string or null kind (manifest entries and
+    sample-file sidecars share this rule)."""
     for span in spans:
         if not (isinstance(span, list) and len(span) in (2, 3)
-                and all(type(v) is int for v in span[:2])):
+                and all(type(v) is int and v in INT64 for v in span[:2])):
             raise ValueError(f"{name}: 'spans' entry {span!r} is not "
                              "[start, end] or [start, end, kind]")
         if len(span) == 3 and not isinstance(span[2], (str, type(None))):

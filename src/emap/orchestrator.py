@@ -13,6 +13,7 @@ multi-query search; each stream's outcome is the same as alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .edge_tracker import (
     swap_in,
     tracker_step,
 )
-from .mdb import MdbStore, SourceSignal
+from .mdb import INT64, MdbStore, SourceSignal
 
 US_PER_S = 1_000_000
 
@@ -96,9 +97,10 @@ class RunConfig:
         """The config a parsed JSON object describes.
 
         Each value must have the JSON type of its field's default: a
-        section is an object, an int field takes an integer (not a
-        bool), a float field a finite number. ValueError names the key
-        otherwise; an unknown key is a TypeError, as in the constructor.
+        section is an object, an int field takes an integer within
+        int64 (not a bool), a float field a number within float range,
+        which it holds as a float. ValueError names the key otherwise;
+        an unknown key is a TypeError, as in the constructor.
         """
         return _from_json(cls, d)
 
@@ -116,12 +118,16 @@ def _from_json(cls, d, section: str | None = None):
         default = getattr(defaults, f.name)
         if is_dataclass(default):
             d[f.name] = _from_json(type(default), value, key)
-        elif type(default) is int and type(value) is not int:
-            raise ValueError(f"{key}: {value!r} is not an integer")
-        elif type(default) is float and not (
-                type(value) is int
-                or (type(value) is float and math.isfinite(value))):
-            raise ValueError(f"{key}: {value!r} is not a finite number")
+        elif type(default) is int and not (type(value) is int
+                                           and value in INT64):
+            raise ValueError(f"{key}: {value!r} is not an integer within "
+                             "int64")
+        elif type(default) is float:
+            # false for NaN, inf and integers beyond float64
+            if not (type(value) in (int, float)
+                    and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{key}: {value!r} is not a finite number")
+            d[f.name] = float(value)
     return cls(**d)
 
 
@@ -156,31 +162,18 @@ class RunOutcome:
     reports: list
     timeline: list
     timing: TimingReport | None
-    transmissions_before_report: list
+    # (iteration, sim seconds) of the first anomaly call made once
+    # sim.eval_after_cloud_calls cloud responses had been applied
+    prediction: tuple | None
 
-    def first_prediction(self, min_transmissions: int = 1):
-        """(iteration, sim seconds) of the first anomaly call made once
-        at least min_transmissions cloud responses had been applied, or
-        None if the stream never qualifies."""
-        for rep, sent in zip(self.reports, self.transmissions_before_report):
-            if (rep.classification == ANOMALY_PREDICTED
-                    and sent >= min_transmissions):
-                t_s = float(rep.timestep_index + 1)
-                return rep.iteration, t_s
-        return None
-
-    def lead_time_s(self, min_transmissions: int = 1):
+    @property
+    def lead_time_s(self) -> float | None:
         """Seconds between the prediction and the true onset; None when
         there is no onset or the prediction did not precede it."""
-        if self.onset_sample is None:
+        if self.onset_sample is None or self.prediction is None:
             return None
-        hit = self.first_prediction(min_transmissions)
-        if hit is None:
-            return None
-        onset_s = self.onset_sample / dsp.SAMPLE_RATE_HZ
-        if hit[1] >= onset_s:
-            return None
-        return onset_s - hit[1]
+        lead = self.onset_sample / dsp.SAMPLE_RATE_HZ - self.prediction[1]
+        return lead if lead > 0 else None
 
 
 @dataclass
@@ -242,7 +235,6 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
         return dsp.SignalWindow(samples=seg, timestep_index=w)
 
     events: list[TimelineEvent] = []
-    transmissions_before = []
 
     def emit(t_us, kind, **detail):
         events.append(TimelineEvent(t_sim_us=t_us, kind=kind, detail=detail))
@@ -279,6 +271,7 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
     pending: _PendingCall | None = None
     timing: TimingReport | None = None
     transmissions_applied = 0
+    prediction = None
 
     for k in range(1, n_windows + 1):
         t_b = k * US_PER_S
@@ -318,7 +311,11 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
             emit(t_b, "track_step", iteration=report.iteration,
                  alive=report.alive, p_anomaly=report.p_anomaly,
                  classification=report.classification)
-            transmissions_before.append(transmissions_applied)
+            if (prediction is None
+                    and report.classification == ANOMALY_PREDICTED
+                    and transmissions_applied >= sim.eval_after_cloud_calls):
+                # the step's window completes at k s
+                prediction = (report.iteration, float(k))
             if report.cloud_call is not None and pending is None:
                 emit(t_b, "cloud_call_request", reason=report.cloud_call,
                      window=w_b)
@@ -337,7 +334,7 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
         reports=reports,
         timeline=events,
         timing=timing,
-        transmissions_before_report=transmissions_before,
+        prediction=prediction,
     )
 
 
@@ -412,12 +409,12 @@ def evaluate_batch(corpus, store: MdbStore, search_cfg: SearchConfig,
         leads = []
         kinds = set()
         for live, out in outs:
-            predicted = out.first_prediction(sim.eval_after_cloud_calls) is not None
+            predicted = out.prediction is not None
             anomalous = bool(live.anomaly_spans)
             correct += predicted == anomalous
             if anomalous:
                 kinds.update(k for _s, _e, k in live.anomaly_spans if k)
-                lead = out.lead_time_s(sim.eval_after_cloud_calls)
+                lead = out.lead_time_s
                 if lead is not None:
                     leads.append(lead)
             else:
@@ -454,11 +451,10 @@ def predict_at_offsets(live: SourceSignal, offsets_before_onset_s,
     run exactly. One run of the full stream answers every offset: its
     first prediction counts if it falls at t_s <= cut // 256.
     """
-    sim = sim or SimConfig()
     if live.onset_sample is None:
         raise ValueError("stream has no ground-truth onset")
-    out = run_stream(live, store, search_cfg, tracker_cfg, link, sim)
-    hit = out.first_prediction(sim.eval_after_cloud_calls)
+    hit = run_stream(live, store, search_cfg, tracker_cfg, link,
+                     sim).prediction
     results = []
     for off_s in offsets_before_onset_s:
         cut = live.onset_sample - int(round(off_s * dsp.SAMPLE_RATE_HZ))

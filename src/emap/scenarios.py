@@ -33,9 +33,8 @@ from .orchestrator import LinkModel, RunConfig, SimConfig
 RMS = 15.0
 
 
-def _colored_noise(rng, n, rms=RMS):
-    """Sum of 40 random-phase sinusoids in 11-40 Hz, scaled to the
-    target RMS.
+def _colored_noise(rng, n):
+    """Sum of 40 random-phase sinusoids in 11-40 Hz, scaled to RMS.
 
     The band is the preprocessing filter's passband, so these signals
     behave like recordings that have already been filtered.
@@ -47,7 +46,7 @@ def _colored_noise(rng, n, rms=RMS):
     x = np.zeros(n, dtype=np.float64)
     for f, p, a in zip(freqs, phases, amps):
         x += a * np.sin(2.0 * np.pi * f * t + p)
-    scale = rms / max(np.sqrt(np.mean(x * x)), 1e-12)
+    scale = RMS / max(np.sqrt(np.mean(x * x)), 1e-12)
     return x * scale
 
 
@@ -170,7 +169,7 @@ def probability_growth_scenario(seed: int = 401) -> ProbabilityScenario:
     kind = "seizure"
     n_windows = 8
     n = n_windows * dsp.WINDOW_LEN
-    live_samples = _colored_noise(rng, n, rms=RMS)
+    live_samples = _colored_noise(rng, n)
     # the live stream develops the signature right after the searched
     # window; twins share it, so only they survive all five iterations
     sig_start = dsp.WINDOW_LEN
@@ -214,7 +213,7 @@ def overlap_scenario(seed: int = 77) -> OverlapScenario:
     rng = np.random.default_rng(seed)
     n_windows = 16
     n = n_windows * dsp.WINDOW_LEN
-    live_samples = _colored_noise(rng, n, rms=RMS)
+    live_samples = _colored_noise(rng, n)
     live = SourceSignal(id=9100, samples=live_samples,
                         anomaly_spans=[], dataset_tag="scenario-live")
 
@@ -252,11 +251,11 @@ def parity_corpus(seed: int = 1234, n_queries: int = 20,
     queries = []
     next_id = 0
     for qi in range(n_queries):
-        q = _colored_noise(rng, dsp.WINDOW_LEN, rms=RMS)
+        q = _colored_noise(rng, dsp.WINDOW_LEN)
         queries.append(dsp.SignalWindow(samples=q, timestep_index=0))
         sigmas = [0.0] + list(rng.uniform(0.3, 1.2, size=5))
         for sigma in sigmas:
-            parent = _colored_noise(rng, 1000, rms=RMS)
+            parent = _colored_noise(rng, 1000)
             parent[:dsp.WINDOW_LEN] = _jittered_copy(rng, q, sigma) \
                 if sigma > 0 else q
             store.append(SourceSignal(
@@ -265,7 +264,7 @@ def parity_corpus(seed: int = 1234, n_queries: int = 20,
             next_id += 1
         for sigma in rng.uniform(0.3, 1.2, size=2):
             beta = int(rng.integers(30, 480))
-            parent = _colored_noise(rng, 1000, rms=RMS)
+            parent = _colored_noise(rng, 1000)
             parent[beta:beta + dsp.WINDOW_LEN] = _jittered_copy(rng, q, sigma)
             store.append(SourceSignal(
                 id=next_id, samples=parent, anomaly_spans=[],
@@ -273,7 +272,7 @@ def parity_corpus(seed: int = 1234, n_queries: int = 20,
             next_id += 1
     for _ in range(n_noise_slices):
         store.append(SourceSignal(
-            id=next_id, samples=_colored_noise(rng, 1000, rms=RMS),
+            id=next_id, samples=_colored_noise(rng, 1000),
             anomaly_spans=[], dataset_tag="parity-noise"))
         next_id += 1
     return ParityCorpus(store_signals=store, queries=queries)
@@ -313,7 +312,7 @@ def evaluation_world(seed: int = 2026, n_anomalous: int = 20,
     next_live_id = 5000
     labels = [1] * n_anomalous + [0] * n_normal
     for label in labels:
-        live_samples = _colored_noise(rng, n, rms=RMS)
+        live_samples = _colored_noise(rng, n)
         if label == 1:
             # ramp to full amplitude at the clinical onset, then sustain
             sig = _signature(rng, n - ramp_start, peak_amplitude=3.0 * RMS,

@@ -87,7 +87,7 @@ def test_c01_dsp_oracle_equivalence(capsys):
 
 def test_c02_filter_selectivity(capsys):
     t0 = time.perf_counter()
-    taps = design_bandpass(11, 40, 256, 100)
+    taps = design_bandpass()
     t = np.arange(512) / 256.0
 
     def steady_rms(hz):

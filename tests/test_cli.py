@@ -9,15 +9,23 @@ import csv
 import itertools
 import json
 import shutil
+import sys
+import tempfile
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emap import cli as emap_cli
 from emap import edge_tracker
 from emap.mdb import MdbStore
 from emap.orchestrator import RunConfig, evaluate_batch
+
+
+BIG = 10 ** 400   # beyond int64 and float64 alike
 
 
 def write_signal_csv(path, samples):
@@ -262,6 +270,14 @@ def test_config_with_a_removed_setting_is_a_usage_error(tiny_store, tmp_path,
     ("[7]", "config is not an object"),
     ('{"seed": "x"}', "seed: 'x' is not an integer"),
     ('{"seed": -1}', "seed must be >= 0, got -1"),
+    (json.dumps({"sim": {"cloud_search_s": BIG}}),
+     f"sim.cloud_search_s: {BIG} is not a finite number"),
+    (json.dumps({"tracker": {"area_threshold": BIG}}),
+     f"tracker.area_threshold: {BIG} is not a finite number"),
+    (json.dumps({"tracker": {"pa_floor": BIG}}),
+     f"tracker.pa_floor: {BIG} is not a finite number"),
+    (json.dumps({"link": {"uplink_fixed_us": BIG}}),
+     f"link.uplink_fixed_us: {BIG} is not an integer within int64"),
 ])
 def test_config_value_of_the_wrong_json_type_is_a_usage_error(
         tmp_path, capsys, text, message):
@@ -437,6 +453,26 @@ def test_evaluate_matches_the_library(cli_world, tmp_path, capsys):
         assert float(mean_csv["mean_lead_time_s"]) == mean_lib.mean_lead_time_s
 
 
+def test_evaluate_quotes_a_span_kind_that_holds_a_comma(cli_world, tmp_path,
+                                                        capsys):
+    corpus = tmp_path / "eval"
+    shutil.copytree(cli_world["eval"], corpus)
+    for side in corpus.glob("*.json"):
+        meta = json.loads(side.read_text())
+        meta["spans"] = [[s, e, "seizure, focal"] for s, e, _k in meta["spans"]]
+        side.write_text(json.dumps(meta))
+    out_csv = tmp_path / "acc.csv"
+    rc = emap_cli.main(["--config", str(cli_world["config"]), "evaluate",
+                        "--store", str(cli_world["store"]),
+                        "--corpus", str(corpus), "--out", str(out_csv)])
+    capsys.readouterr()
+    assert rc == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [6] * 3
+    assert [r[1] for r in rows[1:]] == ["seizure, focal"] * 2
+
+
 def test_sweep_alpha_csv_contract(tiny_store, tmp_path, capsys):
     store_dir, raw = tiny_store
     qdir = tmp_path / "queries"
@@ -544,6 +580,11 @@ def test_sidecar_spans_of_unorderable_kinds_are_a_data_error(tmp_path,
     ('{"spans": [[0, 10, 3]]}',
      "'spans' entry [0, 10, 3] has a kind that is neither a string nor "
      "null"),
+    (json.dumps({"onset_sample": BIG}), f"onset_sample {BIG} is outside int64"),
+    (json.dumps({"spans": [[0, BIG]]}),
+     f"'spans' entry [0, {BIG}] is not [start, end] or [start, end, kind]"),
+    (json.dumps({"sample_rate_hz": BIG}),
+     f"sample_rate_hz {BIG} is not a positive integer within int64"),
 ])
 def test_bad_sidecar_is_a_data_error(tmp_path, capsys, sidecar, message):
     raw = tmp_path / "raw"
@@ -710,3 +751,73 @@ def test_synth_is_seed_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert outs[0] == outs[1]
 
+
+
+HOSTILE = (BIG, -BIG, 2 ** 63, -2 ** 63, sys.float_info.max,
+           -sys.float_info.max, True, "x", None, [], {})
+
+
+def json_leaves(doc, path=()):
+    """Paths to the scalars and empty containers of a parsed JSON value."""
+    if isinstance(doc, (dict, list)) and doc:
+        keys = doc if isinstance(doc, dict) else range(len(doc))
+        return [leaf for k in keys for leaf in json_leaves(doc[k], path + (k,))]
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def small_cli_world(tmp_path_factory):
+    """A 1+1-stream eval-scenario world, and its store at mdb/."""
+    root = tmp_path_factory.mktemp("small_cli_world")
+    assert emap_cli.main(["synth", "--mode", "eval-scenario", "--normal", "1",
+                          "--anomalous", "1", "--out", str(root / "world")]) == 0
+    assert emap_cli.main(["build-mdb", "--in", str(root / "world" / "store"),
+                          "--out", str(root / "mdb")]) == 0
+    return root
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(["config", "store", "eval", "manifest"]),
+       value=st.sampled_from(HOSTILE), data=st.data())
+def test_a_hostile_json_value_at_the_cli_boundary_exits_cleanly(
+        small_cli_world, tmp_path, capsys, target, value, data):
+    """One leaf of the run config, of an anomalous signal's sidecar or
+    of a built store's manifest takes a hostile JSON value: build-mdb,
+    search, simulate and evaluate each return 0, 2 or 3 and raise
+    nothing."""
+    run = Path(tempfile.mkdtemp(dir=tmp_path)) / "world"
+    shutil.copytree(small_cli_world / "world", run)
+    shutil.copytree(small_cli_world / "mdb", run / "built")
+    config = run / "config.json"
+    if target == "config":
+        path = config
+    elif target == "manifest":
+        path = run / "built" / "manifest.json"
+    else:
+        path = next(p for p in sorted((run / target).glob("*.json"))
+                    if json.loads(p.read_text())["spans"])
+    doc = json.loads(path.read_text())
+    *parents, last = data.draw(st.sampled_from(json_leaves(doc)))
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    path.write_text(json.dumps(doc))
+
+    live = (path if target == "eval"
+            else sorted((run / "eval").glob("*.json"))[0]).with_suffix(".csv")
+    store = run / "mdb"
+    codes = [emap_cli.main(["--config", str(config), "build-mdb",
+                            "--in", str(run / "store"), "--out", str(store)])]
+    if codes[0] != 0 or target == "manifest":
+        store = run / "built"
+    for args in (["search", "--store", str(store), "--input", str(live)],
+                 ["simulate", "--store", str(store), "--live", str(live),
+                  "--out", str(run / "sim")],
+                 ["evaluate", "--store", str(store),
+                  "--corpus", str(run / "eval"),
+                  "--out", str(run / "acc.csv")]):
+        codes.append(emap_cli.main(["--config", str(config), *args]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}

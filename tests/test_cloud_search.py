@@ -208,7 +208,7 @@ def test_search_config_validation():
 def test_alpha_sweep_report(parity_world):
     corpus, store = parity_world
     alphas = [0.001, 0.004, 0.1]
-    rows = alpha_sweep(corpus.queries[:4], store, alphas)
+    rows = alpha_sweep(corpus.queries[:4], store, alphas, SearchConfig())
     assert [r.alpha for r in rows] == alphas
     comps = [r.mean_comparisons for r in rows]
     # a larger alpha shrinks the skip at fixed dissimilarity, costing

@@ -1,5 +1,6 @@
 """Signal primitives against brute-force reference implementations."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -85,8 +86,16 @@ def test_filter_taps_are_symmetric():
     np.testing.assert_allclose(taps, taps[::-1], atol=1e-15)
 
 
+def test_filter_taps_are_pinned():
+    # sha256 of the float64 taps every store has been filtered with: a
+    # drift in the design changes the bytes of every ingested signal
+    digest = hashlib.sha256(design_bandpass().tobytes()).hexdigest()
+    assert digest == ("4bea89378f394694ff711268261db938"
+                      "0788063dabb18244b4ec424a0902eae7")
+
+
 def test_filter_passband_and_stopband():
-    taps = design_bandpass(11.0, 40.0, 256.0, 100)
+    taps = design_bandpass()
     mid = steady_rms(apply_filter(tone(25.0), taps))
     low = steady_rms(apply_filter(tone(5.0), taps))
     high = steady_rms(apply_filter(tone(60.0), taps))
@@ -239,26 +248,26 @@ def test_area_is_never_nan():
 def test_resample_identity_copy():
     rng = np.random.default_rng(18)
     x = rng.normal(0, 15, 777)
-    y = resample(x, 256, 256)
+    y = resample(x, 256)
     assert np.array_equal(y, x)
     assert y is not x  # caller may mutate the result freely
 
 
 def test_resample_preserves_duration_and_ramps():
     x = np.arange(500, dtype=float)          # a 500-sample ramp at 128 Hz
-    y = resample(x, 128, 256)
+    y = resample(x, 128)
     assert y.size == 1000                    # same duration, twice the rate
     # linear interpolation keeps a ramp linear
     diffs = np.diff(y[:-2])
     np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
-    down = resample(x, 128, 64)
+    down = resample(x, 512)                  # the same ramp at 512 Hz
     assert down.size == 250
 
 
 def test_resample_to_no_samples_is_an_error():
-    assert resample(np.ones(4), 1000, 256).size == 1
+    assert resample(np.ones(4), 1000).size == 1
     with pytest.raises(ValueError, match="resample to none"):
-        resample(np.ones(4), 10 ** 9, 256)
+        resample(np.ones(4), 10 ** 9)
 
 
 def test_window_validation():

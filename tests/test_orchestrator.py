@@ -250,8 +250,8 @@ def test_evaluate_batch_shape_and_gate(eval_world):
     cfg = world.run_config
     streams = world.streams[:3] + world.streams[-3:]   # 3 anomalous, 3 normal
     sim = SimConfig(cloud_search_s=cfg.sim.cloud_search_s,
-                    eval_after_cloud_calls=cfg.sim.eval_after_cloud_calls,
-                    batch_size=3, report_step_micros=0)
+                    eval_after_cloud_calls=2, batch_size=3,
+                    report_step_micros=0)
     table = evaluate_batch(streams, store, cfg.search, cfg.tracker,
                            cfg.link, sim)
     assert [r.batch for r in table.rows] == ["0", "1", "mean"]
@@ -262,10 +262,11 @@ def test_evaluate_batch_shape_and_gate(eval_world):
     # the prediction gate: an anomalous outcome needs two applied cloud
     # responses before its latched prediction counts
     assert streams[0].anomaly_spans
-    anomalous_out = table.outcomes[0]
-    assert anomalous_out.first_prediction(min_transmissions=2) is not None
-    late = anomalous_out.first_prediction(min_transmissions=99)
-    assert late is None
+    assert table.outcomes[0].prediction is not None
+    late = evaluate_batch(streams, store, cfg.search, cfg.tracker, cfg.link,
+                          dataclasses.replace(sim, eval_after_cloud_calls=99))
+    assert [out.prediction for out in late.outcomes] == [None] * 6
+    assert late.mean_row.accuracy == 0.5   # the normal streams alone
 
 
 def test_lead_time_measures_onset_gap(eval_world):
@@ -273,10 +274,10 @@ def test_lead_time_measures_onset_gap(eval_world):
     cfg = world.run_config
     anom = next(s for s in world.streams if s.anomaly_spans)
     out = run_stream(anom, store, cfg.search, cfg.tracker, cfg.link, cfg.sim)
-    hit = out.first_prediction(cfg.sim.eval_after_cloud_calls)
+    hit = out.prediction
     assert hit is not None
     onset_s = anom.onset_sample / 256.0
-    lead = out.lead_time_s(cfg.sim.eval_after_cloud_calls)
+    lead = out.lead_time_s
     assert lead == pytest.approx(onset_s - hit[1])
     assert lead > 0
 
@@ -345,7 +346,7 @@ def truncate_and_rerun(live, offsets, store, cfg):
             else None)
         out = run_stream(truncated, store, cfg.search, cfg.tracker,
                          cfg.link, cfg.sim)
-        hit = out.first_prediction(cfg.sim.eval_after_cloud_calls)
+        hit = out.prediction
         rows.append({"offset_s": float(off_s), "predicted": hit is not None,
                      "prediction_t_s": hit[1] if hit else None})
     return rows
@@ -579,7 +580,8 @@ def checked_tracker_step(state, window, store):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(stream=0, flat={0}, link=LinkModel(), cloud_search_s=2.8)
+@example(stream=0, flat={0}, link=LinkModel(), cloud_search_s=2.8,
+         eval_after=2)
 @given(stream=st.integers(0, 3),
        flat=st.sets(st.integers(0, 23), max_size=24),
        link=st.builds(LinkModel,
@@ -587,9 +589,10 @@ def checked_tracker_step(state, window, store):
                       uplink_per_sample_us=st.integers(0, 5_000),
                       downlink_fixed_us=st.integers(0, 3_000_000),
                       downlink_per_signal_us=st.integers(0, 30_000)),
-       cloud_search_s=st.floats(0.0, 8.0))
+       cloud_search_s=st.floats(0.0, 8.0),
+       eval_after=st.integers(1, 3))
 def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
-                               link, cloud_search_s):
+                               link, cloud_search_s, eval_after):
     cfg, store, _live = small_eval
     live = small_eval_streams[stream]
     samples = live.samples.copy()
@@ -598,7 +601,8 @@ def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
     zeroed = SourceSignal(id=live.id, samples=samples,
                           anomaly_spans=live.anomaly_spans,
                           dataset_tag=live.dataset_tag)
-    sim = dataclasses.replace(cfg.sim, cloud_search_s=cloud_search_s)
+    sim = dataclasses.replace(cfg.sim, cloud_search_s=cloud_search_s,
+                              eval_after_cloud_calls=eval_after)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orchestrator, "init_tracker", checked_init_tracker)
         mp.setattr(orchestrator, "swap_in", checked_swap_in)
@@ -619,6 +623,16 @@ def test_run_stream_invariants(small_eval, small_eval_streams, stream, flat,
     assert len(applied) <= len(deliveries)
     for t_applied, t_delivered in zip(applied, deliveries):
         assert t_delivered <= t_applied
+    # the prediction, rederived from the timeline: the first anomaly
+    # call made with eval_after swap_ins before it
+    swaps = 0
+    predicted = []
+    for e in out.timeline:
+        swaps += e.kind == "swap_in"
+        if (e.kind == "track_step" and swaps >= eval_after
+                and e.detail["classification"] == "anomaly_predicted"):
+            predicted.append((e.detail["iteration"], e.t_sim_us / 1e6))
+    assert out.prediction == (predicted[0] if predicted else None)
     for r in out.reports:
         assert 0.0 <= r.p_anomaly <= 1.0
     if not out.reports:
