@@ -13,6 +13,7 @@ import glob
 import json
 import os
 import sys
+import time
 
 from . import dsp, scenarios
 from .cloud_search import SearchConfig, alpha_sweep, exhaustive_search, sliding_search
@@ -167,8 +168,6 @@ def _load_query_window(csv_path):
 
 
 def _result_json(res) -> dict:
-    # elapsed is wall time and would break byte-determinism; it goes to
-    # stderr instead of the result file
     return {
         "candidates": [{"set_id": c.set_id, "omega": c.omega, "beta": c.beta}
                        for c in res.candidates],
@@ -187,18 +186,21 @@ def cmd_search(args, cfg: RunConfig) -> int:
     except ValueError as e:
         raise SystemExit(_usage_error(str(e)))
 
-    def describe(name, res):
+    def search(name, run):
+        t0 = time.perf_counter()
+        res = run(window, store, scfg)
+        elapsed = time.perf_counter() - t0
         mean_w = (sum(c.omega for c in res.candidates) / len(res.candidates)
                   if res.candidates else 0.0)
         print(f"{name}: comparisons={res.comparisons_made} "
               f"candidates={len(res.candidates)} mean_omega={mean_w:.4f}")
-        print(f"{name}: elapsed={res.elapsed:.4f}s", file=sys.stderr)
+        # wall time varies from run to run, so it goes to stderr only
+        print(f"{name}: elapsed={elapsed:.4f}s", file=sys.stderr)
+        return res
 
     if args.compare:
-        fast = sliding_search(window, store, scfg)
-        oracle = exhaustive_search(window, store, scfg)
-        describe("sliding", fast)
-        describe("exhaustive", oracle)
+        fast = search("sliding", sliding_search)
+        oracle = search("exhaustive", exhaustive_search)
         # undefined when the sliding scan compares nothing (a flat store)
         ratio = (oracle.comparisons_made / fast.comparisons_made
                  if fast.comparisons_made else None)
@@ -208,9 +210,8 @@ def cmd_search(args, cfg: RunConfig) -> int:
                    "exhaustive": _result_json(oracle),
                    "comparison_reduction": ratio}
     else:
-        run = exhaustive_search if args.exhaustive else sliding_search
-        res = run(window, store, scfg)
-        describe("exhaustive" if args.exhaustive else "sliding", res)
+        res = (search("exhaustive", exhaustive_search) if args.exhaustive
+               else search("sliding", sliding_search))
         payload = _result_json(res)
 
     if args.out is not None:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +98,6 @@ class SearchConfig:
 class SearchResult:
     candidates: list
     comparisons_made: int = 0
-    elapsed: float = 0.0
     degenerate_skipped: int = 0
     trace: list | None = None
 
@@ -148,17 +146,19 @@ _STEP_SLACK = 1e-9
 
 @np.errstate(over="ignore", invalid="ignore")  # float32 sums may overflow
 def _screen(windows, at, q32, q_energy):
-    """Screen omegas of the windows starting at `at`: float32 dots with
-    the query rounded to float32, `q32`, over float32 rows gathered
-    _TILE at a time. A window whose float32 energy lies outside
-    (_SCREEN_LO, _SCREEN_HI) scores +inf: it may be flat, or its float32
-    sums may have underflowed or overflowed.
+    """Screen omegas, (at.size, k), of the windows starting at `at`
+    against q32's k queries, rounded to float32, of energies `q_energy`:
+    each window is gathered once, _TILE rows at a time, its float32
+    energy taken once, and all queries scored in one float32 matmul. A
+    window whose float32 energy lies outside (_SCREEN_LO, _SCREEN_HI)
+    scores +inf: it may be flat, or its float32 sums may have
+    underflowed or overflowed.
 
     Every finite screen omega is within _SCREEN_ERR of _omegas'. With
     u = 2^-24 and γ = 256u/(1 - 256u), about 1.526e-5:
       the float32 dot is within γ·Σ|s_i·q32_i| of the exact one in any
-      summation order, and q32 is within u of q elementwise, so it is
-      within (γ + u + γu)·‖s‖‖q‖ of s·q;
+      summation order, so in every column of the product; q32 is within
+      u of q elementwise, so the dot is within (γ + u + γu)·‖s‖‖q‖ of s·q;
       the float32 energy is within γ of ‖s‖² relative, so its square
       root is within γ/2 + O(γ²) relative, and |omega| ≤ 1;
       float32 underflow, in q32, a product or a square, adds at most
@@ -174,24 +174,17 @@ def _screen(windows, at, q32, q_energy):
     sums and comparisons the scan makes with the bound.
     """
     energy = np.empty(at.size, dtype=np.float32)
-    dot = np.empty(at.size, dtype=np.float32)
+    dot = np.empty((at.size, len(q32)), dtype=np.float32)
     for lo in range(0, at.size, _TILE):
         s = windows[at[lo:lo + _TILE]]
         np.vecdot(s, s, out=energy[lo:lo + _TILE])
-        np.matmul(s, q32, out=dot[lo:lo + _TILE])
-    return _screen_omegas(energy, dot, q_energy)
-
-
-def _screen_omegas(energy, dot, q_energy):
-    """Screen omegas from float32 energies and dots (see _screen),
-    broadcast against the queries' energies."""
+        np.matmul(s, q32.T, out=dot[lo:lo + _TILE])
     sure = (energy > _SCREEN_LO) & (energy < _SCREEN_HI)
-    root = np.multiply(energy, q_energy, dtype=np.float64)
+    root = np.multiply.outer(energy, q_energy, dtype=np.float64)
     return np.divide(dot, np.sqrt(root, out=root),
-                     out=np.full(dot.shape, np.inf), where=sure)
+                     out=np.full(dot.shape, np.inf), where=sure[:, None])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in _screen
 def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
                    lattice_at):
     """_screen for the rows of several queries: row i is the window
@@ -199,11 +192,9 @@ def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
     bounds[j]:bounds[j + 1].
 
     A row where `lattice` is set is at lattice_at[slot[i]], the lattice
-    position of its slice: each such window is gathered once, its
-    float32 energy taken once, and it is scored against every query
-    with one float32 matmul. The bound of _screen holds in any
-    summation order, so it holds for that product too. The other rows
-    are screened per query."""
+    position of its slice: those windows are screened against every
+    query at once, so each is gathered once. The other rows are
+    screened per query."""
     omega = np.empty(at.size)
     if lattice.any():
         shared = np.zeros(lattice_at.size, dtype=bool)
@@ -211,20 +202,14 @@ def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
         shared = np.flatnonzero(shared)
         index = np.empty(lattice_at.size, dtype=np.int64)
         index[shared] = np.arange(shared.size)
-        pos = lattice_at[shared]
-        energy = np.empty(pos.size, dtype=np.float32)
-        dot = np.empty((pos.size, len(q32)), dtype=np.float32)
-        for lo in range(0, pos.size, _TILE):
-            s = windows[pos[lo:lo + _TILE]]
-            np.vecdot(s, s, out=energy[lo:lo + _TILE])
-            np.matmul(s, q32.T, out=dot[lo:lo + _TILE])
         query = np.repeat(np.arange(len(q32)), np.diff(bounds))
-        omega[lattice] = _screen_omegas(energy[:, None], dot, q_energy)[
+        omega[lattice] = _screen(windows, lattice_at[shared], q32, q_energy)[
             index[slot[lattice]], query[lattice]]
     off = np.flatnonzero(~lattice)
     for j, lo, hi in _groups(off, bounds):
         rows = off[lo:hi]
-        omega[rows] = _screen(windows, at[rows], q32[j], q_energy[j])
+        omega[rows] = _screen(windows, at[rows], q32[j:j + 1],
+                              q_energy[j:j + 1])[:, 0]
     return omega
 
 
@@ -314,7 +299,7 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
             exact = np.arange(rows.size)
             step = np.empty(rows.size, dtype=np.int64)
         elif k == 1:        # nothing to share
-            exact, step = _settle(_screen(windows, at, q32[0], q_energy[0]),
+            exact, step = _settle(_screen(windows, at, q32, q_energy)[:, 0],
                                   alpha, delta)
         else:
             exact, step = _settle(
@@ -615,12 +600,11 @@ def _query(window):
     return q, float(np.dot(q, q))
 
 
-def _result(candidates, used, degenerate, cfg, t0, trace=None):
+def _result(candidates, used, degenerate, cfg, trace=None):
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
         candidates=candidates[:cfg.top_k],
         comparisons_made=used,
-        elapsed=time.perf_counter() - t0,
         degenerate_skipped=degenerate,
         trace=trace,
     )
@@ -631,9 +615,9 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
     """sliding_search of each window, all in one lockstep.
 
     The results are those of one sliding_search per window, field for
-    field, except `elapsed`, which is the wall time of the lockstep
-    that answered the window. Windows whose scans meet at the same
-    offset of a slice share its gather and one float32 product (see
+    field. Every window's comparisons go through the one float32 screen
+    (_screen), and windows whose scans meet at the same offset of a
+    slice share its gather and one float32 product (see
     _lockstep_scan). At most _LOCKSTEP_ROWS (window, slice) rows, and
     at least one window, run in one lockstep; more windows run in
     several. record_trace needs exactly one window.
@@ -646,11 +630,10 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
     per = max(1, _LOCKSTEP_ROWS // max(n, 1))
     results = []
     for lo in range(0, len(queries), per):
-        t0 = time.perf_counter()
         qs, energies = (np.array(c) for c in zip(*queries[lo:lo + per]))
         scans = _lockstep_scan(qs, energies, view, store.slice_starts,
                                cfg.alpha, cfg.delta, record_trace)
-        results += [_result(candidates, used, degenerate, cfg, t0, trace)
+        results += [_result(candidates, used, degenerate, cfg, trace)
                     for candidates, used, degenerate, trace in scans]
     return results
 
@@ -681,10 +664,9 @@ def exhaustive_search(window, store: MdbStore,
     The store's spectra table is built on the first call and kept on
     the store. The result carries no trace."""
     q, q_energy = _query(window)
-    t0 = time.perf_counter()
     candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
     return _result(candidates, store.num_slices * _OFFSETS - degenerate,
-                   degenerate, cfg, t0)
+                   degenerate, cfg)
 
 
 @dataclass

@@ -94,7 +94,6 @@ class TrackerState:
     config: TrackerConfig
     iteration: int = 0          # total completed tracking iterations
     iteration_in_set: int = 0   # resets whenever a cloud response is applied
-    degraded: bool = False
     reports: list = field(default_factory=list)
 
     def p_anomaly(self) -> float:
@@ -142,7 +141,6 @@ def init_tracker(result, store: MdbStore, cfg: TrackerConfig,
         raise ValueError("cannot start tracking from an empty search result")
     state = TrackerState(tracked=_seed_candidates(result, store, steps_ahead),
                          pa_history=[], config=cfg)
-    state.degraded = not state.tracked
     state.pa_history.append(state.p_anomaly())
     return state
 
@@ -186,8 +184,6 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     state.tracked = alive
     state.iteration += 1
     state.iteration_in_set += 1
-    if not alive:
-        state.degraded = True
     pa = state.p_anomaly()
     state.pa_history.append(pa)
 
@@ -254,16 +250,12 @@ def swap_in(state: TrackerState, fresh, store: MdbStore,
     """Apply a cloud response at an iteration boundary.
 
     A non-empty result replaces the tracked set (probability history is
-    retained for prediction continuity); an empty one keeps the old set
-    and flags degraded mode. Either way the per-set iteration counter
-    restarts, since the cadence clock measures time since the last
-    applied cloud response.
+    retained for prediction continuity); an empty one keeps the old set.
+    Either way the per-set iteration counter restarts, since the cadence
+    clock measures time since the last applied cloud response.
     """
     if fresh.candidates:
         state.tracked = _seed_candidates(fresh, store, steps_ahead)
-        state.degraded = not state.tracked
-    else:
-        state.degraded = True
     state.iteration_in_set = 0
     return state
 

@@ -254,6 +254,8 @@ def _signal_entries(manifest):
         for key, typ, json_type in _SIGNAL_FIELDS:
             if type(sig.get(key)) is not typ:   # bool is not an int here
                 raise ValueError(f"{name} has no {json_type} {key!r}")
+        if sig["id"] not in INT64:
+            raise ValueError(f"{name} has an id outside int64")
         check_span_entries(sig["spans"], name)
     return signals
 

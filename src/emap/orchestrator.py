@@ -300,9 +300,10 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
             else:
                 swap_in(tracker, pending.result, store,
                         steps_ahead=steps_ahead)
+            # degraded: the response seeded nothing that can be tracked
             emit(t_b, "swap_in", initial=initial,
                  fresh_candidates=len(pending.result.candidates),
-                 degraded=tracker.degraded)
+                 degraded=not (pending.result.candidates and tracker.tracked))
             transmissions_applied += 1
             pending = None
 

@@ -43,7 +43,7 @@ def make_store(tmp_path, parents, labels=None, n=2048):
 
 def result_for(store, set_ids, beta=0):
     cands = [Candidate(set_id=s, omega=0.99, beta=beta) for s in set_ids]
-    return SearchResult(candidates=cands, comparisons_made=0, elapsed=0.0,
+    return SearchResult(candidates=cands, comparisons_made=0,
                         degenerate_skipped=0)
 
 
@@ -69,7 +69,7 @@ def test_initial_probability_is_label_fraction(tmp_path):
 
 def test_init_rejects_empty_result(tmp_path):
     store = make_store(tmp_path, [np.random.default_rng(0).normal(0, 15, 2048)])
-    empty = SearchResult(candidates=[], comparisons_made=0, elapsed=0.0,
+    empty = SearchResult(candidates=[], comparisons_made=0,
                          degenerate_skipped=0)
     with pytest.raises(ValueError):
         init_tracker(empty, store, TrackerConfig())
@@ -140,7 +140,7 @@ def test_candidate_dead_on_arrival_when_parent_cannot_continue(tmp_path):
     res = SearchResult(
         candidates=[Candidate(set_id=0, omega=0.99, beta=0),
                     Candidate(set_id=2, omega=0.99, beta=700)],
-        comparisons_made=0, elapsed=0.0, degenerate_skipped=0)
+        comparisons_made=0, degenerate_skipped=0)
     # the second candidate would need samples [956:1212) of its
     # 1000-sample parent
     state = init_tracker(res, store, TrackerConfig())
@@ -232,15 +232,13 @@ def test_swap_in_replaces_set_and_keeps_history(tmp_path):
     assert [c.set_id for c in state.tracked] == [3, 4, 5]
     assert state.pa_history[:len(history_before)] == history_before
     assert state.iteration_in_set == 0
-    assert state.degraded is False
 
-    empty = SearchResult(candidates=[], comparisons_made=0, elapsed=0.0,
+    empty = SearchResult(candidates=[], comparisons_made=0,
                          degenerate_skipped=0)
     state.iteration_in_set = 3
     swap_in(state, empty, store)
-    # nothing fresh: the old set keeps tracking in degraded mode
+    # nothing fresh: the old set keeps tracking
     assert [c.set_id for c in state.tracked] == [3, 4, 5]
-    assert state.degraded is True
     assert state.iteration_in_set == 0
 
 
@@ -387,8 +385,6 @@ def reference_step(state, window, store):
     state.iteration += 1
     state.iteration_in_set += 1
     alive = len(kept)
-    if alive == 0:
-        state.degraded = True
     pa = state.p_anomaly()
     state.pa_history.append(pa)
     wants, reason = needs_cloud_call(state)
@@ -422,7 +418,7 @@ def fingerprint(state, report):
                  None if r.area is None else r.area.hex()) for r in rs]
     return (
         [(c.set_id, c.cursor) for c in state.tracked],
-        [p.hex() for p in state.pa_history], state.degraded,
+        [p.hex() for p in state.pa_history],
         state.iteration, state.iteration_in_set,
         report.iteration, report.alive,
         removals(report.removed_dissimilar), removals(report.removed_exhausted),

@@ -228,6 +228,10 @@ def equal_spans_of_two_kinds(manifest):
     manifest["signals"][1]["spans"] = [[0, 10, None], [0, 10, "x"]]
 
 
+def huge_id(manifest):
+    manifest["signals"][1]["id"] = 2 ** 63
+
+
 def write_query(tmp_path):
     query = tmp_path / "query.csv"
     query.write_text("".join(f"{v!r}\n" for v in np.arange(1.0, 257.0)))
@@ -254,12 +258,14 @@ def write_query(tmp_path):
      f"to {2000 + 10**15} samples"),
     (negative_length_sum, "samples.f32 has 18000 bytes; the manifest's "
      "lengths sum to -1000 samples, -4000 bytes"),
+    (huge_id, r"manifest signal #1 \(id 9223372036854775808\) has an id "
+     "outside int64"),
 ], ids=["span-outside-signal", "format-1", "format-2", "no-spans",
         "no-length", "length-as-text", "signals-not-a-list",
         "manifest-not-an-object",
         "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
         "rate-512", "no-slice-len", "kind-as-list", "huge-length",
-        "negative-length-sum"])
+        "negative-length-sum", "huge-id"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
