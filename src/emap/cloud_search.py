@@ -14,8 +14,9 @@ each slice by its own step. The correlation is screened in float32, with
 a derived error bound (see _screen); only the rows whose step or hit the
 screen cannot settle, a few percent of them, are rescored in the
 kernel's float64 arithmetic, so candidates, omegas, counters and the
-trace are that arithmetic's bit for bit. A round holds O(slices) index,
-step and omega vectors plus one tile of gathered rows.
+trace are that arithmetic's bit for bit. A round of q queries holds
+O(q × slices) index, step and omega vectors, about 86 B per (query,
+slice) row, plus one tile of gathered rows.
 
 Several queries can run in one lockstep (sliding_search_many), as the
 concurrent calls of an evaluation do. Its rows are (query, slice)
@@ -59,11 +60,16 @@ LAST_OFFSET = SLICE_LEN - dsp.WINDOW_LEN  # 744, scanned inclusively
 _OFFSETS = LAST_OFFSET + 1
 
 _TILE = 256    # rows gathered at once, so they stay in cache
-# (query, slice) rows in one lockstep, 8 queries on a 1920-slice store;
-# a round holds about 100 B per row. On that store 10 queries per
-# lockstep raised the evaluation's peak RSS about 2 MB more than 8 did,
-# and were no faster within the host's noise
-_LOCKSTEP_ROWS = 16_000
+# (query, slice) rows in one lockstep: 68 queries on a 1920-slice store,
+# so each pass of the 40-stream evaluation is one lockstep and gathers
+# every slice's beta-0 window once. A round holds about 86 B per row.
+# ms per query for one batch of 40 random stream windows on stores of
+# colored-noise slices (traced peak), median of 3-5 passes, 2 cores:
+#   slices   cap 16,000      cap 80,000      cap 2**17       cap 320,000
+#   1920      1.15 (1.7 MB)   0.99 (6.6 MB)   0.99 (6.6 MB)   1.01 (6.6 MB)
+#   7680      5.28 (1.9 MB)   4.27 (6.8 MB)   4.19 (11.1 MB)  3.88 (25.6 MB)
+#   30720    16.80 (2.5 MB)  17.68 (6.0 MB)  16.13 (11.2 MB) 16.11 (25.9 MB)
+_LOCKSTEP_ROWS = 2 ** 17
 
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
 _FFT_ROWS = 64      # slices correlated per block of an FFT scan
@@ -618,9 +624,10 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
     field. Every window's comparisons go through the one float32 screen
     (_screen), and windows whose scans meet at the same offset of a
     slice share its gather and one float32 product (see
-    _lockstep_scan). At most _LOCKSTEP_ROWS (window, slice) rows, and
-    at least one window, run in one lockstep; more windows run in
-    several. record_trace needs exactly one window.
+    _lockstep_scan). One lockstep runs at least one window and at most
+    _LOCKSTEP_ROWS (window, slice) rows, 68 windows on a 1920-slice
+    store; more windows run in several. record_trace needs exactly one
+    window.
     """
     queries = [_query(w) for w in windows]
     if record_trace and len(queries) != 1:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from emap import orchestrator
+from emap import cloud_search, orchestrator
 from emap.cloud_search import sliding_search
 from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, WINDOW_LEN
 from emap.edge_tracker import (
@@ -267,6 +267,33 @@ def test_evaluate_batch_shape_and_gate(eval_world):
                           dataclasses.replace(sim, eval_after_cloud_calls=99))
     assert [out.prediction for out in late.outcomes] == [None] * 6
     assert late.mean_row.accuracy == 0.5   # the normal streams alone
+
+
+def test_each_evaluation_pass_runs_as_one_lockstep(eval_world, monkeypatch):
+    """Every pass of the 40-stream evaluation sends its windows to one
+    sliding_search_many call, and that call scans them all in one
+    lockstep."""
+    world, store = eval_world
+    cfg = world.run_config
+    calls = []      # per sliding_search_many call: windows, lockstep sizes
+    many, scan = orchestrator.sliding_search_many, cloud_search._lockstep_scan
+
+    def counted_many(windows, *args):
+        calls.append((len(windows), []))
+        return many(windows, *args)
+
+    def counted_scan(qs, *args):
+        calls[-1][1].append(len(qs))
+        return scan(qs, *args)
+
+    monkeypatch.setattr(orchestrator, "sliding_search_many", counted_many)
+    monkeypatch.setattr(cloud_search, "_lockstep_scan", counted_scan)
+    evaluate_batch(world.streams, store, cfg.search, cfg.tracker, cfg.link,
+                   cfg.sim)
+    assert calls[0][0] == len(world.streams) == 40
+    assert calls[-1] == (0, [])     # the pass in which every loop returns
+    assert ([sizes for _n, sizes in calls[:-1]]
+            == [[n] for n, _sizes in calls[:-1]])
 
 
 def test_lead_time_measures_onset_gap(eval_world):
@@ -701,21 +728,35 @@ def test_evaluate_batch_raises_run_stream_error_on_a_nan(small_eval,
 
 BATCH_DIGEST = """
 import hashlib, json, sys
+import numpy as np
 from emap import MdbStore, evaluate_batch
+from emap.cloud_search import sliding_search_many
+from emap.dsp import SignalWindow, WINDOW_LEN
 from emap.edge_tracker import report_json_record
 from emap.scenarios import evaluation_world
 
 world = evaluation_world(2026, n_anomalous=4, n_normal=4)
 cfg = world.run_config
-table = evaluate_batch(world.streams, MdbStore.load(sys.argv[1]), cfg.search,
-                       cfg.tracker, cfg.link, cfg.sim)
+store = MdbStore.load(sys.argv[1])
+table = evaluate_batch(world.streams, store, cfg.search, cfg.tracker,
+                       cfg.link, cfg.sim)
 digest = hashlib.sha256()
 for out in table.outcomes:
     for record in ([e.to_json_dict() for e in out.timeline]
                    + [report_json_record(r, step_micros=0)
                       for r in out.reports]):
         digest.update(json.dumps(record).encode() + b"\\n")
-print(len(table.outcomes), digest.hexdigest())
+rng = np.random.default_rng(5)
+windows = []
+for _ in range(40):
+    live = world.streams[int(rng.integers(len(world.streams)))].samples
+    start = int(rng.integers(live.size - WINDOW_LEN + 1))
+    windows.append(SignalWindow(samples=live[start:start + WINDOW_LEN]))
+many = hashlib.sha256()
+for res in sliding_search_many(windows, store, cfg.search):
+    many.update(repr((res.candidates, res.comparisons_made,
+                      res.degenerate_skipped)).encode())
+print(len(table.outcomes), digest.hexdigest(), len(windows), many.hexdigest())
 """
 
 
@@ -723,9 +764,11 @@ def test_evaluate_batch_is_identical_under_one_and_two_blas_threads(
         tmp_path):
     """The batched search scores windows that several streams share with
     a float32 matrix-matrix product, where one stream's search (`emap
-    simulate`, criterion 11) makes only matrix-vector products. OpenBLAS
-    sizes its thread pool when numpy is imported, so each count runs in
-    its own process."""
+    simulate`, criterion 11) makes only matrix-vector products. The
+    same holds for 40 random stream windows in one sliding_search_many
+    call, whose lattice screen multiplies by a 40-column query matrix.
+    OpenBLAS sizes its thread pool when numpy is imported, so each count
+    runs in its own process."""
     world = evaluation_world(2026, n_anomalous=4, n_normal=4)
     build_store(world.store_signals, tmp_path / "store")
     src = os.path.dirname(os.path.dirname(orchestrator.__file__))
@@ -737,5 +780,5 @@ def test_evaluate_batch_is_identical_under_one_and_two_blas_threads(
         digests.append(subprocess.run(
             [sys.executable, "-c", BATCH_DIGEST, str(tmp_path / "store")],
             env=env, check=True, capture_output=True, text=True).stdout)
-    assert digests[0].startswith("8 ")
+    assert digests[0].split()[::2] == ["8", "40"]
     assert digests[0] == digests[1]

@@ -248,6 +248,21 @@ def test_sliding_search_memory_is_linear_in_slices(eval_world):
     assert peak < 1 << 20
 
 
+def test_one_evaluation_pass_fits_one_lockstep_in_memory(eval_world):
+    # 40 windows x 1920 slices run as one lockstep, whose round holds
+    # about 86 B per (window, slice) row: about 6.6 MB
+    world, store = eval_world
+    windows = eval_windows(world, n=40)
+    assert 40 * store.num_slices <= cloud_search._LOCKSTEP_ROWS
+    tracemalloc.start()
+    try:
+        sliding_search_many(windows, store, SearchConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
 def test_smallest_alpha_scans_like_the_reference(parity_world):
     # the largest step, 2**62, still fits int64 beside any offset
     corpus, store = parity_world
@@ -759,11 +774,13 @@ def test_many_queries_scan_as_one_query_each(flat_run_store, data, alpha,
                     (c.set_id, c.omega, c.beta) for c in res.candidates]
 
 
-def test_many_queries_above_the_row_cap(eval_world):
+def test_many_queries_above_the_row_cap(eval_world, monkeypatch):
     """A batch larger than one lockstep holds, on the eval store: stream
     openings (which every stream sends first and all share beta 0 of
-    every slice), random windows, repeats, and self-matches."""
+    every slice), random windows, repeats, and self-matches. The cap is
+    lowered to 8 windows, so the batch spans three locksteps."""
     world, store = eval_world
+    monkeypatch.setattr(cloud_search, "_LOCKSTEP_ROWS", 8 * store.num_slices)
     per_lockstep = cloud_search._LOCKSTEP_ROWS // store.num_slices
     openings = [SignalWindow(samples=s.samples[:WINDOW_LEN])
                 for s in world.streams[:8]]
