@@ -15,13 +15,16 @@ a derived error bound (see _screen); only the rows whose step or hit the
 screen cannot settle, a few percent of them, are rescored in the
 kernel's float64 arithmetic, so candidates, omegas, counters and the
 trace are that arithmetic's bit for bit. A round of q queries holds
-O(q × slices) index, step and omega vectors, about 86 B per (query,
+O(q × slices) index, step and omega vectors, about 94 B per (query,
 slice) row, plus one tile of gathered rows.
 
 Several queries can run in one lockstep (sliding_search_many), as the
 concurrent calls of an evaluation do. Its rows are (query, slice)
-pairs; where the rows of several queries sit at the same window, it is
-gathered once and scored against all of them in one float32 product.
+pairs in query-major order, so each query's rows form one run; where
+the rows of several queries sit at the same window, it is gathered
+once and scored against all of them in one float32 product. Each other
+row is screened, and each undecided row rescored, against its run's
+query, in one call per round however many queries the lockstep holds.
 Each query's result is its single search's, bit for bit.
 
 The exhaustive scan correlates the query with every slice in the
@@ -62,7 +65,7 @@ _OFFSETS = LAST_OFFSET + 1
 _TILE = 256    # rows gathered at once, so they stay in cache
 # (query, slice) rows in one lockstep: 68 queries on a 1920-slice store,
 # so each pass of the 40-stream evaluation is one lockstep and gathers
-# every slice's beta-0 window once. A round holds about 86 B per row.
+# every slice's beta-0 window once. A round holds about 94 B per row.
 # ms per query for one batch of 40 random stream windows on stores of
 # colored-noise slices (traced peak), median of 3-5 passes, 2 cores:
 #   slices   cap 16,000      cap 80,000      cap 2**17       cap 320,000
@@ -123,21 +126,32 @@ def _steps(alpha: float, clamped: np.ndarray) -> np.ndarray:
     return np.maximum(steps, 1.0).astype(np.int64)
 
 
+def _per_row(q_energy, runs):
+    """Each row's query energy, query j's on rows runs[j]:runs[j + 1]. A
+    single run's is one scalar, which broadcasts without a per-row copy."""
+    if len(runs) == 2:
+        return q_energy[0]
+    return np.repeat(q_energy, np.diff(runs))
+
+
 @np.errstate(invalid="ignore")  # flat windows score 0/0
-def _omegas(windows, at, q, q_energy):
-    """(energy, omega) of the windows starting at `at` against the query,
-    in float64, widened _TILE rows at a time.
+def _omegas(windows, at, runs, qs, q_energy):
+    """(energy, omega) in float64 of the windows starting at `at`, each
+    against its own query: query j, qs[j] of energy q_energy[j], owns
+    rows runs[j]:runs[j + 1]. Each run is widened _TILE rows at a time.
 
     vecdot takes each row's dot with the same kernel as np.dot, so an
     identical window scores exactly 1.0; sqrt of the product keeps it
     there."""
     energy = np.empty(at.size)
     dot = np.empty(at.size)
-    for lo in range(0, at.size, _TILE):
-        segs = windows[at[lo:lo + _TILE]].astype(np.float64)
-        np.vecdot(segs, segs, out=energy[lo:lo + _TILE])
-        np.vecdot(segs, q, out=dot[lo:lo + _TILE])
-    return energy, dot / np.sqrt(q_energy * energy)
+    for j, (a, b) in enumerate(zip(runs, runs[1:])):
+        for lo in range(a, b, _TILE):
+            segs = windows[at[lo:min(lo + _TILE, b)]].astype(np.float64)
+            hi = lo + len(segs)
+            np.vecdot(segs, segs, out=energy[lo:hi])
+            np.vecdot(segs, qs[j], out=dot[lo:hi])
+    return energy, dot / np.sqrt(energy * _per_row(q_energy, runs))
 
 
 # The screen: float32 dots, within _SCREEN_ERR of the kernel's omega
@@ -151,14 +165,16 @@ _STEP_SLACK = 1e-9
 
 
 @np.errstate(over="ignore", invalid="ignore")  # float32 sums may overflow
-def _screen(windows, at, q32, q_energy):
-    """Screen omegas, (at.size, k), of the windows starting at `at`
-    against q32's k queries, rounded to float32, of energies `q_energy`:
-    each window is gathered once, _TILE rows at a time, its float32
-    energy taken once, and all queries scored in one float32 matmul. A
-    window whose float32 energy lies outside (_SCREEN_LO, _SCREEN_HI)
-    scores +inf: it may be flat, or its float32 sums may have
-    underflowed or overflowed.
+def _screen(windows, at, q32, q_energy, runs=None):
+    """Screen omegas of the windows starting at `at` against the rows of
+    q32, of energies q_energy, rounded to float32. Without `runs`, every
+    window against every query, (at.size, k), in one float32 matmul per
+    tile; with `runs`, each window against its own query only,
+    (at.size,), query j owning rows runs[j]:runs[j + 1]. Each run is
+    gathered _TILE rows at a time and each window's float32 energy
+    taken once. A window whose float32 energy lies outside (_SCREEN_LO,
+    _SCREEN_HI) scores +inf: it may be flat, or its float32 sums may
+    have underflowed or overflowed.
 
     Every finite screen omega is within _SCREEN_ERR of _omegas'. With
     u = 2^-24 and γ = 256u/(1 - 256u), about 1.526e-5:
@@ -179,16 +195,28 @@ def _screen(windows, at, q32, q_energy):
     rounds it up to 2^-15, about 3.05e-5; the margin covers the float64
     sums and comparisons the scan makes with the bound.
     """
+    matrix = runs is None   # one run, scored against the whole matrix
+    if matrix:
+        runs, queries = [0, at.size], [q32.T]
+    else:
+        queries = q32
+    shape = (at.size, len(q32)) if matrix else at.size
     energy = np.empty(at.size, dtype=np.float32)
-    dot = np.empty((at.size, len(q32)), dtype=np.float32)
-    for lo in range(0, at.size, _TILE):
-        s = windows[at[lo:lo + _TILE]]
-        np.vecdot(s, s, out=energy[lo:lo + _TILE])
-        np.matmul(s, q32.T, out=dot[lo:lo + _TILE])
+    dot = np.empty(shape, dtype=np.float32)
+    for j, (a, b) in enumerate(zip(runs, runs[1:])):
+        for lo in range(a, b, _TILE):
+            s = windows[at[lo:min(lo + _TILE, b)]]
+            hi = lo + len(s)
+            np.vecdot(s, s, out=energy[lo:hi])
+            np.matmul(s, queries[j], out=dot[lo:hi])
     sure = (energy > _SCREEN_LO) & (energy < _SCREEN_HI)
-    root = np.multiply.outer(energy, q_energy, dtype=np.float64)
-    return np.divide(dot, np.sqrt(root, out=root),
-                     out=np.full(dot.shape, np.inf), where=sure[:, None])
+    if matrix:
+        root = np.multiply.outer(energy, q_energy, dtype=np.float64)
+        sure = sure[:, None]
+    else:
+        root = np.multiply(energy, _per_row(q_energy, runs), dtype=np.float64)
+    return np.divide(dot, np.sqrt(root, out=root), out=np.full(shape, np.inf),
+                     where=sure)
 
 
 def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
@@ -200,34 +228,26 @@ def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
     A row where `lattice` is set is at lattice_at[slot[i]], the lattice
     position of its slice: those windows are screened against every
     query at once, so each is gathered once. The other rows are
-    screened per query."""
+    screened in one more call, each against its own query."""
     omega = np.empty(at.size)
-    if lattice.any():
+    on = np.flatnonzero(lattice)
+    if on.size:
+        on_slot = slot[on]
         shared = np.zeros(lattice_at.size, dtype=bool)
-        shared[slot[lattice]] = True
+        shared[on_slot] = True
         shared = np.flatnonzero(shared)
         index = np.empty(lattice_at.size, dtype=np.int64)
         index[shared] = np.arange(shared.size)
-        query = np.repeat(np.arange(len(q32)), np.diff(bounds))
-        omega[lattice] = _screen(windows, lattice_at[shared], q32, q_energy)[
-            index[slot[lattice]], query[lattice]]
+        query = np.repeat(np.arange(len(q32)), np.diff(bounds))[on]
+        # integer indexing, flat: a boolean mask over every row and a
+        # 2-D fancy index each cost several times as much
+        omega[on] = _screen(windows, lattice_at[shared], q32, q_energy).ravel()[
+            index[on_slot] * len(q32) + query]
     off = np.flatnonzero(~lattice)
-    for j, lo, hi in _groups(off, bounds):
-        rows = off[lo:hi]
-        omega[rows] = _screen(windows, at[rows], q32[j:j + 1],
-                              q_energy[j:j + 1])[:, 0]
+    if off.size:
+        omega[off] = _screen(windows, at[off], q32, q_energy,
+                             np.searchsorted(off, bounds).tolist())
     return omega
-
-
-def _groups(index, bounds):
-    """(j, lo, hi) for each query j that owns some of the sorted row
-    positions `index`, index[lo:hi] (query j owns positions
-    bounds[j]:bounds[j + 1])."""
-    if len(bounds) == 2:        # one query owns every row
-        return [(0, 0, index.size)] if index.size else []
-    cut = np.searchsorted(index, bounds).tolist()
-    return [(j, lo, hi) for j, (lo, hi) in enumerate(zip(cut, cut[1:]))
-            if lo < hi]
 
 
 def _settle(omega, alpha, delta):
@@ -254,15 +274,17 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     """Scan the slices starting at `starts` against the k rows of the
     query matrix `qs` (with energies `q_energy`) in one lockstep.
 
-    Its rows are (query, slice) pairs in query-major order. Each round
-    screens every comparison in float32 (_screen) and rescores with
-    the kernel's float64 arithmetic (_omegas, then _steps) only the
-    rows the screen cannot settle: a row whose step differs somewhere
-    in its screen omega ± _SCREEN_ERR, and one that could exceed delta,
-    so every candidate keeps the kernel's omega. The latter include
-    every window the screen cannot bound, flat ones among them: only
-    the exact energy counts a window as degenerate. With record_trace
-    (one query only) every row is rescored and nothing is screened.
+    Its rows are (query, slice) pairs in query-major order, so each
+    query's rows form one run. Each round screens every comparison in
+    float32 (_screen) and rescores with the kernel's float64 arithmetic
+    (_omegas, then _steps), in one call over every query's run, only
+    the rows the screen cannot settle: a row whose step differs
+    somewhere in its screen omega ± _SCREEN_ERR, and one that could
+    exceed delta, so every candidate keeps the kernel's omega. The
+    latter include every window the screen cannot bound, flat ones
+    among them: only the exact energy counts a window as degenerate.
+    With record_trace (one query only) every row is rescored and
+    nothing is screened.
 
     With more than one query, rows on the lattice share their gathers
     (_screen_shared). No step exceeds the top step, max(1,
@@ -291,7 +313,7 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     trace = [] if record_trace else None
     hits = []   # per round, the (row, beta, omega) columns above delta
     visits = [0] * k
-    degenerate = [0] * k
+    degenerate = np.zeros(k, dtype=np.int64)
     while rows.size:
         # query j owns rows[bounds[j]:bounds[j + 1]], each one a visit
         if k == 1:      # one query's rows are its slots
@@ -305,7 +327,7 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
             exact = np.arange(rows.size)
             step = np.empty(rows.size, dtype=np.int64)
         elif k == 1:        # nothing to share
-            exact, step = _settle(_screen(windows, at, q32, q_energy)[:, 0],
+            exact, step = _settle(_screen(windows, at, q32, q_energy, bounds),
                                   alpha, delta)
         else:
             exact, step = _settle(
@@ -314,14 +336,13 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
                 alpha, delta)
         if exact.size:
             r, b = rows[exact], beta[exact]
-            energy = np.empty(exact.size)
-            omega = np.empty(exact.size)
-            for j, lo, hi in _groups(exact, bounds):
-                energy[lo:hi], omega[lo:hi] = _omegas(
-                    windows, at[exact[lo:hi]], qs[j], q_energy[j])
-                # a flat segment carries no information: it is skipped,
-                # and its omega of NaN clamps to 0, the maximum step
-                degenerate[j] += int(np.count_nonzero(energy[lo:hi] == 0.0))
+            runs = np.searchsorted(exact, bounds).tolist()
+            energy, omega = _omegas(windows, at[exact], runs, qs, q_energy)
+            # a flat segment carries no information: it is skipped, and
+            # its omega of NaN clamps to 0, the maximum step
+            flat = np.flatnonzero(energy == 0.0)
+            if flat.size:
+                degenerate += np.diff(np.searchsorted(flat, runs))
             over = omega > delta
             if np.count_nonzero(over):
                 hits.append((r[over], b[over], omega[over]))
@@ -345,9 +366,9 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     r, b, omega = (map(np.concatenate, zip(*hits)) if hits else
                    (np.empty(0, dtype=np.int64),) * 3)
     j, r = np.divmod(r, max(n, 1))
+    skipped = degenerate.tolist()
     return [(_best_per_slice(r[j == i], b[j == i], omega[j == i]),
-             visits[i] - degenerate[i], degenerate[i], trace)
-            for i in range(k)]
+             visits[i] - skipped[i], skipped[i], trace) for i in range(k)]
 
 
 # -- the exhaustive scan in the frequency domain ------------------------------
@@ -581,8 +602,8 @@ def _fft_scan(q, q_energy, store, delta):
     keep = ~(ys * t + _error_bound(t) <= delta)
     rows, betas = rows[keep], betas[keep]
     windows = sliding_window_view(store.flat, dsp.WINDOW_LEN)
-    _energy, omega = _omegas(windows, store.slice_starts[rows] + betas, q,
-                             q_energy)
+    _energy, omega = _omegas(windows, store.slice_starts[rows] + betas,
+                             [0, rows.size], [q], [q_energy])
     hit = omega > delta
     return (_best_per_slice(rows[hit], betas[hit], omega[hit]),
             int(table.flat.sum()))

@@ -205,7 +205,8 @@ def _drive(loops, search):
     """Run stream loops (_stream_loop) to their ends and return their
     outcomes. Each pass sends every waiting loop its search result and
     collects the windows the loops want searched next; one
-    search(windows) call answers them all."""
+    search(windows) call answers them all, and none is made once every
+    loop has returned."""
     outcomes = [None] * len(loops)
     replies = dict.fromkeys(range(len(loops)))
     while replies:
@@ -215,6 +216,8 @@ def _drive(loops, search):
                 requests[i] = loops[i].send(reply)
             except StopIteration as done:
                 outcomes[i] = done.value
+        if not requests:
+            break
         replies = dict(zip(requests, search(list(requests.values()))))
     return outcomes
 

@@ -17,6 +17,7 @@ stores where the per-offset loop would take seconds per query.
 
 import functools
 import math
+import re
 import tempfile
 import tracemalloc
 
@@ -250,7 +251,7 @@ def test_sliding_search_memory_is_linear_in_slices(eval_world):
 
 def test_one_evaluation_pass_fits_one_lockstep_in_memory(eval_world):
     # 40 windows x 1920 slices run as one lockstep, whose round holds
-    # about 86 B per (window, slice) row: about 6.6 MB
+    # about 94 B per (window, slice) row: about 7.2 MB
     world, store = eval_world
     windows = eval_windows(world, n=40)
     assert 40 * store.num_slices <= cloud_search._LOCKSTEP_ROWS
@@ -305,9 +306,9 @@ def rescored_windows(q, store, cfg):
     seen = []
     omegas = cloud_search._omegas
 
-    def spy(windows, at, q, q_energy):
+    def spy(windows, at, *args):
         seen.extend(at.tolist())
-        return omegas(windows, at, q, q_energy)
+        return omegas(windows, at, *args)
 
     cloud_search._omegas = spy
     try:
@@ -441,8 +442,9 @@ def test_screen_error_stays_inside_its_bound():
     """|screen omega - kernel omega| <= _SCREEN_ERR on adversarial rows:
     the query equal to the row, its negation, the row with half its
     signs flipped (omega near 0 from large terms), and rows whose
-    samples span 2^-60 to 2^40. Each query is screened alone and in a
-    4-query matrix, whose columns must each keep the bound."""
+    samples span 2^-60 to 2^40. Each query is screened alone, in a
+    4-query matrix, whose columns must each keep the bound, and as one
+    of 4 runs of rows in one call, whose rows must each keep it."""
     rng = np.random.default_rng(9)
     rows = [rng.normal(0, 15, WINDOW_LEN) for _ in range(4)]
     for lo, hi in ((-60, 40), (-30, 30), (-10, 35)):
@@ -464,13 +466,20 @@ def test_screen_error_stays_inside_its_bound():
     queries = np.array([peak_scaled(q) for q in queries])
     q_energy = np.vecdot(queries, queries)
     q32 = queries.astype(np.float32)
+    one = [0, at.size]
+    runs = (at.size * np.arange(5)).tolist()
     for lo in range(0, len(queries), 4):
         matrix = _screen(windows, at, q32[lo:lo + 4], q_energy[lo:lo + 4])
         assert matrix.shape == (at.size, 4)
+        rows = _screen(windows, np.tile(at, 4), q32[lo:lo + 4],
+                       q_energy[lo:lo + 4], runs)
+        assert rows.shape == (4 * at.size,)
         for j in range(lo, lo + 4):
-            alone = _screen(windows, at, q32[j:j + 1], q_energy[j:j + 1])
-            _energy, exact = _omegas(windows, at, queries[j], q_energy[j])
-            for screen in (alone[:, 0], matrix[:, j - lo]):
+            alone = _screen(windows, at, q32[j:j + 1], q_energy[j:j + 1], one)
+            _energy, exact = _omegas(windows, at, one, queries[j:j + 1],
+                                     q_energy[j:j + 1])
+            for screen in (alone, matrix[:, j - lo],
+                           rows[runs[j - lo]:runs[j - lo + 1]]):
                 assert np.isfinite(screen).all()
                 assert np.all(np.abs(screen - exact) <= _SCREEN_ERR)
 
@@ -772,6 +781,50 @@ def test_many_queries_scan_as_one_query_each(flat_run_store, data, alpha,
             if kind == "slice":
                 assert (set_id, 1.0, 0) in [
                     (c.set_id, c.omega, c.beta) for c in res.candidates]
+
+
+@pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(delta=1e-4)])
+def test_many_queries_rescore_flat_windows_in_one_round(flat_run_store, cfg):
+    """Every nonzero first window of the zero-run store plus a noise
+    window, in one batch: the rows of several windows are rescored on
+    flat windows in the same rounds, and each window keeps its own
+    degenerate count."""
+    store, _queries = flat_run_store
+    noise = np.random.default_rng(7).normal(0, 15, WINDOW_LEN)
+    windows = [SignalWindow(samples=x) for _sid, x in nonzero_windows(store)]
+    many = assert_many_is_single(windows + [SignalWindow(samples=noise)],
+                                 store, cfg)
+    assert sum(res.degenerate_skipped > 0 for res in many) >= 2
+
+
+def test_each_round_screens_twice_and_rescores_once(eval_world, monkeypatch):
+    """40 stream windows on the eval store run as one lockstep, and each
+    of its rounds (one _settle call each) makes at most two _screen
+    calls, one for the lattice rows and one for the others, and at most
+    one _omegas call, however many windows have rows in it."""
+    world, store = eval_world
+    assert 40 * store.num_slices <= cloud_search._LOCKSTEP_ROWS
+    calls = []
+
+    def spy(name, tag):
+        call = getattr(cloud_search, name)
+
+        def counted(*args):
+            calls.append(tag)
+            return call(*args)
+        monkeypatch.setattr(cloud_search, name, counted)
+
+    spy("_screen", "s")
+    spy("_settle", "|")
+    spy("_omegas", "o")
+    sliding_search_many(eval_windows(world, n=40), store, SearchConfig())
+    # a round screens, settles, then rescores: between two _settle
+    # calls lie one round's rescoring and the next round's screens
+    rounds = "".join(calls).split("|")
+    assert len(rounds) > 2
+    assert re.fullmatch("s{1,2}", rounds[0])
+    assert all(re.fullmatch("o?s{0,2}", r) for r in rounds[1:])
+    assert "|oss|" in "".join(calls)   # both screens and a rescoring
 
 
 def test_many_queries_above_the_row_cap(eval_world, monkeypatch):
