@@ -36,8 +36,16 @@ float16. The scan screens each slice's correlations against one
 threshold floor per slice, tests the few that clear it against delta
 within a derived error bound (see _error_bound and _floors), and
 recomputes with the kernel's float64 arithmetic every offset that
-could exceed delta. Its candidates, omegas and counters are those of
-the kernel's arithmetic at every offset, bit for bit.
+could exceed delta. The floors depend only on the table and delta, so
+the table keeps them for the last delta it was searched with. A block
+compares offset by offset only the slices whose largest correlation
+is above their floor, and skips a block that has none: as every
+correlation is finite, no other offset could clear it. Its candidates,
+omegas and counters are those of the kernel's arithmetic at every
+offset, bit for bit.
+
+Both scans gather windows from the store's one window view
+(MdbStore.windows).
 
 Both scans first scale the query by the power of two that puts its
 largest |sample| in [0.5, 1) (dsp.peak_scaled). The scaling is exact,
@@ -449,9 +457,9 @@ def _flat_windows(x):
     return zeros[:, w:] - zeros[:, :-w] == w
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Spectra:
-    """The FFT scan's per-store table, about 3.55 KB per slice.
+    """The FFT scan's per-store table, about 3.56 KB per slice.
 
     Each slice is scaled to unit norm before its FFT: correlation does
     not see the scale, and float32 then neither overflows nor loses
@@ -461,7 +469,8 @@ class _Spectra:
     widens int16 to float32 about ten times as fast as float16. The
     ratios are kept in float16. The error bound covers both roundings;
     the table is small because it stays in memory as long as its store
-    does.
+    does. It also keeps the per-slice floors (_floors) of the last delta
+    it was searched with, 4 B per slice, and its count of flat windows.
     """
     # (n, 1026) int16: rfft of each scaled slice times _FIXED, rounded
     # to integers, real and imaginary parts interleaved
@@ -473,6 +482,10 @@ class _Spectra:
     # any of its windows has ratio NaN
     span: np.ndarray
     flat: np.ndarray       # (n,) int64: all-zero windows per slice
+    flat_total: int = 0    # flat.sum()
+    # (delta, _floors(self, delta)) for the last delta searched; one
+    # tuple, so a reader never pairs one delta with another's floors
+    floor_memo: tuple | None = None
 
     @classmethod
     def build(cls, store: MdbStore) -> "_Spectra":
@@ -503,7 +516,15 @@ class _Spectra:
             unit = np.divide(x, norm, out=np.zeros(x.shape), where=norm > 0)
             spectrum = np.fft.rfft(unit.astype(np.float32), _NFFT)
             table.spectra[lo:hi] = np.rint(spectrum.view(np.float32) * _FIXED)
+        table.flat_total = int(table.flat.sum())
         return table
+
+    def floors(self, delta):
+        """_floors(self, delta), computed once per delta in a row."""
+        memo = self.floor_memo
+        if memo is None or memo[0] != delta:
+            memo = self.floor_memo = (delta, _floors(self, delta))
+        return memo[1]
 
 
 def _spectra(store: MdbStore) -> _Spectra:
@@ -516,7 +537,8 @@ def _spectra(store: MdbStore) -> _Spectra:
 def _floors(table: _Spectra, delta):
     """Per slice, a float32 floor below which no y passes the scan's
     per-offset test at any of the slice's offsets but flat ones; -inf
-    for a slice with an unkept window that is not flat.
+    for a slice with an unkept window that is not flat. The scan takes
+    them through _Spectra.floors, which keeps them for the last delta.
 
     The test keeps an offset of ratio t unless, in float32,
     y·t + err(t) <= delta, err being _error_bound. In real arithmetic
@@ -566,8 +588,13 @@ def _fft_scan(q, q_energy, store, delta):
     that could beat delta.
 
     Stage 1, per block of slices, keeps the offsets whose correlation y
-    is above their slice's floor (_floors): no other offset could pass
-    stage 2. Stage 2, once per search, tests each survivor as
+    is above their slice's floor (_floors, kept on the table for the
+    last delta): no other offset could pass stage 2. It compares offset
+    by offset only the rows whose largest y is above their floor, and
+    skips a block that has no such row. That is exact: y is finite, so
+    a row has an offset above its floor only if its maximum is. A block
+    whose every row passes is compared as it stands, without a row
+    copy. Stage 2, once per search, tests each survivor as
         y·t + err(t) > delta, or t is NaN (the window is not kept),
     in float32, with t its table ratio and err _error_bound: an offset
     that fails it cannot have a kernel omega above delta. A flat window
@@ -579,7 +606,7 @@ def _fft_scan(q, q_energy, store, delta):
     if not n:
         return [], 0
     table = _spectra(store)
-    floor = _floors(table, delta)[:, None]
+    floor = table.floors(delta)
     unit = (q / math.sqrt(q_energy)).astype(np.float32)
     # the table's 2^10 is taken out of the query: exact, bar underflow
     query = np.conj(np.fft.rfft(unit, _NFFT)) / _FIXED
@@ -591,22 +618,29 @@ def _fft_scan(q, q_energy, store, delta):
         product[:m].view(np.float32)[...] = table.spectra[lo:lo + m]
         product[:m] *= query
         np.fft.irfft(product[:m], _NFFT, out=y[:m])
+        block, f = y[:m, :_OFFSETS], floor[lo:lo + m]
+        live = np.flatnonzero(block.max(axis=1) > f)
+        if live.size < m:       # only these rows can pass
+            if not live.size:
+                continue
+            block, f = block[live], f[live]
         # faster than a 2-D np.nonzero at a few survivors per block
-        r, b = np.divmod(np.flatnonzero(y[:m, :_OFFSETS] > floor[lo:lo + m]),
-                         _OFFSETS)
+        r, b = np.divmod(np.flatnonzero(block > f[:, None]), _OFFSETS)
+        r = live[r]
         rows.append(lo + r)
         betas.append(b)
         ys.append(y[r, b])
+    if not rows:
+        return [], table.flat_total
     rows, betas, ys = (np.concatenate(c) for c in (rows, betas, ys))
     t = table.ratio[rows, betas].astype(np.float32)
     keep = ~(ys * t + _error_bound(t) <= delta)
     rows, betas = rows[keep], betas[keep]
-    windows = sliding_window_view(store.flat, dsp.WINDOW_LEN)
-    _energy, omega = _omegas(windows, store.slice_starts[rows] + betas,
+    _energy, omega = _omegas(store.windows, store.slice_starts[rows] + betas,
                              [0, rows.size], [q], [q_energy])
     hit = omega > delta
     return (_best_per_slice(rows[hit], betas[hit], omega[hit]),
-            int(table.flat.sum()))
+            table.flat_total)
 
 
 def _best_per_slice(rows, betas, omega):
@@ -614,7 +648,8 @@ def _best_per_slice(rows, betas, omega):
     slice, the best omega at its lowest beta, the first best one the
     sliding scan visits."""
     order = np.lexsort((betas, -omega, rows))
-    first = order[np.unique(rows[order], return_index=True)[1]]
+    # slices are non-negative, so -1 starts the first run
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
     return [Candidate(set_id=r, omega=w, beta=b) for r, w, b in
             zip(rows[first].tolist(), omega[first].tolist(),
                 betas[first].tolist())]
@@ -654,12 +689,11 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
     if record_trace and len(queries) != 1:
         raise ValueError("record_trace needs exactly one window")
     n = store.num_slices
-    view = sliding_window_view(store.flat, dsp.WINDOW_LEN) if n else None
     per = max(1, _LOCKSTEP_ROWS // max(n, 1))
     results = []
     for lo in range(0, len(queries), per):
         qs, energies = (np.array(c) for c in zip(*queries[lo:lo + per]))
-        scans = _lockstep_scan(qs, energies, view, store.slice_starts,
+        scans = _lockstep_scan(qs, energies, store.windows, store.slice_starts,
                                cfg.alpha, cfg.delta, record_trace)
         results += [_result(candidates, used, degenerate, cfg, trace)
                     for candidates, used, degenerate, trace in scans]

@@ -206,11 +206,10 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
 
 def _next_segments(store: MdbStore, cands):
     """(len(cands), 256) float32 rows: each candidate's next parent
-    segment, gathered from the store's flat buffer in one index."""
+    segment, gathered from the store's window view in one index."""
     rows = np.array([(c.set_id, c.cursor - c.parent_offset) for c in cands],
                     dtype=np.int64).reshape(-1, 2)
-    pos = store.slice_starts[rows[:, 0]] + rows[:, 1]
-    return store.flat[np.add.outer(pos, np.arange(dsp.WINDOW_LEN))]
+    return store.windows[store.slice_starts[rows[:, 0]] + rows[:, 1]]
 
 
 def needs_cloud_call(state: TrackerState):

@@ -26,12 +26,14 @@ infinite, is a CsvFormatError naming its line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp
 
@@ -291,7 +293,11 @@ class MdbStore:
     Load reads the payload into one flat float32 buffer (`flat`), in
     manifest order. Parent arrays are views into it, and `slice_starts`
     holds each slice's first position in it, so a scan can address any
-    window of any slice without building a SignalSet. No float64 copy
+    window of any slice without building a SignalSet. `windows` is the
+    store's one view of every WINDOW_LEN-sample window of `flat`, built
+    on first use (None for an empty store): windows[p] is the window
+    starting at position p, so the scans and the edge tracker gather
+    windows from it without building a view per call. No float64 copy
     is kept: widening float32 to float64 is exact, so callers that
     compute in float64 see bit-identical values.
     """
@@ -370,6 +376,13 @@ class MdbStore:
     @property
     def num_slices(self) -> int:
         return len(self._index)
+
+    @functools.cached_property
+    def windows(self):
+        """(flat.size - WINDOW_LEN + 1, WINDOW_LEN) view of `flat`, one
+        row per window start; None for an empty store."""
+        return (sliding_window_view(self.flat, dsp.WINDOW_LEN)
+                if self.num_slices else None)
 
     def slice_meta(self, set_id: int):
         """(set_id, parent_id, parent_offset, label, kind) for one slice."""

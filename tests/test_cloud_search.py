@@ -41,6 +41,7 @@ def test_scan_covers_all_745_offsets(tmp_path):
 
 def test_empty_store_gives_empty_result(tmp_path):
     store = build_store([], tmp_path / "store")
+    assert store.windows is None
     q = SignalWindow(samples=np.random.default_rng(0).normal(0, 15, WINDOW_LEN),
                      timestep_index=0)
     for search in (sliding_search, exhaustive_search):

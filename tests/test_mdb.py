@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from emap import mdb
 from emap.cloud_search import SearchConfig, exhaustive_search, sliding_search
-from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, apply_filter, design_bandpass
+from emap.dsp import (
+    SAMPLE_RATE_HZ,
+    WINDOW_LEN,
+    SignalWindow,
+    apply_filter,
+    design_bandpass,
+)
 from emap.mdb import (
     SLICE_LEN,
     CsvFormatError,
@@ -164,6 +170,13 @@ def test_store_holds_one_flat_float32_buffer(tmp_path):
         start = store.slice_starts[sid]
         assert np.array_equal(store.flat[start:start + SLICE_LEN],
                               store.get_slice(sid).samples)
+    # one view of every window of the buffer, a window per position
+    assert np.shares_memory(store.windows, store.flat)
+    assert store.windows.shape == (store.flat.size - WINDOW_LEN + 1,
+                                   WINDOW_LEN)
+    for at in (0, 1700, store.flat.size - WINDOW_LEN):
+        assert np.array_equal(store.windows[at],
+                              store.flat[at:at + WINDOW_LEN])
 
 
 def set_span(manifest):

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from emap import cloud_search
 from emap.cloud_search import (
+    _FFT_ROWS,
     _FIXED,
     _SCREEN_ERR,
     _SCREEN_HI,
@@ -220,7 +221,7 @@ def test_row_omega_does_not_depend_on_its_batch(eval_world):
     world, store = eval_world
     q = window_samples(eval_windows(world, n=1)[0])
     q_energy = float(np.dot(q, q))
-    windows = np.lib.stride_tricks.sliding_window_view(store.flat, WINDOW_LEN)
+    windows = store.windows
     starts = store.slice_starts[:300]
     [(*_, batch)] = _lockstep_scan(q[None], np.array([q_energy]), windows,
                                    starts, 0.004, 0.8, True)
@@ -593,8 +594,10 @@ def test_spectra_are_built_on_the_first_exhaustive_search(tmp_path,
     table = store.scan_table
     exhaustive_search(corpus.queries[1], store, SearchConfig())
     assert store.scan_table is table
-    # about 3.5 KB per slice
-    size = sum(a.nbytes for a in vars(table).values())
+    # about 3.5 KB per slice, the floors of the last delta counted
+    _delta, floor = table.floor_memo
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    size = sum(a.nbytes for a in arrays + [floor])
     assert size < 3600 * store.num_slices
 
 
@@ -721,6 +724,58 @@ def test_a_slice_whose_only_unkept_windows_are_flat_has_a_finite_floor(
             cfg = SearchConfig(delta=delta)
             assert_same_as_reference(q, store, cfg, exhaustive=True)
             assert_same_as_reference(q, store, cfg)
+
+
+def test_floors_follow_delta_from_search_to_search(tmp_path, parity_world):
+    """The table keeps the floors of the last delta: a search at another
+    delta recomputes them, so each search equals the same search on a
+    freshly loaded store. Floors kept from delta 0.8 would drop the
+    delta-0.5 search's candidates at or below 0.8."""
+    corpus, _store = parity_world
+    build_store(corpus.store_signals, tmp_path / "s")
+    store = MdbStore.load(tmp_path / "s")
+    q = corpus.queries[0]
+    for delta in (0.8, 0.5, 0.8):
+        cfg = SearchConfig(delta=delta)
+        got = exhaustive_search(q, store, cfg)
+        assert got == exhaustive_search(q, MdbStore.load(tmp_path / "s"), cfg)
+        assert store.scan_table.floor_memo[0] == delta
+        if delta == 0.5:
+            assert min(c.omega for c in got.candidates) <= 0.8
+
+
+def test_row_max_prefilter_at_block_edges(tmp_path):
+    """A store of two full FFT blocks and a partial one. Slices 127 and
+    140 hold a quiet stretch beside a loud burst, so their floors are far
+    below a noise slice's, and their matches' correlations are too:
+    block 0 has no offset above its floors, block 1's only survivor is
+    its last row, which holds a noisy copy of the query, and the partial
+    block holds the query's self-match."""
+    rng = np.random.default_rng(25)
+    n = 2 * _FFT_ROWS + 22
+    x = rng.normal(0, 15, n * SLICE_LEN)
+    q = rng.normal(0, 1, WINDOW_LEN).astype(np.float32)   # as stored
+    for set_id, window in ((2 * _FFT_ROWS - 1, q + rng.normal(0, 0.2,
+                                                              WINDOW_LEN)),
+                           (2 * _FFT_ROWS + 12, q)):
+        at = set_id * SLICE_LEN
+        x[at:at + 600] = rng.normal(0, 1, 600)
+        x[at + 300:at + 300 + WINDOW_LEN] = window
+        x[at + 600:at + SLICE_LEN] = rng.normal(0, 30, SLICE_LEN - 600)
+    store = build_store([SourceSignal(id=0, samples=x)], tmp_path / "s")
+    cfg = SearchConfig()
+    table = _spectra(store)
+    floor = _floors(table, cfg.delta)
+    window = SignalWindow(samples=q)
+    survivors = np.flatnonzero(
+        (fft_correlation(window, table) > floor[:, None]).any(axis=1))
+    assert survivors.tolist() == [2 * _FFT_ROWS - 1, 2 * _FFT_ROWS + 12]
+    # each survivor's floor is below every noise slice's
+    assert floor[survivors].max() < np.delete(floor, survivors).min()
+    got = assert_same_as_reference(window, store, cfg, exhaustive=True)
+    assert [(c.set_id, c.beta) for c in got.candidates] == \
+        [(2 * _FFT_ROWS + 12, 300), (2 * _FFT_ROWS - 1, 300)]
+    assert got.candidates[0].omega == 1.0
 
 
 # -- many queries in one lockstep -------------------------------------------------
