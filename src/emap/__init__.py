@@ -55,7 +55,6 @@ from .orchestrator import (
     RunOutcome,
     SimConfig,
     evaluate_batch,
-    predict_at_offsets,
     run_stream,
 )
 from .scenarios import synth_corpus
@@ -100,7 +99,6 @@ __all__ = [
     "RunOutcome",
     "run_stream",
     "evaluate_batch",
-    "predict_at_offsets",
     "__version__",
 ]
 

@@ -459,7 +459,7 @@ def _flat_windows(x):
 
 @dataclass
 class _Spectra:
-    """The FFT scan's per-store table, about 3.56 KB per slice.
+    """The FFT scan's per-store table, about 3.55 KB per slice.
 
     Each slice is scaled to unit norm before its FFT: correlation does
     not see the scale, and float32 then neither overflows nor loses
@@ -476,13 +476,14 @@ class _Spectra:
     # to integers, real and imaginary parts interleaved
     spectra: np.ndarray
     # (n, 745) float16: ‖slice‖/‖window‖; 0 for a flat (all-zero)
-    # window, NaN for any other window that is not kept
+    # window, NaN for any other window that is not kept. Stage 2 of
+    # _fft_scan needs it where slices hold quiet stretches, see
+    # test_stage_two_rescores_few_rows_on_a_quiet_slice_store
     ratio: np.ndarray
     # (n, 2) float32: each slice's smallest and largest ratio, NaN where
     # any of its windows has ratio NaN
     span: np.ndarray
-    flat: np.ndarray       # (n,) int64: all-zero windows per slice
-    flat_total: int = 0    # flat.sum()
+    flat_total: int = 0    # all-zero windows in the store
     # (delta, _floors(self, delta)) for the last delta searched; one
     # tuple, so a reader never pairs one delta with another's floors
     floor_memo: tuple | None = None
@@ -493,14 +494,13 @@ class _Spectra:
         w = dsp.WINDOW_LEN
         table = cls(np.empty((n, _NFFT + 2), dtype=np.int16),
                     np.empty((n, _OFFSETS), dtype=np.float16),
-                    np.empty((n, 2), dtype=np.float32),
-                    np.empty(n, dtype=np.int64))
+                    np.empty((n, 2), dtype=np.float32))
         slices = sliding_window_view(store.flat, SLICE_LEN)
         for lo in range(0, n, _BUILD_ROWS):
             hi = min(lo + _BUILD_ROWS, n)
             x = slices[store.slice_starts[lo:hi]]
             flat = _flat_windows(x)
-            table.flat[lo:hi] = np.count_nonzero(flat, axis=1)
+            table.flat_total += int(np.count_nonzero(flat))
             cum = np.zeros((hi - lo, SLICE_LEN + 1))
             np.cumsum(np.square(x, dtype=np.float64), axis=1, out=cum[:, 1:])
             energy = cum[:, w:] - cum[:, :-w]
@@ -516,7 +516,6 @@ class _Spectra:
             unit = np.divide(x, norm, out=np.zeros(x.shape), where=norm > 0)
             spectrum = np.fft.rfft(unit.astype(np.float32), _NFFT)
             table.spectra[lo:hi] = np.rint(spectrum.view(np.float32) * _FIXED)
-        table.flat_total = int(table.flat.sum())
         return table
 
     def floors(self, delta):

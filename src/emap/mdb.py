@@ -413,9 +413,11 @@ def build_store(signals, out_dir) -> MdbStore:
     store, so the arrays in hand are exactly what any later reader will
     see.
     """
-    ids = [s.id for s in signals]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate signal ids in corpus")
+    seen = set()
+    for sig in signals:
+        if sig.id in seen:
+            raise ValueError(f"duplicate signal id {sig.id} in corpus")
+        seen.add(sig.id)
     for sig in signals:
         _slice_offsets(sig.id, sig.samples.size)
         if not np.all(np.abs(sig.samples) <= np.finfo(np.float32).max):

@@ -442,30 +442,3 @@ def evaluate_batch(corpus, store: MdbStore, search_cfg: SearchConfig,
     rows.append(score(paired, batch_name="mean"))
     return EvaluationTable(rows=rows, outcomes=outcomes)
 
-
-def predict_at_offsets(live: SourceSignal, offsets_before_onset_s,
-                       store: MdbStore, search_cfg: SearchConfig,
-                       tracker_cfg: TrackerConfig, link: LinkModel,
-                       sim: SimConfig | None = None):
-    """Report, for each offset, whether the anomaly had been predicted on
-    a stream cut at onset minus that offset.
-
-    The loop is causal (boundary k reads only window k-1), so a stream
-    cut at sample `cut` replays the first cut // 256 windows of the full
-    run exactly. One run of the full stream answers every offset: its
-    first prediction counts if it falls at t_s <= cut // 256.
-    """
-    if live.onset_sample is None:
-        raise ValueError("stream has no ground-truth onset")
-    hit = run_stream(live, store, search_cfg, tracker_cfg, link,
-                     sim).prediction
-    results = []
-    for off_s in offsets_before_onset_s:
-        cut = live.onset_sample - int(round(off_s * dsp.SAMPLE_RATE_HZ))
-        if cut < 2 * dsp.WINDOW_LEN:
-            raise ValueError(
-                f"offset {off_s}s leaves less than 2 s of stream")
-        seen = hit is not None and hit[1] <= cut // dsp.WINDOW_LEN
-        results.append({"offset_s": float(off_s), "predicted": seen,
-                        "prediction_t_s": hit[1] if seen else None})
-    return results

@@ -154,7 +154,6 @@ class ProbabilityScenario:
     expected_pa: list
     search_cfg: SearchConfig
     tracker_cfg: TrackerConfig
-    anomaly_kind: str = "seizure"
 
 
 def probability_growth_scenario(seed: int = 401) -> ProbabilityScenario:
@@ -359,7 +358,6 @@ def write_corpus_csv(signals, out_dir):
     bit-exact.
     """
     os.makedirs(out_dir, exist_ok=True)
-    names = []
     for sig in signals:
         stem = f"signal_{sig.id:05d}"
         csv_path = os.path.join(out_dir, stem + ".csv")
@@ -380,5 +378,3 @@ def write_corpus_csv(signals, out_dir):
                   encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        names.append(stem)
-    return names

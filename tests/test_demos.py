@@ -19,7 +19,16 @@ def test_demos_run_and_leave_no_temporary_files(tmp_path):
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.PIPE, text=True)
             for d in demos]
-    for demo, run in zip(demos, runs):
-        _out, err = run.communicate(timeout=300)
+    # reap every run before asserting on any, so that no run's pipe or
+    # process is left to warn during a later test
+    errs = []
+    try:
+        for run in runs:
+            errs.append(run.communicate(timeout=300)[1])
+    finally:
+        for run in runs[len(errs):]:
+            run.kill()
+            run.communicate()
+    for demo, run, err in zip(demos, runs, errs):
         assert run.returncode == 0, f"{demo.name}: {err}"
     assert list(tmp_path.iterdir()) == []

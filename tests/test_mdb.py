@@ -410,8 +410,9 @@ def test_build_store_rejects_non_finite_samples(tmp_path, bad):
 
 
 def test_build_store_rejects_duplicate_ids(tmp_path):
-    with pytest.raises(ValueError):
-        build_store([make_signal(3), make_signal(3)], tmp_path / "store")
+    with pytest.raises(ValueError, match="duplicate signal id 3 in"):
+        build_store([make_signal(1), make_signal(3), make_signal(2),
+                     make_signal(3), make_signal(1)], tmp_path / "store")
 
 
 def test_manifest_is_readable_json(tmp_path):

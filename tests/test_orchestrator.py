@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from emap import cloud_search, orchestrator
 from emap.cloud_search import sliding_search
-from emap.dsp import SAMPLE_RATE_HZ, SignalWindow, WINDOW_LEN
+from emap.dsp import SignalWindow, WINDOW_LEN
 from emap.edge_tracker import (
     init_tracker,
     report_json_record,
@@ -28,7 +28,6 @@ from emap.orchestrator import (
     RunConfig,
     SimConfig,
     evaluate_batch,
-    predict_at_offsets,
     run_stream,
 )
 
@@ -336,72 +335,39 @@ def test_scoring_counts_misses_and_false_alarms(tmp_path, swapped, accuracy,
         assert row.mean_lead_time_s == lead
 
 
-def test_predict_at_offsets_truncation(eval_world):
+def test_a_cut_stream_replays_the_full_run(eval_world):
+    """The loop is causal: boundary k reads only window k-1. So a stream
+    cut at sample `cut` gives the full run's reports up to its last
+    boundary, cut // 256 s, and the full run's prediction if that falls
+    by then."""
     world, store = eval_world
     cfg = world.run_config
-    anom = next(s for s in world.streams if s.anomaly_spans)
-    rows = predict_at_offsets(anom, [2.0, 5.0], store, cfg.search,
-                              cfg.tracker, cfg.link, cfg.sim)
-    by_offset = {r["offset_s"]: r["predicted"] for r in rows}
-    # prediction latches 3 s ahead of onset: visible with 2 s of margin
-    # trimmed away, gone when the stream stops 5 s before onset
-    assert by_offset[2.0] is True
-    assert by_offset[5.0] is False
-    with pytest.raises(ValueError):
-        predict_at_offsets(anom, [100.0], store, cfg.search, cfg.tracker,
-                           cfg.link, cfg.sim)
-    normal = next(s for s in world.streams if not s.anomaly_spans)
-    with pytest.raises(ValueError):
-        predict_at_offsets(normal, [2.0], store, cfg.search, cfg.tracker,
-                           cfg.link, cfg.sim)
 
+    def fields(reports):
+        return [dataclasses.replace(r, step_micros=0) for r in reports]
 
-def truncate_and_rerun(live, offsets, store, cfg):
-    """predict_at_offsets as a fresh run of each truncated stream."""
-    rows = []
-    for off_s in offsets:
-        cut = live.onset_sample - int(round(off_s * SAMPLE_RATE_HZ))
-        truncated = SourceSignal(
-            id=live.id, samples=live.samples[:cut].copy(),
-            anomaly_spans=[(s, min(e, cut), k)
-                           for s, e, k in live.anomaly_spans if s < cut],
-            dataset_tag=live.dataset_tag,
-            # a cut before the onset leaves the onset outside the stream
-            onset_sample=live.onset_sample if cut >= live.onset_sample
-            else None)
-        out = run_stream(truncated, store, cfg.search, cfg.tracker,
-                         cfg.link, cfg.sim)
-        hit = out.prediction
-        rows.append({"offset_s": float(off_s), "predicted": hit is not None,
-                     "prediction_t_s": hit[1] if hit else None})
-    return rows
-
-
-def test_predict_at_offsets_equals_truncate_and_rerun(eval_world,
-                                                      monkeypatch):
-    world, store = eval_world
-    cfg = world.run_config
-    offsets = [0, 0.5, 1, 2, 2.9, 3, 3.1, 4, 5, 8, 12, 17, -2]
-    anomalous = [s for s in world.streams if s.anomaly_spans]
-    assert len(anomalous) == 20
-    runs = []
-
-    def counting(*args):
-        runs.append(args[0].id)
-        return run_stream(*args)
-
-    predicted = 0
-    for live in anomalous:
-        monkeypatch.setattr(orchestrator, "run_stream", counting)
-        got = predict_at_offsets(live, offsets, store, cfg.search,
-                                 cfg.tracker, cfg.link, cfg.sim)
-        monkeypatch.undo()
-        assert runs == [live.id], "one run per call"
-        runs.clear()
-        assert got == truncate_and_rerun(live, offsets, store, cfg)
-        predicted += sum(r["predicted"] for r in got)
+    predicted = set()
+    for live in [world.streams[i] for i in (0, 9, 20, 39)]:
+        full = run_stream(live, store, cfg.search, cfg.tracker, cfg.link,
+                          cfg.sim)
+        for cut in (5 * WINDOW_LEN, 16 * WINDOW_LEN + 200, 17 * WINDOW_LEN,
+                    20 * WINDOW_LEN):
+            end_s = cut // WINDOW_LEN
+            out = run_stream(SourceSignal(id=live.id,
+                                          samples=live.samples[:cut]),
+                             store, cfg.search, cfg.tracker, cfg.link,
+                             cfg.sim)
+            steps = sum(e.kind == "track_step"
+                        and e.t_sim_us <= end_s * orchestrator.US_PER_S
+                        for e in full.timeline)
+            assert len(out.reports) == steps
+            assert fields(out.reports) == fields(full.reports)[:steps]
+            hit = full.prediction
+            assert out.prediction == (hit if hit and hit[1] <= end_s
+                                      else None)
+            predicted.add(out.prediction is not None)
     # both answers occur, so the comparison is not vacuous
-    assert 0 < predicted < len(anomalous) * len(offsets)
+    assert predicted == {True, False}
 
 
 def test_sim_config_rejects_non_finite_latency():
