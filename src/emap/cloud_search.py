@@ -15,16 +15,17 @@ a derived error bound (see _screen); only the rows whose step or hit the
 screen cannot settle, a few percent of them, are rescored in the
 kernel's float64 arithmetic, so candidates, omegas, counters and the
 trace are that arithmetic's bit for bit. A round of q queries holds
-O(q × slices) index, step and omega vectors, about 94 B per (query,
-slice) row, plus one tile of gathered rows.
+O(q × slices) row, beta, window, step and omega vectors, about 82 B
+per (query, slice) row, plus one tile of gathered rows.
 
 Several queries can run in one lockstep (sliding_search_many), as the
 concurrent calls of an evaluation do. Its rows are (query, slice)
-pairs in query-major order, so each query's rows form one run; where
-the rows of several queries sit at the same window, it is gathered
-once and scored against all of them in one float32 product. Each other
-row is screened, and each undecided row rescored, against its run's
-query, in one call per round however many queries the lockstep holds.
+pairs in query-major order, so each query's rows form one run. Where
+more rows sit on a round's lattice (see _lockstep_scan) than there are
+slices, every slice's lattice window is gathered once and scored
+against all queries in one float32 product. Each other row is
+screened, and each undecided row rescored, against its run's query,
+in one call per round however many queries the lockstep holds.
 Each query's result is its single search's, bit for bit.
 
 The exhaustive scan correlates the query with every slice in the
@@ -73,7 +74,7 @@ _OFFSETS = LAST_OFFSET + 1
 _TILE = 256    # rows gathered at once, so they stay in cache
 # (query, slice) rows in one lockstep: 68 queries on a 1920-slice store,
 # so each pass of the 40-stream evaluation is one lockstep and gathers
-# every slice's beta-0 window once. A round holds about 94 B per row.
+# every slice's beta-0 window once. A round holds about 82 B per row.
 # ms per query for one batch of 40 random stream windows on stores of
 # colored-noise slices (traced peak), median of 3-5 passes, 2 cores:
 #   slices   cap 16,000      cap 80,000      cap 2**17       cap 320,000
@@ -227,30 +228,25 @@ def _screen(windows, at, q32, q_energy, runs=None):
                      where=sure)
 
 
-def _screen_shared(windows, at, bounds, q32, q_energy, lattice, slot,
+def _screen_shared(windows, at, bounds, q32, q_energy, lattice, rows,
                    lattice_at):
     """_screen for the rows of several queries: row i is the window
     starting at at[i], and query j, a row of q32, owns rows
-    bounds[j]:bounds[j + 1].
+    bounds[j]:bounds[j + 1]; rows[i] is j * n + s for query j and
+    slice s, of the n slices whose lattice windows start at lattice_at.
 
-    A row where `lattice` is set is at lattice_at[slot[i]], the lattice
-    position of its slice: those windows are screened against every
-    query at once, so each is gathered once. The other rows are
-    screened in one more call, each against its own query."""
-    omega = np.empty(at.size)
+    Only where `lattice` holds more rows than there are slices is the
+    lattice shared: every slice's lattice window is then screened
+    against every query at once, so each is gathered once, and the
+    other rows are screened in one more call, each against its own
+    query. Otherwise every row is screened against its own query in
+    one call."""
     on = np.flatnonzero(lattice)
-    if on.size:
-        on_slot = slot[on]
-        shared = np.zeros(lattice_at.size, dtype=bool)
-        shared[on_slot] = True
-        shared = np.flatnonzero(shared)
-        index = np.empty(lattice_at.size, dtype=np.int64)
-        index[shared] = np.arange(shared.size)
-        query = np.repeat(np.arange(len(q32)), np.diff(bounds))[on]
-        # integer indexing, flat: a boolean mask over every row and a
-        # 2-D fancy index each cost several times as much
-        omega[on] = _screen(windows, lattice_at[shared], q32, q_energy).ravel()[
-            index[on_slot] * len(q32) + query]
+    if on.size <= lattice_at.size:
+        return _screen(windows, at, q32, q_energy, bounds)
+    omega = np.empty(at.size)
+    # the product is (n, k): row j * n + s reads its entry (s, j)
+    omega[on] = _screen(windows, lattice_at, q32, q_energy).T.ravel()[rows[on]]
     off = np.flatnonzero(~lattice)
     if off.size:
         omega[off] = _screen(windows, at[off], q32, q_energy,
@@ -295,14 +291,14 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     nothing is screened.
 
     With more than one query, rows on the lattice share their gathers
-    (_screen_shared). No step exceeds the top step, max(1,
-    round(1/alpha)), which a row takes wherever its omega is at most 0.
-    So a row is at beta (r - 1) times the top step in round r exactly
-    when it took the top step at every visit: that beta is the round's
-    lattice, where rows of different queries meet at the same window
-    of a slice, in round 1 all of them. Every row's steps, hits and
-    counters are its single-query scan's, bit for bit, as the screen
-    only decides which rows are rescored.
+    where they outnumber the slices (_screen_shared). No step exceeds
+    the top step, max(1, round(1/alpha)), which a row takes wherever
+    its omega is at most 0. So a row is at beta (r - 1) times the top
+    step in round r exactly when it took the top step at every visit:
+    that beta is the round's lattice, where rows of different queries
+    meet at the same window of a slice, in round 1 all of them. Every
+    row's steps, hits and counters are its single-query scan's, bit for
+    bit, as the screen only decides which rows are rescored.
 
     Returns, per query, (candidates, comparisons, degenerate skips,
     trace). A slice's candidate is its best omega above delta
@@ -315,6 +311,7 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     rows = np.arange(k * n)     # query j's row for slice s is j * n + s
     edges = n * np.arange(k + 1)
     beta = np.zeros(rows.size, dtype=np.int64)
+    at = np.tile(starts, k)     # each row's window, its slice's start + beta
     q32 = qs.astype(np.float32)
     top_step = _step_for(alpha, 0.0)
     lattice = 0     # the beta of rows that took the top step every time
@@ -324,23 +321,21 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     degenerate = np.zeros(k, dtype=np.int64)
     while rows.size:
         # query j owns rows[bounds[j]:bounds[j + 1]], each one a visit
-        if k == 1:      # one query's rows are its slots
-            bounds, slot = [0, rows.size], rows
-        else:
-            bounds, slot = np.searchsorted(rows, edges).tolist(), rows % n
+        bounds = np.searchsorted(rows, edges).tolist()
         for j in range(k):
             visits[j] += bounds[j + 1] - bounds[j]
-        at = starts[slot] + beta
         if record_trace:
             exact = np.arange(rows.size)
             step = np.empty(rows.size, dtype=np.int64)
-        elif k == 1:        # nothing to share
+        elif k == 1:
+            # nothing to share; going through _screen_shared's rule
+            # instead made single searches 3.5% slower over 40 pairs
             exact, step = _settle(_screen(windows, at, q32, q_energy, bounds),
                                   alpha, delta)
         else:
             exact, step = _settle(
                 _screen_shared(windows, at, bounds, q32, q_energy,
-                               beta == lattice, slot, starts + lattice),
+                               beta == lattice, rows, starts + lattice),
                 alpha, delta)
         if exact.size:
             r, b = rows[exact], beta[exact]
@@ -363,10 +358,13 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
                 trace.append([c[kept] for c in (r, b, omega, clamped,
                                                 step[exact])])
         beta += step
+        at += step
         lattice = min(lattice + top_step, LAST_OFFSET + 1)
         live = beta <= LAST_OFFSET
         if not live.all():
-            rows, beta = rows[live], beta[live]
+            # np.compress gathers by the mask's indices: indexing with
+            # the mask took 1.7-1.9 times as long on 7,680-76,800 rows
+            rows, beta, at = (np.compress(live, v) for v in (rows, beta, at))
     if trace:       # an empty store runs no round and keeps trace == []
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
@@ -480,9 +478,6 @@ class _Spectra:
     # _fft_scan needs it where slices hold quiet stretches, see
     # test_stage_two_rescores_few_rows_on_a_quiet_slice_store
     ratio: np.ndarray
-    # (n, 2) float32: each slice's smallest and largest ratio, NaN where
-    # any of its windows has ratio NaN
-    span: np.ndarray
     flat_total: int = 0    # all-zero windows in the store
     # (delta, _floors(self, delta)) for the last delta searched; one
     # tuple, so a reader never pairs one delta with another's floors
@@ -493,8 +488,7 @@ class _Spectra:
         n = store.num_slices
         w = dsp.WINDOW_LEN
         table = cls(np.empty((n, _NFFT + 2), dtype=np.int16),
-                    np.empty((n, _OFFSETS), dtype=np.float16),
-                    np.empty((n, 2), dtype=np.float32))
+                    np.empty((n, _OFFSETS), dtype=np.float16))
         slices = sliding_window_view(store.flat, SLICE_LEN)
         for lo in range(0, n, _BUILD_ROWS):
             hi = min(lo + _BUILD_ROWS, n)
@@ -510,9 +504,6 @@ class _Spectra:
                       where=energy > _ENERGY_KEEP * cum[:, -1:])
             ratio[flat] = 0.0
             table.ratio[lo:hi] = ratio
-            # min and max propagate NaN
-            table.span[lo:hi, 0] = table.ratio[lo:hi].min(axis=1)
-            table.span[lo:hi, 1] = table.ratio[lo:hi].max(axis=1)
             unit = np.divide(x, norm, out=np.zeros(x.shape), where=norm > 0)
             spectrum = np.fft.rfft(unit.astype(np.float32), _NFFT)
             table.spectra[lo:hi] = np.rint(spectrum.view(np.float32) * _FIXED)
@@ -570,7 +561,9 @@ def _floors(table: _Spectra, delta):
     terms. The margin covers that, with room for the float64
     evaluation of g.
     """
-    t = table.span.astype(np.float64)
+    # each slice's smallest and largest ratio; min and max propagate NaN
+    t = np.stack([table.ratio.min(axis=1), table.ratio.max(axis=1)],
+                 axis=1).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
         g = (delta - 4 * _U32 - (1 + 32 * _U32) * _error_bound(t)) / t
     exact = g.min(axis=1)

@@ -88,6 +88,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed not in INT64:  # a config file holds int64 values only
+            raise ValueError(f"seed must be < 2**63, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,7 +231,8 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
     RunOutcome."""
     n_windows = live.samples.size // dsp.WINDOW_LEN
     if n_windows < 2:
-        raise ValueError("live signal must span at least 2 seconds")
+        raise ValueError(f"live signal {live.id} has {live.samples.size} "
+                         "samples; it must span at least 2 seconds")
     if store.num_slices == 0:
         raise ValueError("store has no slices to search")
 

@@ -284,7 +284,6 @@ class EvaluationWorld:
     store_signals: list
     streams: list          # SourceSignal live streams, labels via spans
     run_config: RunConfig
-    anomaly_kind: str = "seizure"
 
 
 def evaluation_world(seed: int = 2026, n_anomalous: int = 20,

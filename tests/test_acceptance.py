@@ -321,7 +321,7 @@ def test_c10_synthetic_accuracy(capsys, eval_world):
     ok = (n_anom == 20 and n_norm == 20 and m.accuracy >= 0.90
           and m.false_positive_rate <= 0.20 and elapsed < 300.0)
     _line(capsys, 10, "end-to-end synthetic accuracy", ok,
-          f"20+20 streams, kind={world.anomaly_kind}, accuracy "
+          f"20+20 streams, kind={m.anomaly_kind}, accuracy "
           f"{m.accuracy:.2f} >= 0.90, false positives "
           f"{m.false_positive_rate:.2f} <= 0.20, mean lead {lead}, "
           f"{elapsed:.0f}s")

@@ -298,6 +298,16 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_flag_beyond_int64_is_a_usage_error(tmp_path, capsys):
+    # config.json could not hold it, so --config could not read it back
+    rc = emap_cli.main(["--seed", str(2 ** 63), "synth", "--mode",
+                        "eval-scenario", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"--seed: seed must be < 2**63, got {2 ** 63}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_of_whole_numbers_for_float_fields_is_accepted(tmp_path,
                                                               capsys):
     cfg = tmp_path / "cfg.json"

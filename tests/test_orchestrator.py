@@ -382,6 +382,15 @@ def test_sim_config_rejects_non_finite_latency():
     assert SimConfig(cloud_search_s=1e300).cloud_search_s == 1e300
 
 
+def test_evaluation_names_a_stream_shorter_than_two_seconds(tmp_path):
+    rng = np.random.default_rng(64)
+    store = disjoint_store(tmp_path, [rng.normal(0, 15, 2048)])
+    with pytest.raises(ValueError, match="live signal 901 has 300 samples; "
+                                         "it must span at least 2 seconds"):
+        evaluate_streams(store, rng.normal(0, 15, 2048),
+                         rng.normal(0, 15, 300))
+
+
 def test_run_config_round_trips():
     cfg = RunConfig()
     again = RunConfig.from_dict(cfg.to_dict())
@@ -406,6 +415,11 @@ def test_run_config_round_trips():
     assert set(base.to_dict()) == {"seed", "search", "tracker", "link", "sim"}
     with pytest.raises(TypeError):
         RunConfig.from_dict({"window_len": 256})
+    # a config file holds int64 values, and so does the seed
+    last = RunConfig(seed=2 ** 63 - 1)
+    assert RunConfig.from_dict(last.to_dict()).seed == 2 ** 63 - 1
+    with pytest.raises(ValueError, match=r"seed must be < 2\*\*63"):
+        RunConfig(seed=2 ** 63)
 
 
 @pytest.fixture(scope="module")

@@ -252,7 +252,7 @@ def test_sliding_search_memory_is_linear_in_slices(eval_world):
 
 def test_one_evaluation_pass_fits_one_lockstep_in_memory(eval_world):
     # 40 windows x 1920 slices run as one lockstep, whose round holds
-    # about 94 B per (window, slice) row: about 7.2 MB
+    # about 82 B per (window, slice) row: about 6.3 MB
     world, store = eval_world
     windows = eval_windows(world, n=40)
     assert 40 * store.num_slices <= cloud_search._LOCKSTEP_ROWS
@@ -262,7 +262,7 @@ def test_one_evaluation_pass_fits_one_lockstep_in_memory(eval_world):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10_000_000
+    assert peak < 7_000_000
 
 
 def test_smallest_alpha_scans_like_the_reference(parity_world):
@@ -594,11 +594,11 @@ def test_spectra_are_built_on_the_first_exhaustive_search(tmp_path,
     table = store.scan_table
     exhaustive_search(corpus.queries[1], store, SearchConfig())
     assert store.scan_table is table
-    # about 3.55 KB per slice, the floors of the last delta counted
+    # 3546 B per slice, the floors of the last delta counted
     _delta, floor = table.floor_memo
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
     size = sum(a.nbytes for a in arrays + [floor])
-    assert size < 3560 * store.num_slices
+    assert size < 3550 * store.num_slices
 
 
 def fft_correlation(window, table):
@@ -920,6 +920,46 @@ def test_each_round_screens_twice_and_rescores_once(eval_world, monkeypatch):
     assert re.fullmatch("s{1,2}", rounds[0])
     assert all(re.fullmatch("o?s{0,2}", r) for r in rounds[1:])
     assert "|oss|" in "".join(calls)   # both screens and a rescoring
+
+
+def test_the_lattice_is_shared_only_where_it_outnumbers_the_slices(
+        eval_world, monkeypatch):
+    """On the eval store, each lattice screen (a _screen over every
+    query at once) of a 40-window pass gathers every slice's lattice
+    window, and runs only in rounds whose lattice rows outnumber the
+    slices. A single window never takes it. At alpha 0.1 a 40-window
+    batch reaches rounds whose few lattice rows do not, and each
+    window's result is still its own sliding_search's."""
+    world, store = eval_world
+    n = store.num_slices
+    screens = []    # the windows gathered by each lattice screen
+    rounds = []     # per _screen_shared call, (lattice rows, its screens)
+    screen, shared = cloud_search._screen, cloud_search._screen_shared
+
+    def spy_screen(windows, at, q32, q_energy, runs=None):
+        if runs is None:
+            screens.append(at.size)
+        return screen(windows, at, q32, q_energy, runs)
+
+    def spy_shared(windows, at, bounds, q32, q_energy, lattice, *rest):
+        before = len(screens)
+        omega = shared(windows, at, bounds, q32, q_energy, lattice, *rest)
+        rounds.append((np.count_nonzero(lattice), screens[before:]))
+        return omega
+
+    monkeypatch.setattr(cloud_search, "_screen", spy_screen)
+    monkeypatch.setattr(cloud_search, "_screen_shared", spy_shared)
+    windows = eval_windows(world, n=40)
+    sliding_search_many(windows, store, SearchConfig())
+    assert rounds[0] == (40 * n, [n])
+    assert all(gathers == ([n] if on > n else []) for on, gathers in rounds)
+    screens.clear()
+    sliding_search(windows[0], store, SearchConfig())
+    assert screens == []
+    rounds.clear()
+    assert_many_is_single(windows, store, SearchConfig(alpha=0.1))
+    assert any(0 < on <= n for on, _gathers in rounds)
+    assert all(gathers == ([n] if on > n else []) for on, gathers in rounds)
 
 
 def test_many_queries_above_the_row_cap(eval_world, monkeypatch):
