@@ -16,7 +16,8 @@ import sys
 import time
 
 from . import dsp, scenarios
-from .cloud_search import SearchConfig, alpha_sweep, exhaustive_search, sliding_search
+from .cloud_search import (SearchConfig, SweepRow, alpha_sweep,
+                           exhaustive_search, sliding_search)
 from .edge_tracker import report_json_record
 from .mdb import (INT64, CsvFormatError, MdbStore, build_store,
                   check_span_entries, ingest_csv)
@@ -99,11 +100,32 @@ def _ingest_with_sidecar(csv_path, default_id):
         onset_sample=meta.get("onset_sample"))
 
 
-def _corpus_from_dir(in_dir):
+def _csv_paths(in_dir):
     paths = sorted(glob.glob(os.path.join(in_dir, "*.csv")))
     if not paths:
         raise ValueError(f"no .csv files in {in_dir}")
-    return [_ingest_with_sidecar(p, i) for i, p in enumerate(paths)]
+    return paths
+
+
+def _corpus_from_dir(in_dir):
+    return [_ingest_with_sidecar(p, i)
+            for i, p in enumerate(_csv_paths(in_dir))]
+
+
+def _write_csv(path, cls, rows):
+    # the dataclass's fields are the columns; None writes as an empty
+    # field, and a float as its repr
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow([f.name for f in dataclasses.fields(cls)])
+        out.writerows(dataclasses.astuple(r) for r in rows)
+
+
+def _write_jsonl(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record))
+            fh.write("\n")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -160,11 +182,13 @@ def cmd_build_mdb(args, cfg: RunConfig) -> int:
 
 
 def _load_query_window(csv_path):
-    sig = _ingest_with_sidecar(csv_path, 0)
-    if sig.samples.size < dsp.WINDOW_LEN:
+    samples = _ingest_with_sidecar(csv_path, 0).samples[:dsp.WINDOW_LEN]
+    if samples.size < dsp.WINDOW_LEN:
         raise ValueError(f"{csv_path}: needs at least {dsp.WINDOW_LEN} samples")
-    return dsp.SignalWindow(samples=sig.samples[:dsp.WINDOW_LEN],
-                            timestep_index=0)
+    if not samples.any():
+        raise dsp.DegenerateSignalError(
+            f"{csv_path}: the first {dsp.WINDOW_LEN} samples have zero energy")
+    return dsp.SignalWindow(samples=samples, timestep_index=0)
 
 
 def _result_json(res) -> dict:
@@ -245,15 +269,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     os.makedirs(args.out, exist_ok=True)
     timeline_path = os.path.join(args.out, "timeline.jsonl")
     reports_path = os.path.join(args.out, "reports.jsonl")
-    with open(timeline_path, "w", encoding="utf-8") as fh:
-        for ev in outcome.timeline:
-            fh.write(json.dumps(ev.to_json_dict()))
-            fh.write("\n")
-    with open(reports_path, "w", encoding="utf-8") as fh:
-        for rep in outcome.reports:
-            fh.write(json.dumps(report_json_record(
-                rep, step_micros=cfg.sim.report_step_micros)))
-            fh.write("\n")
+    _write_jsonl(timeline_path, (ev.to_json_dict() for ev in outcome.timeline))
+    _write_jsonl(reports_path, (
+        report_json_record(rep, step_micros=cfg.sim.report_step_micros)
+        for rep in outcome.reports))
     hit = outcome.prediction
     print(f"final classification: {outcome.final_classification}")
     print("anomaly predicted at "
@@ -270,20 +289,12 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _write_accuracy_csv(path, rows):
-    # a BatchRow's fields are the columns; None writes as an empty field
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow([f.name for f in dataclasses.fields(BatchRow)])
-        out.writerows(dataclasses.astuple(r) for r in rows)
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     store = MdbStore.load(args.store)
     corpus = _corpus_from_dir(args.corpus)
     table = evaluate_batch(corpus, store, cfg.search, cfg.tracker,
                            cfg.link, cfg.sim)
-    _write_accuracy_csv(args.out, table.rows)
+    _write_csv(args.out, BatchRow, table.rows)
     m = table.mean_row
     print(f"evaluated {len(corpus)} streams: accuracy={m.accuracy:.4f} "
           f"false_positive_rate={m.false_positive_rate:.4f} "
@@ -310,16 +321,9 @@ def _parse_alphas(text, search: SearchConfig):
 def cmd_sweep_alpha(args, cfg: RunConfig) -> int:
     alphas = _parse_alphas(args.alphas, cfg.search)
     store = MdbStore.load(args.store)
-    paths = sorted(glob.glob(os.path.join(args.inputs, "*.csv")))
-    if not paths:
-        raise ValueError(f"no .csv files in {args.inputs}")
-    windows = [_load_query_window(p) for p in paths]
+    windows = [_load_query_window(p) for p in _csv_paths(args.inputs)]
     rows = alpha_sweep(windows, store, alphas, base_cfg=cfg.search)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("alpha,mean_comparisons,mean_matches,mean_top100_omega\n")
-        for r in rows:
-            fh.write(f"{r.alpha!r},{r.mean_comparisons!r},"
-                     f"{r.mean_matches!r},{r.mean_top100_omega!r}\n")
+    _write_csv(args.out, SweepRow, rows)
     for r in rows:
         print(f"alpha={r.alpha}: comparisons={r.mean_comparisons:.1f} "
               f"matches={r.mean_matches:.1f} "

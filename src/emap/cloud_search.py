@@ -88,6 +88,9 @@ _FFT_ROWS = 64      # slices correlated per block of an FFT scan
 _FIXED = 2 ** 10    # the spectra table's fixed-point scale (see _Spectra)
 _BUILD_ROWS = 8     # slices per block while building the spectra table
 
+# a scan's hits, (slices, betas, omegas), where none was above delta
+_NO_HITS = (np.empty(0, dtype=np.int64),) * 3
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -228,26 +231,33 @@ def _screen(windows, at, q32, q_energy, runs=None):
                      where=sure)
 
 
-def _screen_shared(windows, at, bounds, q32, q_energy, lattice, rows,
-                   lattice_at):
-    """_screen for the rows of several queries: row i is the window
-    starting at at[i], and query j, a row of q32, owns rows
-    bounds[j]:bounds[j + 1]; rows[i] is j * n + s for query j and
-    slice s, of the n slices whose lattice windows start at lattice_at.
+def _screen_shared(windows, at, bounds, q32, q_energy, rows, beta, lattice,
+                   starts):
+    """_screen for the rows of every query of a lockstep round: row i is
+    the window starting at at[i], at offset beta[i] of its slice, and
+    query j, a row of q32, owns rows bounds[j]:bounds[j + 1]; rows[i] is
+    j * n + s for query j and slice s, of the n slices starting at
+    `starts`.
 
-    Only where `lattice` holds more rows than there are slices is the
-    lattice shared: every slice's lattice window is then screened
-    against every query at once, so each is gathered once, and the
-    other rows are screened in one more call, each against its own
-    query. Otherwise every row is screened against its own query in
-    one call."""
-    on = np.flatnonzero(lattice)
-    if on.size <= lattice_at.size:
+    Only where more rows sit at the round's `lattice` beta than there
+    are slices is the lattice shared: every slice's lattice window is
+    then screened against every query at once, so each is gathered
+    once, and the other rows are screened in one more call, each
+    against its own query. Otherwise every row is screened against its
+    own query in one call. A round of no more rows than slices, which
+    every single search is, takes that call before the lattice mask is
+    built."""
+    if at.size <= starts.size:
+        return _screen(windows, at, q32, q_energy, bounds)
+    on_lattice = beta == lattice
+    on = np.flatnonzero(on_lattice)
+    if on.size <= starts.size:
         return _screen(windows, at, q32, q_energy, bounds)
     omega = np.empty(at.size)
     # the product is (n, k): row j * n + s reads its entry (s, j)
-    omega[on] = _screen(windows, lattice_at, q32, q_energy).T.ravel()[rows[on]]
-    off = np.flatnonzero(~lattice)
+    omega[on] = _screen(windows, starts + lattice, q32,
+                        q_energy).T.ravel()[rows[on]]
+    off = np.flatnonzero(~on_lattice)
     if off.size:
         omega[off] = _screen(windows, at[off], q32, q_energy,
                              np.searchsorted(off, bounds).tolist())
@@ -290,22 +300,23 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     With record_trace (one query only) every row is rescored and
     nothing is screened.
 
-    With more than one query, rows on the lattice share their gathers
-    where they outnumber the slices (_screen_shared). No step exceeds
-    the top step, max(1, round(1/alpha)), which a row takes wherever
-    its omega is at most 0. So a row is at beta (r - 1) times the top
-    step in round r exactly when it took the top step at every visit:
-    that beta is the round's lattice, where rows of different queries
-    meet at the same window of a slice, in round 1 all of them. Every
-    row's steps, hits and counters are its single-query scan's, bit for
-    bit, as the screen only decides which rows are rescored.
+    Rows on the lattice share their gathers where they outnumber the
+    slices (_screen_shared), which a single query's rows never do. No
+    step exceeds the top step, max(1, round(1/alpha)), which a row
+    takes wherever its omega is at most 0. So a row is at beta (r - 1)
+    times the top step in round r exactly when it took the top step at
+    every visit: that beta is the round's lattice, where rows of
+    different queries meet at the same window of a slice, in round 1
+    all of them. Every row's steps, hits and counters are its
+    single-query scan's, bit for bit, as the screen only decides which
+    rows are rescored.
 
-    Returns, per query, (candidates, comparisons, degenerate skips,
-    trace). A slice's candidate is its best omega above delta
-    (_best_per_slice), with the slice's index in `starts` as its
-    set_id. The trace lists every comparison as (set_id, beta, omega,
-    clamped, step) in slice-major order, or is None without
-    record_trace.
+    Returns, per query, (hits, comparisons, degenerate skips, trace).
+    The hits are the columns (slices, betas, omegas) of its comparisons
+    above delta, in round order, each slice its index in `starts`
+    (_result picks each slice's candidate). The trace lists every
+    comparison as (set_id, beta, omega, clamped, step) in slice-major
+    order, or is None without record_trace.
     """
     k, n = len(qs), starts.size
     rows = np.arange(k * n)     # query j's row for slice s is j * n + s
@@ -327,15 +338,10 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
         if record_trace:
             exact = np.arange(rows.size)
             step = np.empty(rows.size, dtype=np.int64)
-        elif k == 1:
-            # nothing to share; going through _screen_shared's rule
-            # instead made single searches 3.5% slower over 40 pairs
-            exact, step = _settle(_screen(windows, at, q32, q_energy, bounds),
-                                  alpha, delta)
         else:
             exact, step = _settle(
-                _screen_shared(windows, at, bounds, q32, q_energy,
-                               beta == lattice, rows, starts + lattice),
+                _screen_shared(windows, at, bounds, q32, q_energy, rows,
+                               beta, lattice, starts),
                 alpha, delta)
         if exact.size:
             r, b = rows[exact], beta[exact]
@@ -369,11 +375,10 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
         trace = list(zip(*(c[order].tolist() for c in cols)))
-    r, b, omega = (map(np.concatenate, zip(*hits)) if hits else
-                   (np.empty(0, dtype=np.int64),) * 3)
+    r, b, omega = map(np.concatenate, zip(*hits)) if hits else _NO_HITS
     j, r = np.divmod(r, max(n, 1))
     skipped = degenerate.tolist()
-    return [(_best_per_slice(r[j == i], b[j == i], omega[j == i]),
+    return [((r[j == i], b[j == i], omega[j == i]),
              visits[i] - skipped[i], skipped[i], trace) for i in range(k)]
 
 
@@ -575,9 +580,10 @@ def _floors(table: _Spectra, delta):
 
 
 def _fft_scan(q, q_energy, store, delta):
-    """(candidates, degenerate skips) of the exhaustive scan: an FFT
+    """(hits, degenerate skips) of the exhaustive scan: an FFT
     correlation per slice, then the kernel's arithmetic at every offset
-    that could beat delta.
+    that could beat delta. The hits are the columns (slices, betas,
+    omegas) of the offsets above delta.
 
     Stage 1, per block of slices, keeps the offsets whose correlation y
     is above their slice's floor (_floors, kept on the table for the
@@ -596,7 +602,7 @@ def _fft_scan(q, q_energy, store, delta):
     """
     n = store.num_slices
     if not n:
-        return [], 0
+        return _NO_HITS, 0
     table = _spectra(store)
     floor = table.floors(delta)
     unit = (q / math.sqrt(q_energy)).astype(np.float32)
@@ -623,7 +629,7 @@ def _fft_scan(q, q_energy, store, delta):
         betas.append(b)
         ys.append(y[r, b])
     if not rows:
-        return [], table.flat_total
+        return _NO_HITS, table.flat_total
     rows, betas, ys = (np.concatenate(c) for c in (rows, betas, ys))
     t = table.ratio[rows, betas].astype(np.float32)
     keep = ~(ys * t + _error_bound(t) <= delta)
@@ -631,20 +637,7 @@ def _fft_scan(q, q_energy, store, delta):
     _energy, omega = _omegas(store.windows, store.slice_starts[rows] + betas,
                              [0, rows.size], [q], [q_energy])
     hit = omega > delta
-    return (_best_per_slice(rows[hit], betas[hit], omega[hit]),
-            table.flat_total)
-
-
-def _best_per_slice(rows, betas, omega):
-    """Candidates from omegas at offsets `betas` of slices `rows`: per
-    slice, the best omega at its lowest beta, the first best one the
-    sliding scan visits."""
-    order = np.lexsort((betas, -omega, rows))
-    # slices are non-negative, so -1 starts the first run
-    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
-    return [Candidate(set_id=r, omega=w, beta=b) for r, w, b in
-            zip(rows[first].tolist(), omega[first].tolist(),
-                betas[first].tolist())]
+    return (rows[hit], betas[hit], omega[hit]), table.flat_total
 
 
 def _query(window):
@@ -654,7 +647,18 @@ def _query(window):
     return q, float(np.dot(q, q))
 
 
-def _result(candidates, used, degenerate, cfg, trace=None):
+def _result(hits, used, degenerate, cfg, trace=None):
+    """The SearchResult of a scan's hits, columns (slices, betas,
+    omegas) of the comparisons above delta. A slice's candidate is its
+    best omega at its lowest beta, the first best one the sliding scan
+    visits; the top_k candidates by omega, then set_id, then beta."""
+    rows, betas, omega = hits
+    order = np.lexsort((betas, -omega, rows))
+    # slices are non-negative, so -1 starts the first run
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    candidates = [Candidate(set_id=r, omega=w, beta=b) for r, w, b in
+                  zip(rows[first].tolist(), omega[first].tolist(),
+                      betas[first].tolist())]
     candidates.sort(key=lambda c: (-c.omega, c.set_id, c.beta))
     return SearchResult(
         candidates=candidates[:cfg.top_k],
@@ -687,8 +691,8 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
         qs, energies = (np.array(c) for c in zip(*queries[lo:lo + per]))
         scans = _lockstep_scan(qs, energies, store.windows, store.slice_starts,
                                cfg.alpha, cfg.delta, record_trace)
-        results += [_result(candidates, used, degenerate, cfg, trace)
-                    for candidates, used, degenerate, trace in scans]
+        results += [_result(hits, used, degenerate, cfg, trace)
+                    for hits, used, degenerate, trace in scans]
     return results
 
 
@@ -718,8 +722,8 @@ def exhaustive_search(window, store: MdbStore,
     The store's spectra table is built on the first call and kept on
     the store. The result carries no trace."""
     q, q_energy = _query(window)
-    candidates, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
-    return _result(candidates, store.num_slices * _OFFSETS - degenerate,
+    hits, degenerate = _fft_scan(q, q_energy, store, cfg.delta)
+    return _result(hits, store.num_slices * _OFFSETS - degenerate,
                    degenerate, cfg)
 
 

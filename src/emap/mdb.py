@@ -119,9 +119,10 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     Most files are parsed by one np.loadtxt call (_parse_bulk); the
     line scanner _rows parses the others, with the same result. The
     signal is resampled to 256 Hz, bandpass filtered, and its anomaly
-    spans and onset are rescaled by the resampling ratio. A span or
-    onset that does not fit the signal, or a signal that resamples to
-    no samples, is a ValueError naming the file.
+    spans and onset are rescaled by the resampling ratio. A span that
+    is not (start, end) or (start, end, kind), a span or onset that
+    does not fit the signal, or a signal that resamples to no samples,
+    is a ValueError naming the file.
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
@@ -149,15 +150,11 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
 
     try:
         x = dsp.resample(x, sample_rate_hz)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    spans = [(rescale(s), rescale(e), k)
-             for s, e, k in (_norm_span(sp) for sp in anomaly_spans)]
-    filtered = dsp.apply_filter(x, dsp.design_bandpass())
-    try:
+        spans = [(rescale(s), rescale(e), k)
+                 for s, e, k in (_norm_span(sp) for sp in anomaly_spans)]
         return SourceSignal(
-            id=signal_id, samples=filtered, anomaly_spans=spans,
-            dataset_tag=dataset_tag,
+            id=signal_id, samples=dsp.apply_filter(x, dsp.design_bandpass()),
+            anomaly_spans=spans, dataset_tag=dataset_tag,
             onset_sample=None if onset_sample is None
             else rescale(onset_sample))
     except ValueError as e:

@@ -248,8 +248,7 @@ def parity_corpus(seed: int = 1234, n_queries: int = 20,
     rng = np.random.default_rng(seed)
     store = []
     queries = []
-    next_id = 0
-    for qi in range(n_queries):
+    for _ in range(n_queries):
         q = _colored_noise(rng, dsp.WINDOW_LEN)
         queries.append(dsp.SignalWindow(samples=q, timestep_index=0))
         sigmas = [0.0] + list(rng.uniform(0.3, 1.2, size=5))
@@ -258,22 +257,19 @@ def parity_corpus(seed: int = 1234, n_queries: int = 20,
             parent[:dsp.WINDOW_LEN] = _jittered_copy(rng, q, sigma) \
                 if sigma > 0 else q
             store.append(SourceSignal(
-                id=next_id, samples=parent, anomaly_spans=[],
+                id=len(store), samples=parent, anomaly_spans=[],
                 dataset_tag="parity-visited"))
-            next_id += 1
         for sigma in rng.uniform(0.3, 1.2, size=2):
             beta = int(rng.integers(30, 480))
             parent = _colored_noise(rng, 1000)
             parent[beta:beta + dsp.WINDOW_LEN] = _jittered_copy(rng, q, sigma)
             store.append(SourceSignal(
-                id=next_id, samples=parent, anomaly_spans=[],
+                id=len(store), samples=parent, anomaly_spans=[],
                 dataset_tag="parity-hidden"))
-            next_id += 1
     for _ in range(n_noise_slices):
         store.append(SourceSignal(
-            id=next_id, samples=_colored_noise(rng, 1000),
+            id=len(store), samples=_colored_noise(rng, 1000),
             anomaly_spans=[], dataset_tag="parity-noise"))
-        next_id += 1
     return ParityCorpus(store_signals=store, queries=queries)
 
 
@@ -307,7 +303,6 @@ def evaluation_world(seed: int = 2026, n_anomalous: int = 20,
 
     store = []
     streams = []
-    next_live_id = 5000
     labels = [1] * n_anomalous + [0] * n_normal
     for label in labels:
         live_samples = _colored_noise(rng, n)
@@ -321,11 +316,9 @@ def evaluation_world(seed: int = 2026, n_anomalous: int = 20,
         else:
             spans = []
             onset_sample = None
-        live = SourceSignal(id=next_live_id, samples=live_samples,
-                            anomaly_spans=spans, dataset_tag="eval-live",
-                            onset_sample=onset_sample)
-        next_live_id += 1
-        streams.append(live)
+        streams.append(SourceSignal(
+            id=5000 + len(streams), samples=live_samples, anomaly_spans=spans,
+            dataset_tag="eval-live", onset_sample=onset_sample))
 
         twin_spans = [(0, n, kind)] if label == 1 else []
         store.extend(_followers(rng, live_samples, len(store), "eval",

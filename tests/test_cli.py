@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from emap import cli as emap_cli
 from emap import edge_tracker
+from emap.cloud_search import SearchConfig, alpha_sweep
 from emap.mdb import MdbStore
-from emap.orchestrator import RunConfig, evaluate_batch
+from emap.orchestrator import RunConfig, evaluate_batch, run_stream
 
 
 BIG = 10 ** 400   # beyond int64 and float64 alike
@@ -270,6 +271,13 @@ def test_config_with_a_removed_setting_is_a_usage_error(tiny_store, tmp_path,
     ("[7]", "config is not an object"),
     ('{"seed": "x"}', "seed: 'x' is not an integer"),
     ('{"seed": -1}', "seed must be >= 0, got -1"),
+    ('{"link": {"downlink_fixed_us": -1}}',
+     "downlink_fixed_us must be non-negative"),
+    ('{"sim": {"eval_after_cloud_calls": 0}}',
+     "eval_after_cloud_calls must be >= 1"),
+    ('{"sim": {"batch_size": 0}}', "batch_size must be >= 1"),
+    ('{"tracker": {"max_iterations_per_set": 0}}',
+     "max_iterations_per_set must be >= 1"),
     (json.dumps({"sim": {"cloud_search_s": BIG}}),
      f"sim.cloud_search_s: {BIG} is not a finite number"),
     (json.dumps({"tracker": {"area_threshold": BIG}}),
@@ -432,6 +440,17 @@ def test_simulate_writes_jsonl_records(cli_world, tmp_path, capsys):
     assert set(first) == {"iteration", "alive", "removed_dissimilar",
                           "removed_exhausted", "p_anomaly",
                           "classification", "cloud_call", "step_micros"}
+    # byte for byte, one json.dumps line per event and per report
+    cfg = RunConfig.from_dict(json.loads(cli_world["config"].read_text()))
+    outcome = run_stream(emap_cli._ingest_with_sidecar(live, 0),
+                         MdbStore.load(cli_world["store"]), cfg.search,
+                         cfg.tracker, cfg.link, cfg.sim)
+    assert (out / "timeline.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps(ev.to_json_dict()) + "\n" for ev in outcome.timeline)
+    assert (out / "reports.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps(edge_tracker.report_json_record(
+            rep, step_micros=cfg.sim.report_step_micros)) + "\n"
+        for rep in outcome.reports)
 
 
 def test_evaluate_matches_the_library(cli_world, tmp_path, capsys):
@@ -487,7 +506,10 @@ def test_sweep_alpha_csv_contract(tiny_store, tmp_path, capsys):
     store_dir, raw = tiny_store
     qdir = tmp_path / "queries"
     qdir.mkdir()
-    write_signal_csv(qdir / "q0.csv", raw[:256])
+    # three queries, so the means are not whole numbers
+    for i, x in enumerate((raw[:256], raw[300:556],
+                           np.random.default_rng(8).normal(0, 15, 256))):
+        write_signal_csv(qdir / f"q{i}.csv", x)
     out_csv = tmp_path / "sweep.csv"
     rc = emap_cli.main(["sweep-alpha", "--store", str(store_dir),
                         "--inputs", str(qdir),
@@ -500,11 +522,28 @@ def test_sweep_alpha_csv_contract(tiny_store, tmp_path, capsys):
     assert len(lines) == 4
     comps = [float(line.split(",")[1]) for line in lines[1:]]
     assert comps == sorted(comps)
+    # byte for byte, alpha_sweep's rows with every float as its repr
+    windows = [emap_cli._load_query_window(p) for p in sorted(qdir.iterdir())]
+    rows = alpha_sweep(windows, MdbStore.load(store_dir), [0.001, 0.004, 0.1],
+                       SearchConfig())
+    assert out_csv.read_text(encoding="utf-8") == "".join(
+        [lines[0] + "\n"]
+        + [f"{r.alpha!r},{r.mean_comparisons!r},{r.mean_matches!r},"
+           f"{r.mean_top100_omega!r}\n" for r in rows])
 
 
-@pytest.mark.parametrize("alphas", ["0.004,1.5", "abc", "0", "nan"])
+@pytest.mark.parametrize("alphas, message", [
+    pytest.param("0.004,1.5", "--alphas '0.004,1.5': alpha must lie in "
+                 "[2**-62, 1)", id="0.004,1.5"),
+    pytest.param("abc", "--alphas 'abc': could not convert string to float",
+                 id="abc"),
+    pytest.param("0", "--alphas '0': alpha must lie in [2**-62, 1)", id="0"),
+    pytest.param("nan", "--alphas 'nan': alpha must lie in [2**-62, 1)",
+                 id="nan"),
+    pytest.param(",", "--alphas must list at least one value", id="comma"),
+])
 def test_sweep_alpha_rejects_bad_values_as_usage(tiny_store, tmp_path,
-                                                 capsys, alphas):
+                                                 capsys, alphas, message):
     store_dir, raw = tiny_store
     qdir = tmp_path / "queries"
     qdir.mkdir()
@@ -513,8 +552,46 @@ def test_sweep_alpha_rejects_bad_values_as_usage(tiny_store, tmp_path,
                         "--inputs", str(qdir), "--alphas", alphas,
                         "--out", str(tmp_path / "sweep.csv")])
     assert rc == 2
-    assert "--alphas" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "sweep-alpha"])
+@pytest.mark.parametrize("samples, message", [
+    (np.zeros(300), "the first 256 samples have zero energy"),
+    (np.concatenate([np.zeros(256), np.ones(300)]),
+     "the first 256 samples have zero energy"),
+    (np.ones(255), "needs at least 256 samples"),
+], ids=["300-zeros", "256-zeros-of-556", "255-samples"])
+def test_a_query_file_that_cannot_be_searched_is_named(tiny_store, tmp_path,
+                                                      capsys, command,
+                                                      samples, message):
+    qdir = tmp_path / "queries"
+    qdir.mkdir()
+    q = qdir / "q0.csv"
+    write_signal_csv(q, samples)
+    inputs = ["--input", str(q)] if command == "search" else [
+        "--inputs", str(qdir), "--out", str(tmp_path / "sweep.csv")]
+    rc = emap_cli.main([command, "--store", str(tiny_store[0]), *inputs])
+    assert rc == 3
+    assert f"data error: {q}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("build-mdb", "--in"), ("evaluate", "--corpus"),
+    ("sweep-alpha", "--inputs")])
+def test_a_directory_without_csv_files_is_a_data_error(tiny_store, tmp_path,
+                                                       capsys, command, flag):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "build-mdb" else [
+        "--store", str(tiny_store[0]), "--out", str(out)]
+    rc = emap_cli.main([command, flag, str(empty), *args])
+    assert rc == 3
+    assert f"data error: no .csv files in {empty}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_format_1_store_is_a_data_error(tiny_store, tmp_path, capsys):

@@ -218,6 +218,10 @@ def test_alpha_sweep_report(parity_world):
     for r in rows:
         assert r.mean_matches > 0
         assert 0.8 < r.mean_top100_omega <= 1.0
+    for windows, alphas in (([], alphas), (corpus.queries[:1], [])):
+        with pytest.raises(ValueError,
+                           match="need at least one window and one alpha"):
+            alpha_sweep(windows, store, alphas, SearchConfig())
 
 
 def test_alpha_sweep_keeps_the_rest_of_the_base_config(parity_world,

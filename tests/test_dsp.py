@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,7 @@ def test_filter_matches_naive_convolution():
         want = naive_causal_filter(x, taps)
         assert got.shape == x.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert apply_filter(np.empty(0), taps).shape == (0,)
 
 
 def test_filter_is_linear():
@@ -243,6 +245,22 @@ def test_area_is_never_nan():
     c = a.copy()
     c[3], b[3] = np.inf, -np.inf
     assert area_between(c, b) == math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: apply_filter(np.ones((2, 300)), design_bandpass()),
+     "expected a 1-D signal"),
+    (lambda: resample(np.ones((2, 300)), 128),
+     "expected a non-empty 1-D signal"),
+    (lambda: resample(np.empty(0), 128), "expected a non-empty 1-D signal"),
+    (lambda: resample(np.ones(300), 0), "source_hz must be positive"),
+    (lambda: area_between(np.ones(WINDOW_LEN), np.ones(WINDOW_LEN - 1)),
+     re.escape("window shapes differ: (256,) vs (255,)")),
+], ids=["filter-2d", "resample-2d", "resample-empty", "resample-rate-0",
+        "area-shapes"])
+def test_a_malformed_signal_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_resample_identity_copy():

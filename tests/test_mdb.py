@@ -245,6 +245,10 @@ def huge_id(manifest):
     manifest["signals"][1]["id"] = 2 ** 63
 
 
+def signal_not_an_object(manifest):
+    manifest["signals"][1] = [1]
+
+
 def write_query(tmp_path):
     query = tmp_path / "query.csv"
     query.write_text("".join(f"{v!r}\n" for v in np.arange(1.0, 257.0)))
@@ -273,12 +277,13 @@ def write_query(tmp_path):
      "lengths sum to -1000 samples, -4000 bytes"),
     (huge_id, r"manifest signal #1 \(id 9223372036854775808\) has an id "
      "outside int64"),
+    (signal_not_an_object, "manifest signal #1 is not an object"),
 ], ids=["span-outside-signal", "format-1", "format-2", "no-spans",
         "no-length", "length-as-text", "signals-not-a-list",
         "manifest-not-an-object",
         "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
         "rate-512", "no-slice-len", "kind-as-list", "huge-length",
-        "negative-length-sum", "huge-id"])
+        "negative-length-sum", "huge-id", "signal-not-an-object"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
@@ -451,6 +456,10 @@ def test_get_parent_segment_contract(tmp_path):
         get_parent_segment(store, 0, -1, 256)
     with pytest.raises(ValueError):
         get_parent_segment(store, 0, 0, 0)
+    for set_id in (-1, 2):
+        with pytest.raises(ValueError,
+                           match=f"no slice {set_id} in a store of 2"):
+            get_parent_segment(store, set_id, 0, 256)
 
 
 def write_csv(path, values, header=None, comments=()):
@@ -733,6 +742,9 @@ def test_synth_corpus_contract():
             ratio = np.sqrt(np.mean(inside ** 2) / np.mean(outside ** 2))
             assert ratio >= 1.5, f"in-span RMS only {ratio:.2f}x"
     assert n_anom == 4
+    for counts in ((-1, 4), (4, -1)):
+        with pytest.raises(ValueError, match="signal counts must be >= 0"):
+            scenarios.synth_corpus(123, *counts)
 
 
 def test_synth_corpus_rejects_a_length_of_one_second_or_less():

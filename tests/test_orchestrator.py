@@ -180,6 +180,8 @@ def test_evaluation_rejects_store_overlap(eval_world):
     with pytest.raises(ValueError):
         evaluate_batch([leaked], store, cfg.search, cfg.tracker, cfg.link,
                        cfg.sim)
+    with pytest.raises(ValueError, match="empty evaluation corpus"):
+        evaluate_batch([], store, cfg.search, cfg.tracker, cfg.link, cfg.sim)
 
 
 def disjoint_store(tmp_path, parents, ids=None):

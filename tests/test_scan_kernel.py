@@ -57,22 +57,21 @@ def _ref_scan_slice(q, q_energy, samples, set_id, alpha, delta, exhaustive,
     hits = []
     comparisons = 0
     degenerate = 0
-    max_step = 1 if exhaustive else _step_for(alpha, 0.0)
     beta = 0
     while beta <= LAST_OFFSET:
         seg = samples[beta:beta + WINDOW_LEN]
         energy = float(np.dot(seg, seg))
+        clamped = 0.0       # a flat window is skipped at omega 0's step
         if energy == 0.0:
             degenerate += 1
-            beta += max_step
-            continue
-        omega = float(np.dot(q, seg)) / math.sqrt(q_energy * energy)
-        comparisons += 1
-        if omega > delta:
-            hits.append((omega, beta))
-        clamped = omega if omega > 0.0 else 0.0
+        else:
+            omega = float(np.dot(q, seg)) / math.sqrt(q_energy * energy)
+            comparisons += 1
+            if omega > delta:
+                hits.append((omega, beta))
+            clamped = omega if omega > 0.0 else 0.0
         step = 1 if exhaustive else _step_for(alpha, clamped)
-        if trace is not None:
+        if trace is not None and energy != 0.0:
             trace.append((set_id, beta, omega, clamped, step))
         beta += step
     return hits, comparisons, degenerate
@@ -941,10 +940,12 @@ def test_the_lattice_is_shared_only_where_it_outnumbers_the_slices(
             screens.append(at.size)
         return screen(windows, at, q32, q_energy, runs)
 
-    def spy_shared(windows, at, bounds, q32, q_energy, lattice, *rest):
+    def spy_shared(windows, at, bounds, q32, q_energy, rows, beta, lattice,
+                   starts):
         before = len(screens)
-        omega = shared(windows, at, bounds, q32, q_energy, lattice, *rest)
-        rounds.append((np.count_nonzero(lattice), screens[before:]))
+        omega = shared(windows, at, bounds, q32, q_energy, rows, beta,
+                       lattice, starts)
+        rounds.append((np.count_nonzero(beta == lattice), screens[before:]))
         return omega
 
     monkeypatch.setattr(cloud_search, "_screen", spy_screen)
