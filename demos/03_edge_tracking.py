@@ -45,10 +45,9 @@ for i in range(1, 6):
 # normal matches decay, anomalous ones persist, so P_A climbs
 print(f"\nP_A history: "
       f"{' -> '.join(f'{p:.2f}' for p in state.pa_history)}")
-wants, reason = needs_cloud_call(state)
 print(f"needs refresh now (alive={state.reports[-1].alive}, "
       f"iteration_in_set={state.iteration_in_set}): "
-      f"{reason if wants else 'no'}")
+      f"{needs_cloud_call(state) or 'no'}")
 
 # one removal, replayed by hand: the area between the live window and
 # the candidate's stored continuation crossed the threshold

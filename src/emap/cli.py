@@ -20,7 +20,7 @@ from .cloud_search import (SearchConfig, SweepRow, alpha_sweep,
                            exhaustive_search, sliding_search)
 from .edge_tracker import report_json_record
 from .mdb import (INT64, CsvFormatError, MdbStore, build_store,
-                  check_span_entries, ingest_csv)
+                  check_span_entries, ingest_csv, write_json)
 from .orchestrator import BatchRow, RunConfig, evaluate_batch, run_stream
 
 EXIT_OK = 0
@@ -160,11 +160,8 @@ def cmd_synth(args, cfg: RunConfig) -> int:
                                    os.path.join(args.out, "store"))
         scenarios.write_corpus_csv(world.streams,
                                    os.path.join(args.out, "eval"))
-        with open(os.path.join(args.out, "config.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(world.run_config.to_dict(), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "config.json"),
+                   world.run_config.to_dict())
         n_anom = sum(1 for s in world.streams if s.anomaly_spans)
         print(f"wrote evaluation world to {args.out}: "
               f"{len(world.store_signals)} store signals, "

@@ -86,7 +86,9 @@ _LOCKSTEP_ROWS = 2 ** 17
 _NFFT = 1024        # offsets 0..744 of a slice correlate without wrapping
 _FFT_ROWS = 64      # slices correlated per block of an FFT scan
 _FIXED = 2 ** 10    # the spectra table's fixed-point scale (see _Spectra)
-_BUILD_ROWS = 8     # slices per block while building the spectra table
+_BUILD_ROWS = 8     # slices per block while building the spectra table;
+# _FFT_ROWS blocks build it twice as fast but raise its traced peak by
+# 3.3 MB, and oracle-parity builds its table inside each timed run
 
 # a scan's hits, (slices, betas, omegas), where none was above delta
 _NO_HITS = (np.empty(0, dtype=np.int64),) * 3
@@ -328,13 +330,12 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
     lattice = 0     # the beta of rows that took the top step every time
     trace = [] if record_trace else None
     hits = []   # per round, the (row, beta, omega) columns above delta
-    visits = [0] * k
+    visited = []    # every round's bounds, end to end
     degenerate = np.zeros(k, dtype=np.int64)
     while rows.size:
         # query j owns rows[bounds[j]:bounds[j + 1]], each one a visit
         bounds = np.searchsorted(rows, edges).tolist()
-        for j in range(k):
-            visits[j] += bounds[j + 1] - bounds[j]
+        visited += bounds
         if record_trace:
             exact = np.arange(rows.size)
             step = np.empty(rows.size, dtype=np.int64)
@@ -377,9 +378,10 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
         trace = list(zip(*(c[order].tolist() for c in cols)))
     r, b, omega = map(np.concatenate, zip(*hits)) if hits else _NO_HITS
     j, r = np.divmod(r, max(n, 1))
-    skipped = degenerate.tolist()
-    return [((r[j == i], b[j == i], omega[j == i]),
-             visits[i] - skipped[i], skipped[i], trace) for i in range(k)]
+    visits = np.diff(np.array(visited, np.int64).reshape(-1, k + 1).sum(0))
+    made, skipped = (visits - degenerate).tolist(), degenerate.tolist()
+    return [((r[j == i], b[j == i], omega[j == i]), made[i], skipped[i], trace)
+            for i in range(k)]
 
 
 # -- the exhaustive scan in the frequency domain ------------------------------

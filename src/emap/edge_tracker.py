@@ -149,29 +149,29 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     """One tracking iteration against the next contiguous live window."""
     t0 = time.perf_counter()
     x = dsp.window_samples(window)
-    timestep = getattr(window, "timestep_index", None)
     threshold = state.config.area_threshold
 
-    cands = state.tracked
-    fits = [c.cursor + dsp.WINDOW_LEN <= c.parent_len for c in cands]
-    segs = _next_segments(store, [c for c, f in zip(cands, fits) if f])
+    removed_exhausted = []
+    fit = []
+    for cand in state.tracked:
+        if cand.cursor + dsp.WINDOW_LEN <= cand.parent_len:
+            fit.append(cand)
+        else:
+            removed_exhausted.append(Removal(set_id=cand.set_id,
+                                             cursor=cand.cursor))
+    segs = store.windows[
+        store.slice_starts[[c.set_id for c in fit]]
+        + np.array([c.cursor - c.parent_offset for c in fit], dtype=np.int64)]
     # the terms are area_between's, and a float64 sum of 256
     # non-negative terms, in any order, is within 255 * 2**-53 of the
     # exact sum: a row below threshold * (1 - 2**-40) is certainly kept;
     # an overflowed (inf) row is not, so area_between settles it
     with np.errstate(over="ignore"):
         sure_keep = np.abs(x - segs).sum(axis=1) < threshold * _SURE_KEEP
-    rows = iter(zip(segs, sure_keep.tolist()))
 
     removed_dissimilar = []
-    removed_exhausted = []
     alive = []
-    for cand, fit in zip(cands, fits):
-        if not fit:
-            removed_exhausted.append(Removal(set_id=cand.set_id,
-                                             cursor=cand.cursor))
-            continue
-        seg, sure = next(rows)
+    for cand, seg, sure in zip(fit, segs, sure_keep.tolist()):
         if not sure:
             area = dsp.area_between(x, seg)
             if area > threshold:
@@ -187,7 +187,6 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
     pa = state.p_anomaly()
     state.pa_history.append(pa)
 
-    wants, reason = needs_cloud_call(state)
     report = IterationReport(
         iteration=state.iteration,
         alive=len(alive),
@@ -195,32 +194,25 @@ def tracker_step(state: TrackerState, window, store: MdbStore) -> IterationRepor
         removed_exhausted=removed_exhausted,
         p_anomaly=pa,
         classification=classify(state),
-        cloud_call=reason if wants else None,
+        cloud_call=needs_cloud_call(state),
         step_micros=int(round((time.perf_counter() - t0) * 1e6)),
         area_computations=len(segs),
-        timestep_index=timestep,
+        timestep_index=getattr(window, "timestep_index", None),
     )
     state.reports.append(report)
     return report
 
 
-def _next_segments(store: MdbStore, cands):
-    """(len(cands), 256) float32 rows: each candidate's next parent
-    segment, gathered from the store's window view in one index."""
-    rows = np.array([(c.set_id, c.cursor - c.parent_offset) for c in cands],
-                    dtype=np.int64).reshape(-1, 2)
-    return store.windows[store.slice_starts[rows[:, 0]] + rows[:, 1]]
-
-
 def needs_cloud_call(state: TrackerState):
-    """(wants, reason): "threshold" once too few candidates remain,
-    else "cadence" once the set has been tracked for the configured
-    number of iterations. Threshold takes precedence."""
+    """Why the edge should call the cloud now, or None: "threshold" once
+    too few candidates remain, else "cadence" once the set has been
+    tracked for the configured number of iterations. Threshold takes
+    precedence."""
     if len(state.tracked) <= state.config.tracking_threshold:
-        return True, "threshold"
+        return "threshold"
     if state.iteration_in_set >= state.config.max_iterations_per_set:
-        return True, "cadence"
-    return False, None
+        return "cadence"
+    return None
 
 
 def classify(state: TrackerState) -> str:

@@ -119,7 +119,8 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     Most files are parsed by one np.loadtxt call (_parse_bulk); the
     line scanner _rows parses the others, with the same result. The
     signal is resampled to 256 Hz, bandpass filtered, and its anomaly
-    spans and onset are rescaled by the resampling ratio. A span that
+    spans and onset are rescaled by the resampling ratio; a span inside
+    the recording that rounds to no samples keeps one. A span that
     is not (start, end) or (start, end, kind), a span or onset that
     does not fit the signal, or a signal that resamples to no samples,
     is a ValueError naming the file.
@@ -148,10 +149,20 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     def rescale(pos):
         return int(round(pos * ratio))
 
+    raw_len = x.size
+
+    def rescale_span(start, end, kind, n):
+        # a span inside the recording keeps one of the n samples at least
+        lo, hi = rescale(start), rescale(end)
+        if lo == hi and 0 <= start < end <= raw_len:
+            lo = min(lo, n - 1)
+            hi = lo + 1
+        return lo, hi, kind
+
     try:
         x = dsp.resample(x, sample_rate_hz)
-        spans = [(rescale(s), rescale(e), k)
-                 for s, e, k in (_norm_span(sp) for sp in anomaly_spans)]
+        spans = [rescale_span(*_norm_span(sp), x.size)
+                 for sp in anomaly_spans]
         return SourceSignal(
             id=signal_id, samples=dsp.apply_filter(x, dsp.design_bandpass()),
             anomaly_spans=spans, dataset_tag=dataset_tag,
@@ -437,11 +448,15 @@ def build_store(signals, out_dir) -> MdbStore:
         "slice_len": SLICE_LEN,
         "signals": sig_entries,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return MdbStore.load(out_dir)
+
+
+def write_json(path, obj):
+    """Write obj as pretty JSON: indent 2, sorted keys, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def get_parent_segment(store: MdbStore, set_id: int, offset: int,

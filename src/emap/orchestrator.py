@@ -45,10 +45,9 @@ class LinkModel:
     downlink_per_signal_us: int = 1_500
 
     def __post_init__(self):
-        for name in ("uplink_fixed_us", "uplink_per_sample_us",
-                     "downlink_fixed_us", "downlink_per_signal_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     def uplink_latency(self, n_samples: int) -> int:
         return self.uplink_fixed_us + self.uplink_per_sample_us * n_samples

@@ -17,7 +17,6 @@ labeled corpus behind `emap synth --mode corpus`, is built from them too.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from . import dsp
 from .cloud_search import SearchConfig
 from .edge_tracker import TrackerConfig
-from .mdb import SourceSignal
+from .mdb import SourceSignal, write_json
 from .orchestrator import LinkModel, RunConfig, SimConfig
 
 RMS = 15.0
@@ -106,8 +105,8 @@ def synth_length_samples(length_s: float) -> int:
     anomaly span leaves one second of its signal clear, so the signal
     must be longer than one second; ValueError naming length_s
     otherwise."""
-    n = (int(round(length_s * dsp.SAMPLE_RATE_HZ))
-         if math.isfinite(length_s) else 0)
+    exact = length_s * dsp.SAMPLE_RATE_HZ
+    n = int(round(exact)) if math.isfinite(exact) else 0
     if n <= dsp.SAMPLE_RATE_HZ:
         raise ValueError(f"length_s must be a finite number of seconds "
                          f"above 1 (more than {dsp.SAMPLE_RATE_HZ} "
@@ -356,9 +355,7 @@ def write_corpus_csv(signals, out_dir):
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(f"# id={sig.id} tag={sig.dataset_tag} "
                      f"rate={dsp.SAMPLE_RATE_HZ}\n")
-            for v in sig.samples:
-                fh.write(repr(float(v)))
-                fh.write("\n")
+            fh.write("".join(f"{v!r}\n" for v in sig.samples.tolist()))
         meta = {
             "id": sig.id,
             "dataset_tag": sig.dataset_tag,
@@ -366,7 +363,4 @@ def write_corpus_csv(signals, out_dir):
             "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
             "onset_sample": sig.onset_sample,
         }
-        with open(os.path.join(out_dir, stem + ".json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, stem + ".json"), meta)

@@ -20,9 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emap import cli as emap_cli
-from emap import edge_tracker
+from emap import edge_tracker, scenarios
 from emap.cloud_search import SearchConfig, alpha_sweep
-from emap.mdb import MdbStore
+from emap.mdb import MdbStore, SourceSignal, build_store
 from emap.orchestrator import RunConfig, evaluate_batch, run_stream
 
 
@@ -790,6 +790,7 @@ def test_evaluate_with_a_span_kind_that_is_a_list_is_a_data_error(
     ("--length-s", "1", "got 1.0"), ("--length-s", "1.001", "got 1.001"),
     ("--length-s", "0", "got 0.0"), ("--length-s", "-5", "got -5.0"),
     ("--length-s", "nan", "got nan"), ("--length-s", "inf", "got inf"),
+    ("--length-s", "1e308", "got 1e+308"),
     ("--normal", "-1", "got -1"), ("--anomalous", "-2", "got -2")])
 def test_synth_rejects_bad_arguments_as_usage(tmp_path, capsys, mode, flag,
                                               value, named):
@@ -837,6 +838,62 @@ def test_synth_is_seed_deterministic(tmp_path, capsys):
         outs.append(b"".join(p.read_bytes() for p in sorted(d.glob("*.csv"))))
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def pretty_json(path):
+    """Assert the file is its own JSON value in the project's pretty
+    form, and return that value."""
+    text = path.read_text(encoding="utf-8")
+    obj = json.loads(text)
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return obj
+
+
+def assert_sample_csv(path, samples, header):
+    assert path.read_text(encoding="utf-8") == header + "".join(
+        f"{float(v)!r}\n" for v in samples)
+
+
+def test_every_written_file_form_is_pinned_byte_for_byte(tmp_path, capsys):
+    rng = np.random.default_rng(29)
+    odd = [-0.0, 5e-324, 0.1]
+    signals = [
+        SourceSignal(id=3, samples=np.r_[odd, rng.normal(0, 15, 1200)],
+                     anomaly_spans=[(200, 900, "seizure")],
+                     dataset_tag="pin", onset_sample=200),
+        SourceSignal(id=4, samples=np.r_[rng.normal(0, 15, 40), odd, -1e300],
+                     dataset_tag="pin"),
+    ]
+    corpus = tmp_path / "corpus"
+    scenarios.write_corpus_csv(signals, corpus)
+    for sig in signals:
+        stem = corpus / f"signal_{sig.id:05d}"
+        assert_sample_csv(stem.with_suffix(".csv"), sig.samples,
+                          f"# id={sig.id} tag=pin rate=256\n")
+        assert pretty_json(stem.with_suffix(".json")) == {
+            "id": sig.id, "dataset_tag": "pin", "sample_rate_hz": 256,
+            "spans": [list(sp) for sp in sig.anomaly_spans],
+            "onset_sample": sig.onset_sample}
+    # a store holds float32 samples, which -1e300 is not
+    build_store(signals[:1], tmp_path / "store")
+    assert pretty_json(tmp_path / "store" / "manifest.json")["signals"] == [
+        {"id": 3, "length": 1203, "dataset_tag": "pin",
+         "spans": [[200, 900, "seizure"]]}]
+
+    world = tmp_path / "world"
+    assert emap_cli.main(["synth", "--mode", "eval-scenario", "--normal",
+                          "1", "--anomalous", "1", "--out", str(world)]) == 0
+    capsys.readouterr()
+    config = pretty_json(world / "config.json")
+    assert RunConfig.from_dict(config).to_dict() == config
+    written = sorted(world.glob("*/*.csv"))
+    assert written
+    for path in written:
+        side = pretty_json(path.with_suffix(".json"))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert_sample_csv(path, [float(v) for v in lines[1:]],
+                          f"# id={side['id']} tag={side['dataset_tag']} "
+                          "rate=256\n")
 
 
 

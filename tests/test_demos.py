@@ -15,8 +15,9 @@ def test_demos_run_and_leave_no_temporary_files(tmp_path):
         p for p in (src, env.get("PYTHONPATH")) if p)
     demos = sorted((ROOT / "demos").glob("0*.py"))
     assert len(demos) == 4
-    runs = [subprocess.Popen([sys.executable, str(d)], env=env,
-                             stdout=subprocess.DEVNULL,
+    # the suite turns warnings into errors, and so do the demo runs
+    runs = [subprocess.Popen([sys.executable, "-W", "error", str(d)],
+                             env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.PIPE, text=True)
             for d in demos]
     # reap every run before asserting on any, so that no run's pipe or

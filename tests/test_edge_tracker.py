@@ -192,17 +192,17 @@ def test_cloud_call_threshold_and_cadence(tmp_path):
     cfg = TrackerConfig(tracking_threshold=10, max_iterations_per_set=5)
 
     state = init_tracker(result_for(store, range(9)), store, cfg)
-    assert needs_cloud_call(state) == (True, "threshold")
+    assert needs_cloud_call(state) == "threshold"
 
     state = init_tracker(result_for(store, range(50)), store, cfg)
     state.iteration_in_set = 5
-    assert needs_cloud_call(state) == (True, "cadence")
+    assert needs_cloud_call(state) == "cadence"
     state.iteration_in_set = 2
-    assert needs_cloud_call(state) == (False, None)
+    assert needs_cloud_call(state) is None
     # threshold outranks cadence when both hold
     state9 = init_tracker(result_for(store, range(9)), store, cfg)
     state9.iteration_in_set = 7
-    assert needs_cloud_call(state9) == (True, "threshold")
+    assert needs_cloud_call(state9) == "threshold"
 
 
 def history_state(pa, trend_window=2, floor=0.5):
@@ -387,13 +387,12 @@ def reference_step(state, window, store):
     alive = len(kept)
     pa = state.p_anomaly()
     state.pa_history.append(pa)
-    wants, reason = needs_cloud_call(state)
     return et.IterationReport(
         iteration=state.iteration, alive=alive,
         removed_dissimilar=removed_dissimilar,
         removed_exhausted=removed_exhausted, p_anomaly=pa,
         classification=classify(state),
-        cloud_call=reason if wants else None, step_micros=0,
+        cloud_call=needs_cloud_call(state), step_micros=0,
         area_computations=areas, timestep_index=window.timestep_index)
 
 

@@ -497,6 +497,30 @@ def test_ingest_csv_resamples_and_rescales_spans(tmp_path):
     assert sig.anomaly_spans == [(500, 1001, "stroke")]
 
 
+@pytest.mark.parametrize("span, want", [((1000, 1001), (500, 501)),
+                                        ((3999, 4000), (1999, 2000))],
+                         ids=["inside", "at-the-end"])
+def test_a_one_sample_span_survives_resampling(tmp_path, span, want):
+    # both ends round to the same position at half the rate; the span
+    # keeps one sample instead of collapsing to an empty one
+    p = tmp_path / "fast.csv"
+    write_csv(p, np.random.default_rng(5).normal(0, 15, 4000))
+    sig = ingest_csv(p, sample_rate_hz=512,
+                     anomaly_spans=[(*span, "seizure")])
+    assert sig.samples.size == 2000
+    assert sig.anomaly_spans == [(*want, "seizure")]
+
+
+@pytest.mark.parametrize("span", [(-1, 0), (4000, 4001)],
+                         ids=["before", "after"])
+def test_a_span_outside_the_recording_still_fails(tmp_path, span):
+    p = tmp_path / "fast.csv"
+    write_csv(p, np.random.default_rng(5).normal(0, 15, 4000))
+    with pytest.raises(ValueError, match=r"fast.csv: anomaly span \("
+                                         r"\d+, \d+\) outside"):
+        ingest_csv(p, sample_rate_hz=512, anomaly_spans=[span])
+
+
 def test_ingest_csv_rejects_a_rate_that_leaves_no_samples(tmp_path):
     # 4 samples at 1 GHz last 4 ns: less than half a 256 Hz sample
     p = tmp_path / "short.csv"
