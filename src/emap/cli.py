@@ -19,8 +19,8 @@ from . import dsp, scenarios
 from .cloud_search import (SearchConfig, SweepRow, alpha_sweep,
                            exhaustive_search, sliding_search)
 from .edge_tracker import report_json_record
-from .mdb import (INT64, CsvFormatError, MdbStore, build_store,
-                  check_span_entries, ingest_csv, write_json)
+from .mdb import (INT64, MdbStore, build_store, check_span_entries,
+                  ingest_csv, write_json)
 from .orchestrator import BatchRow, RunConfig, evaluate_batch, run_stream
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ def _load_config(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = RunConfig.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
+        except (OSError, TypeError, ValueError) as e:
             raise SystemExit(
                 _usage_error(f"bad config file {args.config}: {e}"))
     else:
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     except BudgetViolation as e:
         print(f"budget violation: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CsvFormatError, OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

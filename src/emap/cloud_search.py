@@ -372,12 +372,12 @@ def _lockstep_scan(qs, q_energy, windows, starts, alpha, delta, record_trace):
             # np.compress gathers by the mask's indices: indexing with
             # the mask took 1.7-1.9 times as long on 7,680-76,800 rows
             rows, beta, at = (np.compress(live, v) for v in (rows, beta, at))
-    if trace:       # an empty store runs no round and keeps trace == []
+    if record_trace:
         cols = [np.concatenate(c) for c in zip(*trace)]
         order = np.argsort(cols[0], kind="stable")
         trace = list(zip(*(c[order].tolist() for c in cols)))
     r, b, omega = map(np.concatenate, zip(*hits)) if hits else _NO_HITS
-    j, r = np.divmod(r, max(n, 1))
+    j, r = np.divmod(r, n)
     visits = np.diff(np.array(visited, np.int64).reshape(-1, k + 1).sum(0))
     made, skipped = (visits - degenerate).tolist(), degenerate.tolist()
     return [((r[j == i], b[j == i], omega[j == i]), made[i], skipped[i], trace)
@@ -592,9 +592,8 @@ def _fft_scan(q, q_energy, store, delta):
     last delta): no other offset could pass stage 2. It compares offset
     by offset only the rows whose largest y is above their floor, and
     skips a block that has no such row. That is exact: y is finite, so
-    a row has an offset above its floor only if its maximum is. A block
-    whose every row passes is compared as it stands, without a row
-    copy. Stage 2, once per search, tests each survivor as
+    a row has an offset above its floor only if its maximum is.
+    Stage 2, once per search, tests each survivor as
         y·t + err(t) > delta, or t is NaN (the window is not kept),
     in float32, with t its table ratio and err _error_bound: an offset
     that fails it cannot have a kernel omega above delta. A flat window
@@ -603,8 +602,6 @@ def _fft_scan(q, q_energy, store, delta):
     survivor is rescored with the kernel's arithmetic (_omegas).
     """
     n = store.num_slices
-    if not n:
-        return _NO_HITS, 0
     table = _spectra(store)
     floor = table.floors(delta)
     unit = (q / math.sqrt(q_energy)).astype(np.float32)
@@ -619,11 +616,11 @@ def _fft_scan(q, q_energy, store, delta):
         product[:m] *= query
         np.fft.irfft(product[:m], _NFFT, out=y[:m])
         block, f = y[:m, :_OFFSETS], floor[lo:lo + m]
+        # only the rows whose maximum is above their floor can pass
         live = np.flatnonzero(block.max(axis=1) > f)
-        if live.size < m:       # only these rows can pass
-            if not live.size:
-                continue
-            block, f = block[live], f[live]
+        if not live.size:
+            continue
+        block, f = block[live], f[live]
         # faster than a 2-D np.nonzero at a few survivors per block
         r, b = np.divmod(np.flatnonzero(block > f[:, None]), _OFFSETS)
         r = live[r]
@@ -686,8 +683,7 @@ def sliding_search_many(windows, store: MdbStore, cfg: SearchConfig,
     queries = [_query(w) for w in windows]
     if record_trace and len(queries) != 1:
         raise ValueError("record_trace needs exactly one window")
-    n = store.num_slices
-    per = max(1, _LOCKSTEP_ROWS // max(n, 1))
+    per = max(1, _LOCKSTEP_ROWS // store.num_slices)
     results = []
     for lo in range(0, len(queries), per):
         qs, energies = (np.array(c) for c in zip(*queries[lo:lo + per]))

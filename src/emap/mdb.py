@@ -26,7 +26,6 @@ infinite, is a CsvFormatError naming its line.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -71,11 +70,7 @@ class SourceSignal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.anomaly_spans = [_norm_span(s) for s in self.anomaly_spans]
         _check_spans(self.anomaly_spans, self.samples.size)
-        if self.onset_sample is not None and not (
-                0 <= self.onset_sample <= self.samples.size):
-            raise ValueError(
-                f"onset_sample {self.onset_sample} outside signal of "
-                f"length {self.samples.size}")
+        _check_onset(self.onset_sample, self.samples.size)
 
 
 @dataclass
@@ -100,7 +95,7 @@ def _norm_span(span):
 def _check_spans(spans, length):
     prev_end = None
     # kinds may be None or str, which do not compare: order by position
-    for start, end, _kind in sorted(spans, key=lambda s: s[:2]):
+    for start, end, *_kind in sorted(spans, key=lambda s: s[:2]):
         if not (0 <= start < end <= length):
             raise ValueError(
                 f"anomaly span ({start}, {end}) outside signal of "
@@ -108,6 +103,12 @@ def _check_spans(spans, length):
         if prev_end is not None and start < prev_end:
             raise ValueError("anomaly spans overlap")
         prev_end = end
+
+
+def _check_onset(onset, length):
+    if onset is not None and not 0 <= onset <= length:
+        raise ValueError(
+            f"onset_sample {onset} outside signal of length {length}")
 
 
 def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
@@ -118,12 +119,13 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
 
     Most files are parsed by one np.loadtxt call (_parse_bulk); the
     line scanner _rows parses the others, with the same result. The
-    signal is resampled to 256 Hz, bandpass filtered, and its anomaly
-    spans and onset are rescaled by the resampling ratio; a span inside
-    the recording that rounds to no samples keeps one. A span that
-    is not (start, end) or (start, end, kind), a span or onset that
-    does not fit the signal, or a signal that resamples to no samples,
-    is a ValueError naming the file.
+    spans and onset are checked against the recording as given. The
+    signal is then resampled to 256 Hz and bandpass filtered, and its
+    spans and onset are rescaled by the resampling ratio; a span that
+    rounds to no samples keeps one. A span that is not (start, end) or
+    (start, end, kind), a span or onset that does not fit the
+    recording, or a signal that resamples to no samples, is a
+    ValueError naming the file.
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
@@ -149,20 +151,20 @@ def ingest_csv(path, sample_rate_hz: int, anomaly_spans=(),
     def rescale(pos):
         return int(round(pos * ratio))
 
-    raw_len = x.size
-
     def rescale_span(start, end, kind, n):
-        # a span inside the recording keeps one of the n samples at least
+        # a span keeps one of the n samples at least
         lo, hi = rescale(start), rescale(end)
-        if lo == hi and 0 <= start < end <= raw_len:
+        if lo == hi:
             lo = min(lo, n - 1)
             hi = lo + 1
         return lo, hi, kind
 
     try:
+        spans = [_norm_span(sp) for sp in anomaly_spans]
+        _check_spans(spans, x.size)
+        _check_onset(onset_sample, x.size)
         x = dsp.resample(x, sample_rate_hz)
-        spans = [rescale_span(*_norm_span(sp), x.size)
-                 for sp in anomaly_spans]
+        spans = [rescale_span(*sp, x.size) for sp in spans]
         return SourceSignal(
             id=signal_id, samples=dsp.apply_filter(x, dsp.design_bandpass()),
             anomaly_spans=spans, dataset_tag=dataset_tag,
@@ -237,36 +239,46 @@ def _slice_label(spans, offset):
     return 0, None
 
 
-def _slice_offsets(signal_id, length):
-    """Offsets of a signal's consecutive non-overlapping slices; the
-    trailing remainder is discarded."""
-    if length < SLICE_LEN:
-        raise ValueError(
-            f"signal {signal_id} has {length} samples; at least {SLICE_LEN} "
-            "are required to form a slice")
-    return range(0, length - SLICE_LEN + 1, SLICE_LEN)
-
-
 _SIGNAL_FIELDS = (("id", int, "integer"), ("length", int, "integer"),
-                  ("spans", list, "array"))
+                  ("dataset_tag", str, "string"), ("spans", list, "array"))
 
 
 def _signal_entries(manifest):
-    """The manifest's signal list, once every entry is known to carry
-    the fields load reads, with their JSON types; ValueError otherwise."""
+    """The manifest's signal list, once it is what a store may hold;
+    ValueError otherwise. build_store checks the manifest it is about
+    to write by this rule, and MdbStore.load the one it has read.
+
+    A store lists at least one signal. Each entry is an object with an
+    integer `id` within int64 that no other entry has, an integer
+    `length` of at least one slice, a string `dataset_tag`, and
+    `spans` that are valid entries (check_span_entries), lie inside
+    the signal and do not overlap. JSON types are exact: a bool is not
+    an integer here."""
     signals = manifest.get("signals")
     if not isinstance(signals, list):
         raise ValueError("manifest 'signals' is not a list")
+    if not signals:
+        raise ValueError("manifest lists no signals")
+    seen = set()
     for i, sig in enumerate(signals):
         if not isinstance(sig, dict):
             raise ValueError(f"manifest signal #{i} is not an object")
         name = f"manifest signal #{i} (id {sig.get('id')!r})"
         for key, typ, json_type in _SIGNAL_FIELDS:
-            if type(sig.get(key)) is not typ:   # bool is not an int here
+            if type(sig.get(key)) is not typ:
                 raise ValueError(f"{name} has no {json_type} {key!r}")
-        if sig["id"] not in INT64:
+        sig_id, length = sig["id"], sig["length"]
+        if sig_id not in INT64:
             raise ValueError(f"{name} has an id outside int64")
+        if sig_id in seen:
+            raise ValueError(f"manifest lists signal {sig_id} twice")
+        seen.add(sig_id)
+        if length < SLICE_LEN:
+            raise ValueError(
+                f"signal {sig_id} has {length} samples; at least "
+                f"{SLICE_LEN} are required to form a slice")
         check_span_entries(sig["spans"], name)
+        _check_spans(sig["spans"], length)
     return signals
 
 
@@ -301,13 +313,13 @@ class MdbStore:
     Load reads the payload into one flat float32 buffer (`flat`), in
     manifest order. Parent arrays are views into it, and `slice_starts`
     holds each slice's first position in it, so a scan can address any
-    window of any slice without building a SignalSet. `windows` is the
-    store's one view of every WINDOW_LEN-sample window of `flat`, built
-    on first use (None for an empty store): windows[p] is the window
-    starting at position p, so the scans and the edge tracker gather
-    windows from it without building a view per call. No float64 copy
-    is kept: widening float32 to float64 is exact, so callers that
-    compute in float64 see bit-identical values.
+    window of any slice without building a SignalSet. Every store holds
+    at least one slice (_signal_entries). `windows` is the store's one
+    view of every WINDOW_LEN-sample window of `flat`: windows[p] is the
+    window starting at position p, so the scans and the edge tracker
+    gather windows from it without building a view per call. No
+    float64 copy is kept: widening float32 to float64 is exact, so
+    callers that compute in float64 see bit-identical values.
     """
 
     def __init__(self, manifest: dict, flat: np.ndarray, parents: dict,
@@ -315,6 +327,8 @@ class MdbStore:
         self.manifest = manifest
         self.flat = flat
         self.slice_starts = slice_starts
+        # (flat.size - WINDOW_LEN + 1, WINDOW_LEN), one row per start
+        self.windows = sliding_window_view(flat, dsp.WINDOW_LEN)
         self._parents = parents
         self._index = index
         # cloud_search's FFT table, built on the first exhaustive search
@@ -324,7 +338,8 @@ class MdbStore:
 
     @classmethod
     def load(cls, root) -> "MdbStore":
-        """Read the payload and derive the slice table from the manifest."""
+        """Read the payload and derive the slice table from the manifest,
+        once the manifest is what a store may hold (_signal_entries)."""
         path = os.path.join(root, "manifest.json")
         try:
             with open(path, encoding="utf-8") as fh:
@@ -350,8 +365,7 @@ class MdbStore:
             size = os.fstat(fh.fileno()).st_size
             # sizes agree before anything is allocated, so a corrupt
             # length cannot ask for more memory than the payload holds
-            flat = (np.empty(total, dtype="<f4")
-                    if 0 <= total and 4 * total == size else None)
+            flat = np.empty(total, dtype="<f4") if 4 * total == size else None
             if flat is None or fh.readinto(flat) != size:
                 raise ValueError(
                     f"payload {PAYLOAD_FILE} has {size} bytes; the manifest's "
@@ -363,12 +377,10 @@ class MdbStore:
         pos = 0
         for sig in signals:
             length = sig["length"]
-            if sig["id"] in parents:
-                raise ValueError(f"manifest lists signal {sig['id']} twice")
             parents[sig["id"]] = flat[pos:pos + length]
             spans = [_norm_span(sp) for sp in sig["spans"]]
-            _check_spans(spans, length)
-            for offset in _slice_offsets(sig["id"], length):
+            # consecutive slices from offset 0; the remainder is dropped
+            for offset in range(0, length - SLICE_LEN + 1, SLICE_LEN):
                 label, kind = _slice_label(spans, offset)
                 index.append((len(index), sig["id"], offset, label, kind))
                 starts.append(pos + offset)
@@ -384,13 +396,6 @@ class MdbStore:
     @property
     def num_slices(self) -> int:
         return len(self._index)
-
-    @functools.cached_property
-    def windows(self):
-        """(flat.size - WINDOW_LEN + 1, WINDOW_LEN) view of `flat`, one
-        row per window start; None for an empty store."""
-        return (sliding_window_view(self.flat, dsp.WINDOW_LEN)
-                if self.num_slices else None)
 
     def slice_meta(self, set_id: int):
         """(set_id, parent_id, parent_offset, label, kind) for one slice."""
@@ -415,19 +420,27 @@ class MdbStore:
 def build_store(signals, out_dir) -> MdbStore:
     """Quantize a corpus to one float32 payload and write its manifest.
 
-    Raises ValueError, before any file is written, for duplicate ids,
-    signals shorter than one slice, and NaN, infinite or beyond-float32
-    samples, which no correlation could score. Returns the reopened
-    store, so the arrays in hand are exactly what any later reader will
-    see.
+    Raises ValueError, before any file or directory is made, unless the
+    manifest to be written is what a store may hold (_signal_entries,
+    the rule MdbStore.load reads by) and every sample is finite and
+    within float32, which no correlation could score otherwise. Returns
+    the reopened store, so the arrays in hand are exactly what any
+    later reader will see.
     """
-    seen = set()
+    signals = list(signals)     # read three times, so not an iterator
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "sample_rate_hz": dsp.SAMPLE_RATE_HZ,
+        "slice_len": SLICE_LEN,
+        "signals": [{
+            "id": sig.id,
+            "length": int(sig.samples.size),
+            "dataset_tag": sig.dataset_tag,
+            "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
+        } for sig in signals],
+    }
+    _signal_entries(manifest)
     for sig in signals:
-        if sig.id in seen:
-            raise ValueError(f"duplicate signal id {sig.id} in corpus")
-        seen.add(sig.id)
-    for sig in signals:
-        _slice_offsets(sig.id, sig.samples.size)
         if not np.all(np.abs(sig.samples) <= np.finfo(np.float32).max):
             raise ValueError(f"signal {sig.id} has NaN, infinite or "
                              "beyond-float32 samples")
@@ -435,19 +448,6 @@ def build_store(signals, out_dir) -> MdbStore:
     with open(os.path.join(out_dir, PAYLOAD_FILE), "wb") as fh:
         for sig in signals:
             sig.samples.astype("<f4").tofile(fh)
-    sig_entries = [{
-        "id": sig.id,
-        "length": int(sig.samples.size),
-        "dataset_tag": sig.dataset_tag,
-        "spans": [[s, e, k] for s, e, k in sig.anomaly_spans],
-    } for sig in signals]
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "sample_rate_hz": dsp.SAMPLE_RATE_HZ,
-        "slice_len": SLICE_LEN,
-        "signals": sig_entries,
-    }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return MdbStore.load(out_dir)
 

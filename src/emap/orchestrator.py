@@ -232,8 +232,6 @@ def _stream_loop(live: SourceSignal, store: MdbStore,
     if n_windows < 2:
         raise ValueError(f"live signal {live.id} has {live.samples.size} "
                          "samples; it must span at least 2 seconds")
-    if store.num_slices == 0:
-        raise ValueError("store has no slices to search")
 
     def window(w: int) -> dsp.SignalWindow:
         seg = live.samples[w * dsp.WINDOW_LEN:(w + 1) * dsp.WINDOW_LEN]

@@ -39,20 +39,6 @@ def test_scan_covers_all_745_offsets(tmp_path):
     assert res.comparisons_made == 745
 
 
-def test_empty_store_gives_empty_result(tmp_path):
-    store = build_store([], tmp_path / "store")
-    assert store.windows is None
-    q = SignalWindow(samples=np.random.default_rng(0).normal(0, 15, WINDOW_LEN),
-                     timestep_index=0)
-    for search in (sliding_search, exhaustive_search):
-        res = search(q, store, SearchConfig())
-        assert res.candidates == []
-        assert res.comparisons_made == 0
-    # no round runs, so the trace is empty
-    assert sliding_search(q, store, SearchConfig(),
-                          record_trace=True).trace == []
-
-
 def test_planted_window_scores_exactly_one(parity_world):
     corpus, store = parity_world
     q = window_of(store, 5)

@@ -249,6 +249,14 @@ def signal_not_an_object(manifest):
     manifest["signals"][1] = [1]
 
 
+def no_signals(manifest):
+    manifest["signals"] = []
+
+
+def tag_as_number(manifest):
+    manifest["signals"][1]["dataset_tag"] = 3
+
+
 def write_query(tmp_path):
     query = tmp_path / "query.csv"
     query.write_text("".join(f"{v!r}\n" for v in np.arange(1.0, 257.0)))
@@ -273,17 +281,22 @@ def write_query(tmp_path):
      "has a kind that is neither a string nor null"),
     (huge_length, "samples.f32 has 18000 bytes; the manifest's lengths sum "
      f"to {2000 + 10**15} samples"),
-    (negative_length_sum, "samples.f32 has 18000 bytes; the manifest's "
-     "lengths sum to -1000 samples, -4000 bytes"),
+    # the length rule refuses it before the payload size is compared
+    (negative_length_sum, "signal 1 has -3000 samples; at least 1000 are "
+     "required to form a slice"),
     (huge_id, r"manifest signal #1 \(id 9223372036854775808\) has an id "
      "outside int64"),
     (signal_not_an_object, "manifest signal #1 is not an object"),
+    (no_signals, "manifest lists no signals"),
+    (tag_as_number, r"manifest signal #1 \(id 1\) has no string "
+     "'dataset_tag'"),
 ], ids=["span-outside-signal", "format-1", "format-2", "no-spans",
         "no-length", "length-as-text", "signals-not-a-list",
         "manifest-not-an-object",
         "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
         "rate-512", "no-slice-len", "kind-as-list", "huge-length",
-        "negative-length-sum", "huge-id", "signal-not-an-object"])
+        "negative-length-sum", "huge-id", "signal-not-an-object",
+        "no-signals", "tag-as-number"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
     root = tmp_path / "store"
     build_store([make_signal(0, n=2000), make_signal(1, n=2500)], root)
@@ -354,6 +367,14 @@ def test_a_store_whose_manifest_holds_onsets_still_loads(tmp_path):
     assert searched(store)[0][0]
 
 
+def test_a_corpus_given_as_an_iterator_builds_the_same_store(tmp_path):
+    signals = [make_signal(i, n=2000) for i in range(3)]
+    store = build_store(iter(signals), tmp_path / "store")
+    assert_matches_reference(store, signals)
+    assert store.flat.tobytes() == b"".join(
+        s.samples.astype("<f4").tobytes() for s in signals)
+
+
 def test_payload_is_every_signal_in_manifest_order(tmp_path):
     signals = [make_signal(i, n=1000 + 300 * i) for i in (2, 0, 1)]
     store = build_store(signals, tmp_path / "store")
@@ -410,14 +431,68 @@ def test_non_finite_check_crosses_chunk_boundaries(tmp_path, monkeypatch):
 def test_build_store_rejects_non_finite_samples(tmp_path, bad):
     sig = make_signal(4, n=2000)
     sig.samples[1234] = bad
-    with pytest.raises(ValueError, match="signal 4"):
+    with pytest.raises(ValueError, match="signal 4 has NaN, infinite or "
+                       "beyond-float32 samples"):
         build_store([make_signal(0), sig], tmp_path / "store")
+    assert not (tmp_path / "store").exists()
 
 
 def test_build_store_rejects_duplicate_ids(tmp_path):
-    with pytest.raises(ValueError, match="duplicate signal id 3 in"):
+    # the rule load applies, so both report a repeat the same way
+    root = tmp_path / "store"
+    with pytest.raises(ValueError, match="manifest lists signal 3 twice"):
         build_store([make_signal(1), make_signal(3), make_signal(2),
-                     make_signal(3), make_signal(1)], tmp_path / "store")
+                     make_signal(3), make_signal(1)], root)
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("corpus, message", [
+    (lambda: [], "manifest lists no signals"),
+    (lambda: [make_signal(2 ** 63)], "has an id outside int64"),
+    (lambda: [make_signal(True)], r"\(id True\) has no integer 'id'"),
+    (lambda: [make_signal(np.int64(3))], "has no integer 'id'"),
+    (lambda: [make_signal(0, spans=[(0, 10, 5)])],
+     r"'spans' entry \[0, 10, 5\] has a kind that is neither"),
+    (lambda: [make_signal(0, tag=b"x")], "has no string 'dataset_tag'"),
+], ids=["empty-corpus", "id-past-int64", "bool-id", "numpy-id", "int-kind",
+        "bytes-tag"])
+def test_build_store_refuses_before_writing(tmp_path, corpus, message):
+    # the manifest is checked by load's rule before any file is made
+    root = tmp_path / "store"
+    with pytest.raises(ValueError, match=message):
+        build_store(corpus(), root)
+    assert not root.exists()
+
+
+@st.composite
+def hostile_signal(draw):
+    """A signal that may break any rule of what a store may hold."""
+    sig_id = draw(st.one_of(
+        st.integers(0, 2),        # small, so ids repeat
+        st.sampled_from([-2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1, 2 ** 63]),
+        st.booleans(), st.integers(0, 2).map(np.int64)))
+    n = draw(st.sampled_from([0, 1, SLICE_LEN - 1, SLICE_LEN, 2100]))
+    samples = np.full(n, draw(st.sampled_from([1.0, np.nan, np.inf])))
+    kind = draw(st.sampled_from([None, "seizure", 5, b"x", 1.5]))
+    spans = [(0, n, kind)] if n and draw(st.booleans()) else []
+    tag = draw(st.sampled_from(["", "t", b"x", 3, None]))
+    return SourceSignal(id=sig_id, samples=samples, anomaly_spans=spans,
+                        dataset_tag=tag)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(signals=st.lists(hostile_signal(), max_size=3))
+def test_build_store_returns_a_store_or_writes_nothing(tmp_path_factory,
+                                                       signals):
+    root = tmp_path_factory.mktemp("hostile") / "store"
+    try:
+        store = build_store(signals, root)
+    except ValueError:
+        assert not root.exists()
+    else:
+        assert store.num_slices == sum(s.samples.size // SLICE_LEN
+                                       for s in signals)
 
 
 def test_manifest_is_readable_json(tmp_path):
@@ -511,14 +586,21 @@ def test_a_one_sample_span_survives_resampling(tmp_path, span, want):
     assert sig.anomaly_spans == [(*want, "seizure")]
 
 
-@pytest.mark.parametrize("span", [(-1, 0), (4000, 4001)],
+@pytest.mark.parametrize("span, onset", [((-1, 10), -1),
+                                         ((3990, 4001), 4001)],
                          ids=["before", "after"])
-def test_a_span_outside_the_recording_still_fails(tmp_path, span):
+def test_a_span_outside_the_recording_still_fails(tmp_path, span, onset):
+    # checked against the recording as given: at 512 Hz both would
+    # round into the 2000 resampled samples
     p = tmp_path / "fast.csv"
     write_csv(p, np.random.default_rng(5).normal(0, 15, 4000))
-    with pytest.raises(ValueError, match=r"fast.csv: anomaly span \("
-                                         r"\d+, \d+\) outside"):
-        ingest_csv(p, sample_rate_hz=512, anomaly_spans=[span])
+    for rate in (256, 512):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: anomaly span {span} outside signal of length 4000")):
+            ingest_csv(p, sample_rate_hz=rate, anomaly_spans=[span])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: onset_sample {onset} outside signal of length 4000")):
+            ingest_csv(p, sample_rate_hz=rate, onset_sample=onset)
 
 
 def test_ingest_csv_rejects_a_rate_that_leaves_no_samples(tmp_path):
@@ -739,12 +821,12 @@ def test_onset_must_lie_in_its_stream(tmp_path):
     p = tmp_path / "fast.csv"
     write_csv(p, np.random.default_rng(5).normal(0, 15, 2400))
     # 2400 samples at 512 Hz are 1200 at 256 Hz: onset 2400 maps to the
-    # end, 2402 one past it
+    # end; 2401, which would round to it, lies past the recording
     assert ingest_csv(p, sample_rate_hz=512,
                       onset_sample=2400).onset_sample == 1200
     with pytest.raises(ValueError, match=f"{re.escape(str(p))}: onset_sample "
-                       "1201 outside signal of length 1200"):
-        ingest_csv(p, sample_rate_hz=512, onset_sample=2402)
+                       "2401 outside signal of length 2400"):
+        ingest_csv(p, sample_rate_hz=512, onset_sample=2401)
 
 
 def test_synth_corpus_contract():

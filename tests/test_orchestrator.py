@@ -157,20 +157,17 @@ def test_run_stream_is_deterministic(overlap_world):
     assert runs[0] == runs[1]
 
 
-def test_run_stream_input_validation(tmp_path, prob_world):
+def test_run_stream_input_validation(prob_world):
+    # every store has a slice (build_store refuses an empty corpus), so
+    # a stream shorter than 2 s is the loop's one refusal
     sc, store = prob_world
     rng = np.random.default_rng(50)
     stub = SourceSignal(id=900, samples=rng.normal(0, 15, 300),
                         anomaly_spans=[], dataset_tag="unit")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="live signal 900 has 300 samples; "
+                       "it must span at least 2 seconds"):
         run_stream(stub, store, sc.search_cfg, sc.tracker_cfg, ZERO_LINK,
                    SimConfig())
-    empty_store = build_store([], tmp_path / "empty")
-    ok = SourceSignal(id=901, samples=rng.normal(0, 15, 2048),
-                      anomaly_spans=[], dataset_tag="unit")
-    with pytest.raises(ValueError):
-        run_stream(ok, empty_store, sc.search_cfg, sc.tracker_cfg,
-                   ZERO_LINK, SimConfig())
 
 
 def test_evaluation_rejects_store_overlap(eval_world):
@@ -335,6 +332,25 @@ def test_scoring_counts_misses_and_false_alarms(tmp_path, swapped, accuracy,
         assert row.accuracy == accuracy
         assert row.false_positive_rate == fpr
         assert row.mean_lead_time_s == lead
+
+
+def test_batch_rows_name_mixed_and_absent_kinds(tmp_path):
+    # streams are 2 anomalous then 2 normal; relabelling the second
+    # stream's span makes batch 0 hold two kinds and leaves batch 1
+    # without any, and no sample changes
+    world = evaluation_world(2026, n_anomalous=2, n_normal=2)
+    second = world.streams[1]
+    (start, end, _kind), = second.anomaly_spans
+    streams = [world.streams[0],
+               dataclasses.replace(second,
+                                   anomaly_spans=[(start, end, "stroke")]),
+               *world.streams[2:]]
+    store = build_store(world.store_signals, tmp_path / "store")
+    cfg = world.run_config
+    table = evaluate_batch(streams, store, cfg.search, cfg.tracker, cfg.link,
+                           dataclasses.replace(cfg.sim, batch_size=2))
+    assert [(r.batch, r.n, r.anomaly_kind) for r in table.rows] == [
+        ("0", 2, "mixed"), ("1", 2, "none"), ("mean", 4, "mixed")]
 
 
 def test_a_cut_stream_replays_the_full_run(eval_world):
