@@ -231,14 +231,6 @@ def _parse_bulk(path, text):
         return None
 
 
-def _slice_label(spans, offset):
-    """Any overlap between [offset, offset+SLICE_LEN) and a span marks it anomalous."""
-    for start, end, kind in spans:
-        if start < offset + SLICE_LEN and end > offset:
-            return 1, kind
-    return 0, None
-
-
 _SIGNAL_FIELDS = (("id", int, "integer"), ("length", int, "integer"),
                   ("dataset_tag", str, "string"), ("spans", list, "array"))
 
@@ -253,23 +245,28 @@ def _signal_entries(manifest):
     `length` of at least one slice, a string `dataset_tag`, and
     `spans` that are valid entries (check_span_entries), lie inside
     the signal and do not overlap. JSON types are exact: a bool is not
-    an integer here."""
+    an integer here. A fault in an entry names it as `manifest signal
+    #i (id ...)`, except a repeated id or a short signal, which name
+    the signal by its id."""
     signals = manifest.get("signals")
     if not isinstance(signals, list):
         raise ValueError("manifest 'signals' is not a list")
     if not signals:
         raise ValueError("manifest lists no signals")
+
+    def name(i, sig):
+        return f"manifest signal #{i} (id {sig.get('id')!r})"
+
     seen = set()
     for i, sig in enumerate(signals):
         if not isinstance(sig, dict):
             raise ValueError(f"manifest signal #{i} is not an object")
-        name = f"manifest signal #{i} (id {sig.get('id')!r})"
         for key, typ, json_type in _SIGNAL_FIELDS:
             if type(sig.get(key)) is not typ:
-                raise ValueError(f"{name} has no {json_type} {key!r}")
-        sig_id, length = sig["id"], sig["length"]
+                raise ValueError(f"{name(i, sig)} has no {json_type} {key!r}")
+        sig_id, length, spans = sig["id"], sig["length"], sig["spans"]
         if sig_id not in INT64:
-            raise ValueError(f"{name} has an id outside int64")
+            raise ValueError(f"{name(i, sig)} has an id outside int64")
         if sig_id in seen:
             raise ValueError(f"manifest lists signal {sig_id} twice")
         seen.add(sig_id)
@@ -277,8 +274,12 @@ def _signal_entries(manifest):
             raise ValueError(
                 f"signal {sig_id} has {length} samples; at least "
                 f"{SLICE_LEN} are required to form a slice")
-        check_span_entries(sig["spans"], name)
-        _check_spans(sig["spans"], length)
+        if spans:                   # no spans pass both checks
+            check_span_entries(spans, name(i, sig))
+            try:
+                _check_spans(spans, length)
+            except ValueError as e:
+                raise ValueError(f"{name(i, sig)}: {e}") from None
     return signals
 
 
@@ -339,7 +340,13 @@ class MdbStore:
     @classmethod
     def load(cls, root) -> "MdbStore":
         """Read the payload and derive the slice table from the manifest,
-        once the manifest is what a store may hold (_signal_entries)."""
+        once the manifest is what a store may hold (_signal_entries).
+
+        The payload's size must be 4 bytes per listed sample before any
+        buffer is made, and every sample must be finite; ValueError
+        otherwise. The table is built from int64 columns, which can
+        hold every length once the size check has passed; labels and
+        kinds are set one span at a time."""
         path = os.path.join(root, "manifest.json")
         try:
             with open(path, encoding="utf-8") as fh:
@@ -360,7 +367,9 @@ class MdbStore:
                 raise ValueError(f"manifest {key!r} is {got!r}; stores "
                                  f"hold {want} here")
         signals = _signal_entries(manifest)
-        total = sum(sig["length"] for sig in signals)
+        ids = [sig["id"] for sig in signals]
+        length_list = [sig["length"] for sig in signals]
+        total = sum(length_list)
         with open(os.path.join(root, PAYLOAD_FILE), "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             # sizes agree before anything is allocated, so a corrupt
@@ -370,26 +379,37 @@ class MdbStore:
                 raise ValueError(
                     f"payload {PAYLOAD_FILE} has {size} bytes; the manifest's "
                     f"lengths sum to {total} samples, {4 * total} bytes")
+        lengths = np.array(length_list, dtype=np.int64)
+        ends = np.cumsum(lengths)
+        pos = ends - lengths
         bad = _first_non_finite(flat)
-        parents = {}
-        index = []
-        starts = []
-        pos = 0
-        for sig in signals:
-            length = sig["length"]
-            parents[sig["id"]] = flat[pos:pos + length]
-            spans = [_norm_span(sp) for sp in sig["spans"]]
-            # consecutive slices from offset 0; the remainder is dropped
-            for offset in range(0, length - SLICE_LEN + 1, SLICE_LEN):
-                label, kind = _slice_label(spans, offset)
-                index.append((len(index), sig["id"], offset, label, kind))
-                starts.append(pos + offset)
-            if bad is not None and bad < pos + length:
-                raise ValueError(f"signal {sig['id']} has a NaN or infinite "
-                                 f"sample at {bad - pos} in {PAYLOAD_FILE}")
-            pos += length
-        return cls(manifest, flat, parents, index,
-                   np.array(starts, dtype=np.int64))
+        if bad is not None:
+            at = int(np.searchsorted(ends, bad, "right"))
+            raise ValueError(f"signal {ids[at]} has a NaN or infinite "
+                             f"sample at {bad - int(pos[at])} in "
+                             f"{PAYLOAD_FILE}")
+        parents = {sig_id: flat[p:e] for sig_id, p, e
+                   in zip(ids, pos.tolist(), ends.tolist())}
+        # consecutive slices from offset 0; the remainder is dropped
+        counts = lengths // SLICE_LEN
+        first = np.cumsum(counts) - counts
+        n = int(counts.sum())
+        owner = np.repeat(np.arange(len(signals)), counts)
+        offsets = (np.arange(n) - first[owner]) * SLICE_LEN
+        labels = [0] * n
+        kinds = [None] * n
+        for sig, base, count in zip(signals, first.tolist(), counts.tolist()):
+            # in reverse, so the first listed span overlapping a slice
+            # is the one that labels it
+            for start, end, kind in map(_norm_span, reversed(sig["spans"])):
+                lo = base + min(start // SLICE_LEN, count)
+                hi = base + min(-(-end // SLICE_LEN), count)
+                labels[lo:hi] = [1] * (hi - lo)
+                kinds[lo:hi] = [kind] * (hi - lo)
+        owner_ids = np.array(ids, dtype=np.int64)[owner]
+        index = list(zip(range(n), owner_ids.tolist(), offsets.tolist(),
+                         labels, kinds))
+        return cls(manifest, flat, parents, index, pos[owner] + offsets)
 
     # -- queries ------------------------------------------------------
 

@@ -69,18 +69,22 @@ def assert_matches_reference(store, signals):
 
 
 def test_slice_layout_and_any_overlap_labels(tmp_path):
-    signals = [make_signal(0, n=2500, spans=[(1500, 1700, "seizure")]),
+    signals = [make_signal(0, n=2500, spans=[(1500, 1700, "seizure"),
+                                             # in the dropped remainder
+                                             (2100, 2400, "stroke")]),
                # a span clipping just one sample of a slice still marks it
                make_signal(1, n=2000, spans=[(999, 1001, "stroke")]),
-               # spans are half-open: touching a slice is not overlapping
-               make_signal(2, n=3000, spans=[(500, 1000, "a"),
+               # spans are half-open: touching a slice is not overlapping;
+               # of two spans in one slice, the first listed labels it
+               make_signal(2, n=3000, spans=[(2600, 2700, "c"),
+                                             (500, 1000, "a"),
                                              (2000, 2400, "b")])]
     store = build_store(signals, tmp_path / "store")
     # the trailing 500 samples of signal 0 are dropped
     assert [store.slice_meta(i) for i in range(store.num_slices)] == [
         (0, 0, 0, 0, None), (1, 0, 1000, 1, "seizure"),
         (2, 1, 0, 1, "stroke"), (3, 1, 1000, 1, "stroke"),
-        (4, 2, 0, 1, "a"), (5, 2, 1000, 0, None), (6, 2, 2000, 1, "b")]
+        (4, 2, 0, 1, "a"), (5, 2, 1000, 0, None), (6, 2, 2000, 1, "c")]
     assert store.slice_starts.tolist() == [0, 1000, 2500, 3500,
                                            4500, 5500, 6500]
 
@@ -94,15 +98,21 @@ def test_slice_signal_needs_full_slice(tmp_path):
 
 @st.composite
 def spanned_signal(draw, sid):
-    """A signal of 1000-5000 samples with random non-overlapping spans."""
-    n = draw(st.integers(SLICE_LEN, 5000))
-    # slice boundaries are drawn often, so spans touch slices exactly
+    """A signal of 1000-5000 samples with random non-overlapping spans,
+    listed in any order."""
+    # whole slices are drawn often, so no remainder is dropped
+    n = draw(st.one_of(st.integers(SLICE_LEN, 5000),
+                       st.sampled_from(range(SLICE_LEN, 5001, SLICE_LEN))))
+    # slice boundaries are drawn often, so spans touch slices exactly, and
+    # so are cuts in the dropped remainder, so spans lie wholly inside it
     cut = st.one_of(st.integers(0, n),
-                    st.sampled_from(range(0, n + 1, SLICE_LEN)))
+                    st.sampled_from(range(0, n + 1, SLICE_LEN)),
+                    st.integers(n - n % SLICE_LEN, n))
     cuts = sorted(draw(st.lists(cut, max_size=8, unique=True)))
     kinds = draw(st.lists(st.sampled_from([None, "seizure", "stroke"]),
                           min_size=len(cuts) // 2, max_size=len(cuts) // 2))
-    return make_signal(sid, n=n, spans=zip(cuts[0::2], cuts[1::2], kinds))
+    spans = draw(st.permutations(list(zip(cuts[0::2], cuts[1::2], kinds))))
+    return make_signal(sid, n=n, spans=spans)
 
 
 @settings(max_examples=40, deadline=None,
@@ -232,6 +242,11 @@ def huge_length(manifest):
     manifest["signals"][1]["length"] = 10**15
 
 
+def length_past_int64(manifest):
+    # no int64 column can hold it, so none is built before the size check
+    manifest["signals"][1]["length"] = 2 ** 64
+
+
 def negative_length_sum(manifest):
     manifest["signals"][1]["length"] = -3000
 
@@ -264,7 +279,8 @@ def write_query(tmp_path):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (set_span, r"span \(2400, 2600\) outside signal of length 2500"),
+    (set_span, r"manifest signal #1 \(id 1\): anomaly span \(2400, 2600\) "
+     "outside signal of length 2500"),
     (set_format_1, "store format 1 is not supported"),
     (set_format_2, "store format 2 is not supported .* rebuild the store"),
     (drop_spans, r"manifest signal #1 \(id 1\) has no array 'spans'"),
@@ -273,7 +289,8 @@ def write_query(tmp_path):
     (signals_not_a_list, "manifest 'signals' is not a list"),
     (lambda m: [m], "manifest is not a JSON object"),
     (span_without_end, r"signal #1 \(id 1\): 'spans' entry \[100\]"),
-    (equal_spans_of_two_kinds, "anomaly spans overlap"),
+    (equal_spans_of_two_kinds,
+     r"manifest signal #1 \(id 1\): anomaly spans overlap"),
     (slice_len_500, "manifest 'slice_len' is 500; stores hold 1000"),
     (rate_512, "manifest 'sample_rate_hz' is 512; stores hold 256"),
     (drop_slice_len, "manifest 'slice_len' is None"),
@@ -281,6 +298,8 @@ def write_query(tmp_path):
      "has a kind that is neither a string nor null"),
     (huge_length, "samples.f32 has 18000 bytes; the manifest's lengths sum "
      f"to {2000 + 10**15} samples"),
+    (length_past_int64, "samples.f32 has 18000 bytes; the manifest's lengths "
+     f"sum to {2000 + 2 ** 64} samples"),
     # the length rule refuses it before the payload size is compared
     (negative_length_sum, "signal 1 has -3000 samples; at least 1000 are "
      "required to form a slice"),
@@ -295,6 +314,7 @@ def write_query(tmp_path):
         "manifest-not-an-object",
         "span-without-end", "equal-spans-of-two-kinds", "slice-len-500",
         "rate-512", "no-slice-len", "kind-as-list", "huge-length",
+        "length-past-int64",
         "negative-length-sum", "huge-id", "signal-not-an-object",
         "no-signals", "tag-as-number"])
 def test_load_rejects_a_corrupt_manifest(tmp_path, capsys, edit, message):
@@ -413,6 +433,23 @@ def test_load_rejects_non_finite_payload_samples(tmp_path, capsys, bad):
                         "--input", str(write_query(tmp_path))])
     assert rc == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at, sig, offset", [
+    (0, 0, 0), (1999, 0, 1999), (2000, 1, 0), (6499, 2, 1999)],
+    ids=["first-of-store", "last-of-a-signal", "first-of-a-later-signal",
+         "last-of-store"])
+def test_a_non_finite_sample_names_its_signal_and_offset(tmp_path, at, sig,
+                                                         offset):
+    root = tmp_path / "store"
+    build_store([make_signal(0, n=2000), make_signal(1, n=2500),
+                 make_signal(2, n=2000)], root)
+    flat = np.fromfile(root / "samples.f32", dtype="<f4")
+    flat[at] = np.nan
+    flat.tofile(root / "samples.f32")
+    with pytest.raises(ValueError, match=f"^signal {sig} has a NaN or "
+                       f"infinite sample at {offset} in samples.f32$"):
+        MdbStore.load(root)
 
 
 def test_non_finite_check_crosses_chunk_boundaries(tmp_path, monkeypatch):
